@@ -28,8 +28,7 @@ from .classifier import classify_all
 from .errors import ConsistencyError, GuardError, InputError
 from .optimizer import SearchConfig, maximize_weighted_rate, region_for, union_slice_2d
 from .polytope import RateRegion, regions_equal, region_subset
-from .probability import (load_aux_scheme, load_channel, load_ux_joint,
-                          validate_mass)
+from .probability import load_aux_scheme, load_channel, load_json, load_ux_joint
 from .rate_regions import (SplitRates, marton_region, mi_constants,
                            project_raw_system, raw_coding_system)
 from .simulator import SchemeConfig, estimate_error, plan_split_rates
@@ -164,7 +163,12 @@ def cmd_raw_project(args) -> int:
 
 def cmd_optimize(args) -> int:
     ch = load_channel(args.channel)
-    weights = [float(w) for w in args.weights.split(",")]
+    weights = []
+    for part in args.weights.split(","):
+        try:
+            weights.append(float(part))
+        except ValueError:
+            raise InputError(f"bad weight {part.strip()!r} in --weights") from None
     if len(weights) != 5:
         raise InputError("--weights needs five comma-separated values")
     cfg = SearchConfig(
@@ -257,10 +261,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    with open(args.region_a) as fh:
-        a = RateRegion.from_jsonable(json.load(fh))
-    with open(args.region_b) as fh:
-        b = RateRegion.from_jsonable(json.load(fh))
+    a = RateRegion.from_jsonable(load_json(args.region_a))
+    b = RateRegion.from_jsonable(load_json(args.region_b))
     a_in_b = region_subset(a, b)
     b_in_a = region_subset(b, a)
     emit({

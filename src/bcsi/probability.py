@@ -109,10 +109,13 @@ def validate_mass(mass: np.ndarray, expected_cells: int) -> str | None:
     if mass.size != expected_cells:
         return f"length {mass.size} != expected {expected_cells}"
     flat = mass.reshape(-1)
+    exact = _is_exact(mass)
     for i, v in enumerate(flat):
+        if not exact and not math.isfinite(v):
+            return f"mass[{i}] = {v} is not finite"
         if v < 0:
             return f"mass[{i}] = {v} is negative"
-    if _is_exact(mass):
+    if exact:
         total = sum(flat, Fraction(0))
         if abs(float(total) - 1.0) > SUM_TOL:
             return f"sum = {float(total):g}"
@@ -482,7 +485,9 @@ def input_marginal(scheme: AuxScheme) -> np.ndarray:
 
 # --- file loaders -----------------------------------------------------------
 
-def _load_json(path_or_dict):
+def load_json(path_or_dict):
+    """Parsed JSON file (a dict passes through); unreadable files and text
+    that is not JSON raise InputError."""
     if isinstance(path_or_dict, dict):
         return path_or_dict
     try:
@@ -490,12 +495,12 @@ def _load_json(path_or_dict):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path_or_dict}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"{path_or_dict} is not valid JSON: {exc}") from exc
 
 
 def load_channel(path_or_dict) -> Channel:
-    spec = _load_json(path_or_dict)
+    spec = load_json(path_or_dict)
     try:
         x_size = int(spec["x_size"])
         y1_size = int(spec["y1_size"])
@@ -507,7 +512,7 @@ def load_channel(path_or_dict) -> Channel:
 
 
 def load_aux_scheme(path_or_dict) -> AuxScheme:
-    spec = _load_json(path_or_dict)
+    spec = load_json(path_or_dict)
     try:
         sizes = tuple(int(s) for s in spec["u_sizes"])
         joint = spec["joint"]
@@ -526,7 +531,7 @@ def load_aux_scheme(path_or_dict) -> AuxScheme:
 
 def load_ux_joint(path_or_dict) -> JointPmf:
     """Load a p(u, x) joint for the capacity-formula regions."""
-    spec = _load_json(path_or_dict)
+    spec = load_json(path_or_dict)
     try:
         u_size = int(spec["u_size"])
         x_size = int(spec["x_size"])

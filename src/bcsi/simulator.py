@@ -9,10 +9,12 @@ typicality search. Error events are tallied per trial.
 Typicality inside the coding loop is conditional: the freshly added
 sequences are tested against the conditional law given the empirical type of
 the part already fixed (the cloud word at the encoder, the candidate
-codeword pair at the decoders). The standalone is_jointly_typical keeps the
-plain multiplicative form. Receiver errors are counted as decoded-message
-mismatches; a failed search still yields a deterministic default guess, so a
-rate-zero configuration never errors.
+codeword pair at the decoders). The test depends on a candidate only through
+its joint type, so it runs once per distinct type rather than once per
+candidate. The standalone is_jointly_typical keeps the plain multiplicative
+form. Receiver errors are counted as decoded-message mismatches; a failed
+search still yields a deterministic default guess, so a rate-zero
+configuration never errors.
 
 Per-trial randomness comes from counter-style derived generators
 (master seed, trial index), so reports are bit-identical given the config.
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +34,8 @@ from .rate_regions import MiConstants, SplitRates
 
 DESK_CAP = 1_000_000  # product of all message-set and bin sizes
 _CHUNK_CELLS = 4_000_000
+_TABLE_KEYS = 2 ** 16  # type-key spaces up to this size get a pass/fail table
+_KEY_LIMIT = 2 ** 63   # type keys below this fit int64
 
 RATE_NAMES = ("r1", "r21", "r22", "r31", "r32", "r4", "r5", "rp1", "rp2")
 SIZE_NAMES = ("m1", "m4", "m5", "m21", "m31", "m22", "m32", "l1", "l2")
@@ -65,20 +70,23 @@ class SchemeConfig:
         if self.eps_prime >= min(self.eps1, self.eps2):
             raise InputError("eps_prime must be below the decoding slacks")
         total = 1
-        for s in self.sizes().values():
+        for s in self._sizes.values():
             total *= s
         if total > DESK_CAP:
             raise GuardError(
                 f"codebook index space {total} exceeds desk-scale cap {DESK_CAP}")
 
-    def sizes(self) -> dict:
+    @cached_property
+    def _sizes(self) -> dict:
         r = self.rates
         rates = (r.r1, r.r4, r.r5, r.r21, r.r31, r.r22, r.r32, r.rp1, r.rp2)
         return {k: _size_from_rate(self.n, v) for k, v in zip(SIZE_NAMES, rates)}
 
+    def sizes(self) -> dict:
+        return dict(self._sizes)
+
     def realized_rates(self) -> dict:
-        sz = self.sizes()
-        return {k: math.log2(v) / self.n for k, v in sz.items()}
+        return {k: math.log2(v) / self.n for k, v in self._sizes.items()}
 
 
 @dataclass(frozen=True)
@@ -168,48 +176,64 @@ def _conditional_table(joint_mass: np.ndarray, known_cells: int, new_cells: int)
     return table
 
 
-def _conditionally_typical(known_seq: np.ndarray, new_seq: np.ndarray,
-                           table: np.ndarray, eps: float) -> bool:
-    """One-candidate version of the decoder check: counts of (known, new)
-    cells must stay within the multiplicative band around
-    count(known) * table, and off-support cells must stay empty."""
-    kc, nc = table.shape
-    counts = np.zeros((kc, nc), dtype=np.int64)
-    np.add.at(counts, (known_seq, new_seq), 1)
-    known = counts.sum(axis=1)
-    target = known[:, None] * table
-    if ((table <= 0.0) & (counts > 0)).any():
-        return False
-    return bool(np.all(np.abs(counts - target) <= eps * target + 1e-9))
+def _band_ok(counts: np.ndarray, table: np.ndarray, eps: float) -> np.ndarray:
+    """Conditional typicality of each row of counts (cells in (known, new)
+    row-major order): counts of (known, new) cells must stay within the
+    multiplicative band around count(known) * table, and off-support cells
+    must stay empty."""
+    counts = counts.reshape(len(counts), *table.shape)
+    target = counts.sum(axis=2)[:, :, None] * table[None]
+    zero_viol = ((table[None] <= 0.0) & (counts > 0)).any(axis=(1, 2))
+    band_viol = (np.abs(counts - target) > eps * target + 1e-9).any(axis=(1, 2))
+    return ~(zero_viol | band_viol)
 
 
-def _typical_flags(comp: np.ndarray, known_cells: int, new_cells: int,
-                   table: np.ndarray, eps: float) -> np.ndarray:
+def _typical_flags(known: np.ndarray, new: np.ndarray, table: np.ndarray, eps: float,
+                   pass_tables: dict | None = None) -> np.ndarray:
     """Vectorized conditional typicality over candidates.
 
-    comp has shape (C, n) with composite per-position codes
-    known_cell * new_cells + new_cell.
+    known and new hold per-position cell indices into table = p(new | known)
+    and broadcast against each other to one (..., n) array of candidates;
+    the flags have the leading shape. The test depends on a candidate only
+    through its count vector, which the key sum_t (n+1)**(known_t *
+    new_cells + new_t) spells out in base n + 1. The band test runs on every
+    possible key when there are at most _TABLE_KEYS of them (the pass/fail
+    table is kept in pass_tables under (n, eps)), else on each distinct key,
+    and per candidate only where a key would overflow int64.
     """
-    cells = known_cells * new_cells
-    c_total, n = comp.shape
-    flags = np.empty(c_total, dtype=bool)
-    chunk = max(1, _CHUNK_CELLS // max(cells, 1))
-    for start in range(0, c_total, chunk):
-        part = comp[start:start + chunk]
-        m = part.shape[0]
-        offsets = np.arange(m, dtype=np.int64)[:, None] * cells
-        counts = np.bincount((offsets + part).ravel(), minlength=m * cells)
-        counts = counts.reshape(m, known_cells, new_cells)
-        known = counts.sum(axis=2)
-        target = known[:, :, None] * table[None]
-        zero_viol = ((table[None] <= 0.0) & (counts > 0)).any(axis=(1, 2))
-        band_viol = (np.abs(counts - target) > eps * target + 1e-9).any(axis=(1, 2))
-        flags[start:start + m] = ~(zero_viol | band_viol)
-    return flags
+    new_cells = table.shape[1]
+    cells = table.size
+    shape = np.broadcast_shapes(np.shape(known), np.shape(new))
+    n = shape[-1]
+    base = n + 1
+    if base ** cells > _KEY_LIMIT:
+        comp = np.broadcast_to(known * new_cells + new, shape).reshape(-1, n)
+        flags = np.empty(len(comp), dtype=bool)
+        chunk = max(1, _CHUNK_CELLS // cells)
+        for start in range(0, len(comp), chunk):
+            part = comp[start:start + chunk]
+            m = part.shape[0]
+            offsets = np.arange(m, dtype=np.int64)[:, None] * cells
+            counts = np.bincount((offsets + part).ravel(), minlength=m * cells)
+            flags[start:start + m] = _band_ok(counts.reshape(m, cells), table, eps)
+        return flags.reshape(shape[:-1])
+    weights = base ** np.arange(cells, dtype=np.int64)
+    keys = np.einsum("...t,...t->...", weights[::new_cells][known], weights[:new_cells][new])
+    if base ** cells <= _TABLE_KEYS:
+        pass_tables = {} if pass_tables is None else pass_tables
+        ok = pass_tables.get((n, eps))
+        if ok is None:
+            every = np.arange(base ** cells, dtype=np.int64)
+            ok = pass_tables[(n, eps)] = _band_ok(every[:, None] // weights % base,
+                                                  table, eps)
+        return ok[keys]
+    uniq, inverse = np.unique(keys.reshape(-1), return_inverse=True)
+    return _band_ok(uniq[:, None] // weights % base, table, eps)[inverse].reshape(keys.shape)
 
 
 class _Tables:
-    """Float conditionals shared by the encoder and both decoders."""
+    """Float conditionals shared by the encoder and both decoders, and the
+    pass/fail tables of their typicality tests."""
 
     def __init__(self, scheme: AuxScheme, ch: Channel):
         scheme.check_against(ch)
@@ -225,14 +249,32 @@ class _Tables:
         j = induced_joint(scheme, ch)
         m1 = j.marginal(("U0", "U1", "Y1")).as_float()
         m2 = j.marginal(("U0", "U2", "Y2")).as_float()
-        self.y1_size = ch.y1.size
-        self.y2_size = ch.y2.size
-        self.t_y1 = _conditional_table(m1, a0 * a1, ch.y1.size)
-        self.t_y2 = _conditional_table(m2, a0 * a2, ch.y2.size)
+        # p(y_k | u0, u_k), indexed by receiver k
+        self.t_y = {1: _conditional_table(m1, a0 * a1, ch.y1.size),
+                    2: _conditional_table(m2, a0 * a2, ch.y2.size)}
+        self.pass_tables = {"encode": {}, 1: {}, 2: {}}
         # channel sampling cdfs over the composite (y1, y2) alphabet
         kern = ch.kernel_float().reshape(ch.x.size, -1)
         self.channel_cdf = np.cumsum(kern, axis=1)
         self.gamma = np.asarray(scheme.gamma, dtype=np.int64)
+
+
+def _need_tables(tables, cfg: SchemeConfig, ch, what: str) -> _Tables:
+    if tables is not None:
+        return tables
+    if ch is None:
+        raise InputError(f"{what} needs precomputed tables or the channel")
+    return _Tables(cfg.scheme, ch)
+
+
+def _inverse_cdf(r: np.ndarray, columns) -> np.ndarray:
+    """Index drawn by each uniform in r: the number of cdf columns below it.
+    Callers leave out the last column, which can only push the count past
+    the last index."""
+    idx = np.zeros(r.shape, dtype=np.int64)
+    for col in columns:
+        idx += col < r
+    return idx
 
 
 def _sample_categorical(rng: np.random.Generator, cdf_rows: np.ndarray,
@@ -240,9 +282,7 @@ def _sample_categorical(rng: np.random.Generator, cdf_rows: np.ndarray,
     """Inverse-cdf draw: one sample per entry of `rows`, each from the cdf row
     selected by that entry."""
     r = rng.random(rows.shape)
-    cdf = cdf_rows[rows]
-    idx = (cdf < r[..., None]).sum(axis=-1)
-    return np.minimum(idx, cdf_rows.shape[1] - 1)
+    return _inverse_cdf(r, (cdf_rows[rows, k] for k in range(cdf_rows.shape[1] - 1)))
 
 
 def _generate(cfg: SchemeConfig, ch: Channel, tables: _Tables,
@@ -250,22 +290,18 @@ def _generate(cfg: SchemeConfig, ch: Channel, tables: _Tables,
     sz = cfg.sizes()
     n = cfg.n
     base = (sz["m1"], sz["m4"], sz["m5"], sz["m21"], sz["m31"])
-    a0, a1, a2 = tables.sizes
-    cdf0 = np.cumsum(tables.p_u0)
-    r = rng.random(base + (n,))
-    cb0 = np.minimum((cdf0 < r[..., None]).sum(axis=-1), a0 - 1).astype(np.int64)
+    _, a1, a2 = tables.sizes
+    cb0 = _inverse_cdf(rng.random(base + (n,)), np.cumsum(tables.p_u0)[:-1])
     if a1 == 1:  # degenerate satellite alphabet: nothing to draw
         cb1 = np.zeros(base + (sz["m22"], sz["l1"], n), dtype=np.int64)
     else:
-        cdf1 = np.cumsum(tables.t_u1, axis=1)
         cb0_b1 = np.broadcast_to(cb0[..., None, None, :], base + (sz["m22"], sz["l1"], n))
-        cb1 = _sample_categorical(rng, cdf1, cb0_b1).astype(np.int64)
+        cb1 = _sample_categorical(rng, np.cumsum(tables.t_u1, axis=1), cb0_b1)
     if a2 == 1:
         cb2 = np.zeros(base + (sz["m32"], sz["l2"], n), dtype=np.int64)
     else:
-        cdf2 = np.cumsum(tables.t_u2, axis=1)
         cb0_b2 = np.broadcast_to(cb0[..., None, None, :], base + (sz["m32"], sz["l2"], n))
-        cb2 = _sample_categorical(rng, cdf2, cb0_b2).astype(np.int64)
+        cb2 = _sample_categorical(rng, np.cumsum(tables.t_u2, axis=1), cb0_b2)
     return Codebooks(cb0, cb1, cb2)
 
 
@@ -277,34 +313,43 @@ def generate_codebooks(cfg: SchemeConfig, ch: Channel) -> Codebooks:
 
 def encode(cb: Codebooks, msg: Msg, cfg: SchemeConfig,
            tables: _Tables | None = None, ch: Channel | None = None):
-    """Scan bin pairs (l1, l2) in lexicographic order for the first
-    conditionally typical triple; fall back to (0, 0) when none passes.
+    """Test every bin pair (l1, l2) and take the first conditionally typical
+    triple in lexicographic order; fall back to (0, 0) when none passes.
     Returns (x_seq, (l1, l2), fallback)."""
-    if tables is None:
-        if ch is None:
-            raise InputError("encode needs precomputed tables or the channel")
-        tables = _Tables(cfg.scheme, ch)
-    u0 = cb.cb0[msg.m1, msg.m4, msg.m5, msg.m21, msg.m31]
-    a0, a1, a2 = tables.sizes
-    sz = cfg.sizes()
-    chosen = None
-    for l1 in range(sz["l1"]):
-        u1 = cb.cb1[msg.m1, msg.m4, msg.m5, msg.m21, msg.m31, msg.m22, l1]
-        for l2 in range(sz["l2"]):
-            u2 = cb.cb2[msg.m1, msg.m4, msg.m5, msg.m21, msg.m31, msg.m32, l2]
-            pair = u1 * a2 + u2
-            if _conditionally_typical(u0, pair, tables.t_pair, cfg.eps_prime):
-                chosen = (l1, l2)
-                break
-        if chosen:
-            break
-    fallback = chosen is None
-    if fallback:
-        chosen = (0, 0)
-    u1 = cb.cb1[msg.m1, msg.m4, msg.m5, msg.m21, msg.m31, msg.m22, chosen[0]]
-    u2 = cb.cb2[msg.m1, msg.m4, msg.m5, msg.m21, msg.m31, msg.m32, chosen[1]]
-    x = tables.gamma[u0, u1, u2]
-    return x, chosen, fallback
+    tables = _need_tables(tables, cfg, ch, "encode")
+    a2 = tables.sizes[2]
+    cloud = (msg.m1, msg.m4, msg.m5, msg.m21, msg.m31)
+    u0 = cb.cb0[cloud]                       # (n,)
+    u1 = cb.cb1[cloud + (msg.m22,)]          # (L1, n)
+    u2 = cb.cb2[cloud + (msg.m32,)]          # (L2, n)
+    flags = _typical_flags(u0, u1[:, None, :] * a2 + u2[None, :, :], tables.t_pair,
+                           cfg.eps_prime, tables.pass_tables["encode"])
+    # argmax is 0, i.e. the fallback pair (0, 0), when nothing passes
+    l1, l2 = divmod(int(flags.argmax()), flags.shape[1])
+    x = tables.gamma[u0, u1[l1], u2[l2]]
+    return x, (l1, l2), not flags.any()
+
+
+# Per receiver: its satellite book, the cb0 axis of the message it knows,
+# the candidate axes the search is existential over (the other receiver's
+# private cloud part and the bin), and the messages it decodes.
+_RECEIVERS = {
+    1: ("cb1", 2, (3, 5), ("m1", "m4", "m21", "m22"), "eps1"),
+    2: ("cb2", 1, (2, 5), ("m1", "m5", "m31", "m32"), "eps2"),
+}
+
+
+def _decode(rx: int, cb: Codebooks, y: np.ndarray, known: int, cfg: SchemeConfig,
+            tables: _Tables | None, ch: Channel | None) -> DecodeResult:
+    tables = _need_tables(tables, cfg, ch, "decode")
+    book, known_axis, hidden, names, eps = _RECEIVERS[rx]
+    pick = (slice(None),) * known_axis + (known,)
+    u0 = cb.cb0[pick]                        # (M1, M4 or M5, M21, M31, n)
+    us = getattr(cb, book)[pick]             # (..., M22 or M32, L1 or L2, n)
+    known_cells = u0[:, :, :, :, None, None, :] * tables.sizes[rx] + us  # (u0, u_rx)
+    flags = _typical_flags(known_cells, y, tables.t_y[rx], getattr(cfg, eps),
+                           tables.pass_tables[rx])
+    return _resolve(flags.any(axis=hidden), names)
 
 
 def decode_rx1(cb: Codebooks, y1: np.ndarray, m5: int, cfg: SchemeConfig,
@@ -312,47 +357,14 @@ def decode_rx1(cb: Codebooks, y1: np.ndarray, m5: int, cfg: SchemeConfig,
     """Search all (m1, m21, m22, m4); a candidate passes if some (m31, l1)
     makes (cloud word, satellite word, y1) conditionally typical. Unique pass
     decodes; zero or several is an error with a deterministic default guess."""
-    if tables is None:
-        if ch is None:
-            raise InputError("decode needs precomputed tables or the channel")
-        tables = _Tables(cfg.scheme, ch)
-    sz = cfg.sizes()
-    a0, a1, a2 = tables.sizes
-    u0 = cb.cb0[:, :, m5]                    # (M1, M4, M21, M31, n)
-    u1 = cb.cb1[:, :, m5]                    # (M1, M4, M21, M31, M22, L1, n)
-    shape = u1.shape
-    u0b = np.broadcast_to(u0[:, :, :, :, None, None, :], shape)
-    comp = (u0b * a1 + u1) * tables.y1_size + y1[None, None, None, None, None, None, :]
-    c_total = shape[0] * shape[1] * shape[2] * shape[3] * shape[4] * shape[5]
-    flags = _typical_flags(comp.reshape(c_total, cfg.n).astype(np.int64),
-                           a0 * a1, tables.y1_size, tables.t_y1, cfg.eps1)
-    flags = flags.reshape(shape[:-1])
-    passing = flags.any(axis=(3, 5))         # over m31 and l1 -> (M1, M4, M21, M22)
-    return _resolve(passing, ("m1", "m4", "m21", "m22"))
+    return _decode(1, cb, y1, m5, cfg, tables, ch)
 
 
 def decode_rx2(cb: Codebooks, y2: np.ndarray, m4: int, cfg: SchemeConfig,
                tables: _Tables | None = None, ch: Channel | None = None) -> DecodeResult:
     """Mirror of decode_rx1: receiver 2 knows m4, decodes (m1, m31, m32, m5)
     with (m21, l2) existential."""
-    if tables is None:
-        if ch is None:
-            raise InputError("decode needs precomputed tables or the channel")
-        tables = _Tables(cfg.scheme, ch)
-    a0, a1, a2 = tables.sizes
-    u0 = cb.cb0[:, m4]                       # (M1, M5, M21, M31, n)
-    u2 = cb.cb2[:, m4]                       # (M1, M5, M21, M31, M32, L2, n)
-    shape = u2.shape
-    u0b = np.broadcast_to(u0[:, :, :, :, None, None, :], shape)
-    comp = (u0b * a2 + u2) * tables.y2_size + y2[None, None, None, None, None, None, :]
-    c_total = 1
-    for s in shape[:-1]:
-        c_total *= s
-    flags = _typical_flags(comp.reshape(c_total, cfg.n).astype(np.int64),
-                           a0 * a2, tables.y2_size, tables.t_y2, cfg.eps2)
-    flags = flags.reshape(shape[:-1])
-    passing = flags.any(axis=(2, 5))         # over m21 and l2 -> (M1, M5, M31, M32)
-    return _resolve(passing, ("m1", "m5", "m31", "m32"))
+    return _decode(2, cb, y2, m4, cfg, tables, ch)
 
 
 def _resolve(passing: np.ndarray, names) -> DecodeResult:
@@ -367,27 +379,15 @@ def _resolve(passing: np.ndarray, names) -> DecodeResult:
     return DecodeResult(False, dict(zip(names, map(int, idx))), "ambiguous", passing)
 
 
-def _classify_rx1(result: DecodeResult, msg: Msg) -> str:
-    truth = (msg.m1, msg.m4, msg.m21, msg.m22)
+def _classify(result: DecodeResult, msg: Msg) -> str:
+    """Error event of a wrong decision; result.messages is keyed by the
+    receiver's decoded messages in candidate-axis order, cloud message first."""
+    truth = tuple(getattr(msg, k) for k in result.messages)
     others = result.passing.copy()
     others[truth] = False
-    wrong_cloud = np.delete(others, msg.m1, axis=0).any()
-    if wrong_cloud:
+    if np.delete(others, truth[0], axis=0).any():
         return "wrong_cloud"
-    if others[msg.m1, msg.m4, msg.m21, :].any():
-        return "wrong_satellite"
-    if others.any():
-        return "other"
-    return "none_typical"
-
-
-def _classify_rx2(result: DecodeResult, msg: Msg) -> str:
-    truth = (msg.m1, msg.m5, msg.m31, msg.m32)
-    others = result.passing.copy()
-    others[truth] = False
-    if np.delete(others, msg.m1, axis=0).any():
-        return "wrong_cloud"
-    if others[msg.m1, msg.m5, msg.m31, :].any():
+    if others[truth[:3]].any():
         return "wrong_satellite"
     if others.any():
         return "other"
@@ -408,11 +408,10 @@ def estimate_error(ch: Channel, cfg: SchemeConfig, trials: int,
     if not cfg.fresh_codebooks:
         fixed_books = _generate(cfg, ch, tables, np.random.default_rng((cfg.seed, 1)))
     fallbacks = 0
-    rx1_errors = 0
-    rx2_errors = 0
+    errors = {1: 0, 2: 0}
     any_errors = 0
-    buckets1 = {"none_typical": 0, "wrong_satellite": 0, "wrong_cloud": 0, "other": 0}
-    buckets2 = {"none_typical": 0, "wrong_satellite": 0, "wrong_cloud": 0, "other": 0}
+    buckets = {rx: {"none_typical": 0, "wrong_satellite": 0, "wrong_cloud": 0, "other": 0}
+               for rx in (1, 2)}
     for trial in range(trials):
         rng = np.random.default_rng((cfg.seed, 0, trial))
         books = fixed_books if fixed_books is not None else _generate(cfg, ch, tables, rng)
@@ -420,26 +419,16 @@ def estimate_error(ch: Channel, cfg: SchemeConfig, trials: int,
                     ("m1", "m4", "m5", "m21", "m31", "m22", "m32")))
         x, _, fb = encode(books, msg, cfg, tables)
         fallbacks += int(fb)
-        r = rng.random(cfg.n)
-        flat = (tables.channel_cdf[x] < r[:, None]).sum(axis=1)
-        flat = np.minimum(flat, tables.channel_cdf.shape[1] - 1)
-        y1 = flat // ch.y2.size
-        y2 = flat % ch.y2.size
-        res1 = decode_rx1(books, y1, msg.m5, cfg, tables)
-        res2 = decode_rx2(books, y2, msg.m4, cfg, tables)
-        err1 = (res1.messages["m1"], res1.messages["m21"],
-                res1.messages["m22"], res1.messages["m4"]) != \
-               (msg.m1, msg.m21, msg.m22, msg.m4)
-        err2 = (res2.messages["m1"], res2.messages["m31"],
-                res2.messages["m32"], res2.messages["m5"]) != \
-               (msg.m1, msg.m31, msg.m32, msg.m5)
-        if err1:
-            rx1_errors += 1
-            buckets1[_classify_rx1(res1, msg)] += 1
-        if err2:
-            rx2_errors += 1
-            buckets2[_classify_rx2(res2, msg)] += 1
-        any_errors += int(err1 or err2)
+        flat = _sample_categorical(rng, tables.channel_cdf, x)
+        results = {1: decode_rx1(books, flat // ch.y2.size, msg.m5, cfg, tables),
+                   2: decode_rx2(books, flat % ch.y2.size, msg.m4, cfg, tables)}
+        failed = False
+        for rx, res in results.items():
+            if any(v != getattr(msg, k) for k, v in res.messages.items()):
+                errors[rx] += 1
+                buckets[rx][_classify(res, msg)] += 1
+                failed = True
+        any_errors += int(failed)
         if progress is not None and (trial + 1) % 100 == 0:
             progress(trial + 1, any_errors)
     pe = any_errors / trials
@@ -449,10 +438,10 @@ def estimate_error(ch: Channel, cfg: SchemeConfig, trials: int,
     return SimReport(
         trials=trials,
         encoder_fallbacks=fallbacks,
-        rx1_errors=rx1_errors,
-        rx2_errors=rx2_errors,
-        rx1_events=buckets1,
-        rx2_events=buckets2,
+        rx1_errors=errors[1],
+        rx2_errors=errors[2],
+        rx1_events=buckets[1],
+        rx2_events=buckets[2],
         pe_estimate=pe,
         pe_half_width_95=half,
         sizes=sz,

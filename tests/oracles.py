@@ -7,6 +7,8 @@ the library's vectorized paths.
 import itertools
 import math
 
+import numpy as np
+
 
 def brute_marginal(mass, shape, keep):
     """Marginal over the kept axes (sorted), as a nested dict index -> mass."""
@@ -71,3 +73,22 @@ def lift_exists_interval(rows, var_idx, point):
             if rest > rhs + 1e-9:
                 return False
     return lo <= hi + 1e-9
+
+
+def brute_conditionally_typical(known_seq, new_seq, table, eps):
+    """One candidate, one cell at a time: the count of each (known, new)
+    cell must lie within eps * target + 1e-9 of target = count(known) *
+    table[known, new], and cells with table entry 0 must stay empty."""
+    kc, nc = table.shape
+    counts = np.zeros((kc, nc), dtype=np.int64)
+    np.add.at(counts, (np.asarray(known_seq), np.asarray(new_seq)), 1)
+    for a in range(kc):
+        known = int(counts[a].sum())
+        for b in range(nc):
+            c = int(counts[a, b])
+            if table[a, b] <= 0.0 and c > 0:
+                return False
+            target = known * table[a, b]
+            if abs(c - target) > eps * target + 1e-9:
+                return False
+    return True

@@ -46,6 +46,15 @@ class TestValidate:
         assert code == 1
         assert "row 0" in err
 
+    def test_nan_kernel_exit_1(self, files, capsys):
+        path = files["tmp"] / "nan.json"
+        path.write_text('{"x_size": 2, "y1_size": 2, "y2_size": 2, "kernel": '
+                        '[[NaN, 0.5, 0.5, 0.0], [0.0, 0.0, 0.0, 1.0]]}')
+        code, out, err = run_cli(["validate", "--channel", str(path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert "mass[0] = nan is not finite" in err
+
     def test_missing_file_exit_1(self, files, capsys):
         code, _, _ = run_cli(["validate", "--channel",
                               str(files["tmp"] / "nope.json")], capsys)
@@ -104,6 +113,20 @@ class TestCompare:
         assert data["a_subset_b"] is True
 
 
+    @pytest.mark.parametrize("content", [b"not a region\n", b"\xff\xfe"])
+    def test_non_json_file_exit_1(self, files, capsys, content):
+        path = files["tmp"] / "notes.txt"
+        path.write_bytes(content)
+        code, _, err = run_cli(["compare", str(path), str(path)], capsys)
+        assert code == 1
+        assert "is not valid JSON" in err
+
+    def test_directory_exit_1(self, files, capsys):
+        code, _, err = run_cli(["compare", str(files["tmp"]), str(files["tmp"])], capsys)
+        assert code == 1
+        assert "cannot read" in err
+
+
 class TestOptimize:
     def test_deterministic_output(self, files, capsys):
         args = ["optimize", "--channel", files["channel"], "--theorem", "t1",
@@ -114,6 +137,14 @@ class TestOptimize:
         code, out2, _ = run_cli(args, capsys)
         assert out1 == out2
         assert json.loads(out1)["best_value"] == pytest.approx(1.0, abs=1e-9)
+
+
+    def test_bad_weight_exit_1(self, files, capsys):
+        code, out, err = run_cli(["optimize", "--channel", files["channel"],
+                                  "--theorem", "t1", "--weights", "1,1,1,1,x"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "bad weight 'x'" in err
 
 
 class TestSlice:

@@ -37,6 +37,17 @@ class TestValidatePmf:
         msg = validate_mass(np.array([1.2, -0.2]), 2)
         assert "mass[1]" in msg
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_mass_names_index(self, bad):
+        msg = validate_mass(np.array([0.5, bad, 0.5]), 3)
+        assert msg == f"mass[1] = {bad} is not finite"
+
+    def test_nan_kernel_entry_rejected_at_load(self):
+        spec = {"x_size": 2, "y1_size": 2, "y2_size": 2,
+                "kernel": [[float("nan"), 0.5, 0.5, 0.0], [0.0, 0.0, 0.0, 1.0]]}
+        with pytest.raises(InputError, match=r"mass\[0\] = nan is not finite"):
+            load_channel(spec)
+
     def test_construction_rejects_bad_mass(self):
         with pytest.raises(InputError):
             pmf_of(0.7, 0.7)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bcsi import simulator
 from bcsi.errors import GuardError, InputError
 from bcsi.probability import (Alphabet, AuxScheme, JointPmf, Pmf,
                               binary_symmetric_pair, noiseless_channel)
@@ -8,6 +9,8 @@ from bcsi.rate_regions import MiConstants, SplitRates, mi_constants, specialize_
 from bcsi.simulator import (Msg, SchemeConfig, decode_rx1, decode_rx2, encode,
                             estimate_error, generate_codebooks,
                             is_jointly_typical, plan_split_rates)
+from conftest import random_channel, random_scheme
+from oracles import brute_conditionally_typical
 
 
 def complementary_scheme(ch, px=None):
@@ -52,6 +55,57 @@ class TestJointTypicality:
             is_jointly_typical((np.array([0, 1]), np.array([0])), self.joint(), 0.1)
 
 
+def typicality_case(rng, n, known_cells, new_cells, count=400):
+    """A conditional table with off-support cells, and candidates drawn from
+    it (many pass), uniformly (most fail) and as repeats of earlier ones."""
+    table = rng.random((known_cells, new_cells)) * (rng.random((known_cells, new_cells)) > 0.2)
+    table[:, 0] += 0.1
+    table /= table.sum(axis=1, keepdims=True)
+    known = rng.integers(0, known_cells, size=(count, n))
+    cdf = np.cumsum(table, axis=1)
+    drawn = (cdf[known] < rng.random((count, n))[..., None]).sum(axis=-1)
+    new = np.where(np.arange(count)[:, None] < count // 2, np.minimum(drawn, new_cells - 1),
+                   rng.integers(0, new_cells, size=(count, n)))
+    repeat = rng.integers(0, count, size=count // 4)
+    return table, np.concatenate([known, known[repeat]]), np.concatenate([new, new[repeat]])
+
+
+class TestTypicalFlags:
+    @pytest.mark.parametrize("n, known_cells, new_cells, eps, path", [
+        (8, 2, 2, 0.3, "table"),      # 9**4 keys
+        (8, 2, 4, 1.0, "unique"),     # 9**8 keys
+        (12, 3, 6, 1.5, "bincount"),  # 13**18 keys overflow int64
+    ])
+    def test_matches_per_candidate_reference(self, rng, n, known_cells, new_cells, eps, path):
+        keys = (n + 1) ** (known_cells * new_cells)
+        assert path == ("table" if keys <= simulator._TABLE_KEYS else
+                        "unique" if keys <= simulator._KEY_LIMIT else "bincount")
+        table, known, new = typicality_case(rng, n, known_cells, new_cells)
+        memo = {}
+        flags = simulator._typical_flags(known, new, table, eps, memo)
+        expected = [brute_conditionally_typical(k, w, table, eps) for k, w in zip(known, new)]
+        assert flags.tolist() == expected
+        assert 0 < sum(expected) < len(expected)
+        assert list(memo) == ([(n, eps)] if path == "table" else [])
+        # a second call reuses the kept pass/fail table
+        assert (simulator._typical_flags(known, new, table, eps, memo) == flags).all()
+
+    @pytest.mark.parametrize("new_cells, eps", [(2, 0.5), (4, 1.0)])
+    def test_broadcast_layouts(self, rng, new_cells, eps):
+        """Decoder layout (one output sequence against many codeword pairs)
+        and encoder layout (one cloud word against many satellite pairs)."""
+        table, known, new = typicality_case(rng, 8, 2, new_cells)
+        y, u0 = new[0], known[0]
+        dec = simulator._typical_flags(known.reshape(5, -1, 8), y, table, eps)
+        enc = simulator._typical_flags(u0, new.reshape(5, -1, 8), table, eps)
+        assert dec.shape == enc.shape == (5, len(known) // 5)
+        assert dec.reshape(-1).tolist() == [brute_conditionally_typical(k, y, table, eps)
+                                            for k in known]
+        assert enc.reshape(-1).tolist() == [brute_conditionally_typical(u0, w, table, eps)
+                                            for w in new]
+        assert dec.any() and enc.any()
+
+
 class TestSchemeConfig:
     def test_eps_ordering_enforced(self):
         ch = noiseless_channel(2)
@@ -64,6 +118,13 @@ class TestSchemeConfig:
         with pytest.raises(GuardError):
             SchemeConfig(scheme=complementary_scheme(ch), n=12,
                          rates=SplitRates(r1=2.0))
+
+    def test_sizes_returns_a_fresh_copy(self):
+        ch = noiseless_channel(2)
+        cfg = SchemeConfig(scheme=complementary_scheme(ch), n=8,
+                           rates=SplitRates(r1=0.5))
+        cfg.sizes()["m1"] = 3
+        assert cfg.sizes()["m1"] == 16
 
     def test_sizes_round_cleanly(self):
         ch = noiseless_channel(2)
@@ -127,6 +188,34 @@ class TestEncode:
         x, (l1, l2), _ = encode(books, msg, cfg, ch=ch)
         u1 = books.cb1[0, 0, 0, 0, 0, 0, l1]
         assert (x == u1).all()  # gamma maps (u0, u1, u2) -> u1 here
+
+    @pytest.mark.parametrize("scheme_kind, eps_prime", [("correlated", 0.25),
+                                                        ("random", 1.2)])
+    def test_matches_sequential_scan(self, scheme_kind, eps_prime):
+        """First passing bin pair in lexicographic order, one pair at a time."""
+        rng = np.random.default_rng(31)
+        ch = random_channel(rng, 2, 2, 2)
+        scheme = correlated_scheme() if scheme_kind == "correlated" else \
+            random_scheme(rng, (2, 2, 2), 2)
+        t_pair = simulator._Tables(scheme, ch).t_pair
+        a2 = scheme.sizes[2]
+        fallbacks = 0
+        for seed in range(20):
+            cfg = SchemeConfig(scheme=scheme, n=6, rates=SplitRates(rp1=0.2, rp2=0.4),
+                               eps_prime=eps_prime, eps1=2.0, eps2=2.0, seed=seed)
+            books = generate_codebooks(cfg, ch)
+            msg = Msg(0, 0, 0, 0, 0, 0, 0)
+            u0, u1, u2 = books.cb0[0, 0, 0, 0, 0], books.cb1[0, 0, 0, 0, 0, 0], \
+                books.cb2[0, 0, 0, 0, 0, 0]
+            passing = [(l1, l2) for l1 in range(len(u1)) for l2 in range(len(u2))
+                       if brute_conditionally_typical(u0, u1[l1] * a2 + u2[l2],
+                                                      t_pair, cfg.eps_prime)]
+            expected = (passing[0], False) if passing else ((0, 0), True)
+            x, chosen, fallback = encode(books, msg, cfg, ch=ch)
+            assert (chosen, fallback) == expected
+            assert (x == scheme.gamma[u0, u1[chosen[0]], u2[chosen[1]]]).all()
+            fallbacks += fallback
+        assert 0 < fallbacks < 20
 
     def test_correlated_pair_with_single_bin_often_falls_back(self):
         ch = noiseless_channel(2)
