@@ -9,6 +9,7 @@ witness distribution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,8 @@ from scipy.optimize import linprog
 
 from .errors import GuardError, InputError
 from .probability import Channel
-from .simplex_search import lattice_count, lattice_points, refine_on_simplex, sample_lattice
+from .simplex_search import (GOLDEN_ITERS, lattice_count, lattice_points, refine_on_simplex,
+                             sample_lattice)
 
 POINT_MASS_TOL = 1e-9
 DEGRADED_TOL = 1e-9
@@ -105,18 +107,15 @@ def is_degraded(ch: Channel) -> ClassVerdict:
     return ClassVerdict("degraded", False, witness={"kernel": w.tolist(), "residual": t})
 
 
-def _mi_from_input(p_x: np.ndarray, p_y_x: np.ndarray) -> float:
-    """I(X; Y) for an input distribution and a marginal kernel, in bits."""
-    joint = p_x[:, None] * p_y_x
-    p_y = joint.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(joint > 0.0, joint / (p_x[:, None] * p_y[None, :]), 1.0)
-        terms = np.where(joint > 0.0, joint * np.log2(ratio), 0.0)
-    return float(terms.sum())
+def _sweep_budget(sweeps: int, cells: int) -> int:
+    """Refinement budget worth `sweeps` full pair sweeps over `cells` cells."""
+    return sweeps * math.comb(cells, 2) * (GOLDEN_ITERS + 1)
 
 
 def _capability_gap(p_x: np.ndarray, ch: Channel) -> float:
-    return _mi_from_input(p_x, ch.y1_given_x()) - _mi_from_input(p_x, ch.y2_given_x())
+    """I(X;Y1) - I(X;Y2) at the input distribution p_x."""
+    joint_xx = np.diag(p_x)
+    return _uy_mi(joint_xx, ch.y1_given_x()) - _uy_mi(joint_xx, ch.y2_given_x())
 
 
 def is_more_capable_grid(ch: Channel, resolution: int | None = None) -> ClassVerdict:
@@ -133,7 +132,8 @@ def is_more_capable_grid(ch: Channel, resolution: int | None = None) -> ClassVer
     worst = scored[:5]
     best_gap, best_p = worst[0]
     for gap, p in worst:
-        refined, val = refine_on_simplex(lambda q: -_capability_gap(q, ch), p, sweeps=8)
+        refined, val = refine_on_simplex(lambda q: -_capability_gap(q, ch), p,
+                                         _sweep_budget(8, ch.x.size))
         if -val < best_gap:
             best_gap, best_p = -val, refined
     if best_gap < -WITNESS_TOL:
@@ -144,6 +144,7 @@ def is_more_capable_grid(ch: Channel, resolution: int | None = None) -> ClassVer
 
 
 def _uy_mi(joint_ux: np.ndarray, p_y_x: np.ndarray) -> float:
+    """I(U; Y) in bits for a joint p(u, x) and a marginal kernel p(y | x)."""
     joint_uy = joint_ux @ p_y_x
     p_u = joint_uy.sum(axis=1)
     p_y = joint_uy.sum(axis=0)
@@ -185,7 +186,7 @@ def is_less_noisy_grid(ch: Channel, u_size: int = 2,
     scored.sort(key=lambda sv: sv[0])
     best_gap, best_p = scored[0]
     for gap, p in scored[:5]:
-        refined, val = refine_on_simplex(lambda q: -gap_of(q), p, sweeps=6)
+        refined, val = refine_on_simplex(lambda q: -gap_of(q), p, _sweep_budget(6, cells))
         if -val < best_gap:
             best_gap, best_p = -val, refined
     if best_gap < -WITNESS_TOL:

@@ -9,16 +9,13 @@ internal consistency.
 Message semantics: receiver 1 wants (M1, M2, M4) and knows M5 a priori;
 receiver 2 wants (M1, M3, M5) and knows M4. Rates are bits per channel use,
 named R1..R5.
-
-BCSI_THREADS caps worker parallelism (0 = auto); the current implementation
-is single-process, which satisfies any cap.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 
 import numpy as np
@@ -37,20 +34,7 @@ _EPILOG = """\
 side information: K1 = {M5} at receiver 1, K2 = {M4} at receiver 2;
 receiver 1 requests (M1, M2, M4), receiver 2 requests (M1, M3, M5).
 Theorems: t1 = general inner bound over (u0, u1, u2) schemes,
-t2 = deterministic-channel capacity formula, t3 = more-capable formula.
-BCSI_THREADS caps parallelism (0 = auto)."""
-
-
-def worker_cap() -> int:
-    """Parallelism cap from BCSI_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("BCSI_THREADS", "0")
-    try:
-        v = int(raw)
-    except ValueError:
-        raise InputError(f"BCSI_THREADS must be an integer, got {raw!r}")
-    if v < 0:
-        raise InputError("BCSI_THREADS must be nonnegative")
-    return v
+t2 = deterministic-channel capacity formula, t3 = more-capable formula."""
 
 
 def _round_floats(obj):
@@ -67,13 +51,42 @@ def _round_floats(obj):
     return obj
 
 
-def emit(data: dict, out: str | None):
-    text = json.dumps(_round_floats(data), indent=2) + "\n"
+def _write(text: str, out: str | None):
+    """Text to stdout (out None or "-") or to the file out."""
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc}") from exc
+
+
+def emit(data, out: str | None):
+    _write(json.dumps(_round_floats(data), indent=2) + "\n", out)
+
+
+def _number(text: str, what: str, kind=float):
+    """One numeric option entry; a non-number or a non-finite value is an
+    InputError naming it."""
+    try:
+        value = kind(text)
+    except ValueError:
+        raise InputError(f"bad {what} {text.strip()!r}") from None
+    if not math.isfinite(value):
+        raise InputError(f"{what} {text.strip()!r} is not finite")
+    return value
+
+
+def _search_config(args) -> SearchConfig:
+    sizes = args.aux_sizes
+    return SearchConfig(
+        aux_sizes=tuple(_number(s, "aux size", int) for s in sizes.split(",")) if sizes else None,
+        grid_resolution=args.resolution,
+        restarts=args.restarts,
+        seed=args.seed,
+    )
 
 
 def _parse_rates(spec: str | None) -> dict:
@@ -88,10 +101,7 @@ def _parse_rates(spec: str | None) -> dict:
             raise InputError(f"rate assignment {part!r} is not NAME=VALUE")
         name, value = part.split("=", 1)
         name = name.strip()
-        try:
-            out[name] = float(value)
-        except ValueError:
-            raise InputError(f"bad rate value in {part!r}")
+        out[name] = _number(value, f"{name} value")
     return out
 
 
@@ -163,21 +173,10 @@ def cmd_raw_project(args) -> int:
 
 def cmd_optimize(args) -> int:
     ch = load_channel(args.channel)
-    weights = []
-    for part in args.weights.split(","):
-        try:
-            weights.append(float(part))
-        except ValueError:
-            raise InputError(f"bad weight {part.strip()!r} in --weights") from None
+    weights = [_number(part, "weight") for part in args.weights.split(",")]
     if len(weights) != 5:
         raise InputError("--weights needs five comma-separated values")
-    cfg = SearchConfig(
-        aux_sizes=tuple(int(s) for s in args.aux_sizes.split(",")) if args.aux_sizes else None,
-        grid_resolution=args.resolution,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
-    res = maximize_weighted_rate(ch, weights, args.theorem, cfg)
+    res = maximize_weighted_rate(ch, weights, args.theorem, _search_config(args))
     emit({
         "theorem": res.theorem,
         "weights": list(res.weights),
@@ -194,28 +193,15 @@ def cmd_slice(args) -> int:
     ch = load_channel(args.channel)
     free = tuple(s.strip() for s in args.free.split(","))
     fixed = _parse_rates(args.fixed)
-    cfg = SearchConfig(
-        aux_sizes=tuple(int(s) for s in args.aux_sizes.split(",")) if args.aux_sizes else None,
-        grid_resolution=args.resolution,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
-    points, schemes = union_slice_2d(ch, free, fixed, args.theorem, cfg,
+    points, schemes = union_slice_2d(ch, free, fixed, args.theorem, _search_config(args),
                                      directions=args.directions)
     lines = [f"angle_deg,{free[0]},{free[1]},scheme_id"]
     for p in points:
         lines.append(f"{p['angle_deg']:.12g},{p[free[0]]:.12g},"
                      f"{p[free[1]]:.12g},{p['scheme_id']}")
-    text = "\n".join(lines) + "\n"
-    if args.out is None or args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        schemes_path = args.out + ".schemes.json"
-        with open(schemes_path, "w") as fh:
-            fh.write(json.dumps(_round_floats(
-                [_scheme_jsonable(s) for s in schemes]), indent=2) + "\n")
+    _write("\n".join(lines) + "\n", args.out)
+    if args.out is not None and args.out != "-":
+        emit([_scheme_jsonable(s) for s in schemes], args.out + ".schemes.json")
     return 0
 
 
@@ -361,7 +347,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        worker_cap()
         return args.func(args)
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -50,13 +50,6 @@ def mutual_information(j: JointPmf, group_a, group_b) -> float:
     return _clamp(value, "mutual information")
 
 
-def _mi_groups_or_zero(j: JointPmf, a, b) -> float:
-    # csiszar_sum_check needs I with an empty group, which is 0 by convention
-    if not a or not b:
-        return 0.0
-    return mutual_information(j, a, b)
-
-
 def conditional_mutual_information(j: JointPmf, group_a, group_b, group_c) -> float:
     """I(A; B | C) as the p(c)-weighted average of the per-slice mutual
     informations. Reduces to I(A; B) when C is empty or degenerate."""
@@ -103,14 +96,6 @@ def conditional_mutual_information(j: JointPmf, group_a, group_b, group_c) -> fl
     return _clamp(total, "conditional mutual information")
 
 
-def _cmi_allow_empty(j: JointPmf, a, b, c) -> float:
-    if not a or not b:
-        return 0.0
-    if not c:
-        return _mi_groups_or_zero(j, a, b)
-    return conditional_mutual_information(j, a, b, c)
-
-
 def csiszar_sum_check(j: JointPmf, t_axes, a_axes, b_axes) -> tuple:
     """Evaluate both sides of the telescoping sum identity
 
@@ -130,6 +115,6 @@ def csiszar_sum_check(j: JointPmf, t_axes, a_axes, b_axes) -> tuple:
     lhs = 0.0
     rhs = 0.0
     for i in range(1, n + 1):
-        lhs += _cmi_allow_empty(j, a[: i - 1], [b[i - 1]], t + b[i:])
-        rhs += _cmi_allow_empty(j, b[i:], [a[i - 1]], t + a[: i - 1])
+        lhs += conditional_mutual_information(j, a[: i - 1], [b[i - 1]], t + b[i:])
+        rhs += conditional_mutual_information(j, b[i:], [a[i - 1]], t + a[: i - 1])
     return lhs, rhs

@@ -31,31 +31,15 @@ from .classifier import is_deterministic
 from .errors import InputError
 from .polytope import RATE_VARS, RateRegion
 from .probability import Alphabet, AuxScheme, Channel, JointPmf
-from .rate_regions import (deterministic_region, marton_region, more_capable_region,
-                           specialize_scheme)
-from .simplex_search import golden_max_1d, lattice_count, lattice_points, sample_lattice
+from .rate_regions import (_LHS3, _LHS5, _t1_rows, _t2_rows, _t3_rows, deterministic_region,
+                           marton_region, more_capable_region, specialize_scheme)
+from .simplex_search import lattice_count, lattice_points, refine_on_simplex, sample_lattice
 
 THEOREMS = ("t1", "t2", "t3")
 PER_LEVEL_CAP = 1200
 GAMMA_EXHAUSTIVE_CELLS = 12   # exhaustive gamma search below this, and |X| <= 4
 GAMMA_EXHAUSTIVE_XMAX = 4
-GOLDEN_ITERS = 20
 BOX_HI = 64.0
-
-# left-hand sides shared by the five-inequality regions, rows over R1..R5
-_LHS5 = np.array([
-    [1.0, 1.0, 0.0, 1.0, 0.0],
-    [1.0, 0.0, 1.0, 0.0, 1.0],
-    [1.0, 1.0, 1.0, 1.0, 0.0],
-    [1.0, 1.0, 1.0, 0.0, 1.0],
-    [2.0, 1.0, 1.0, 1.0, 1.0],
-])
-_LHS3 = np.array([
-    [1.0, 0.0, 1.0, 0.0, 1.0],
-    [1.0, 1.0, 1.0, 0.0, 1.0],
-    [1.0, 1.0, 1.0, 1.0, 0.0],
-])
-
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -96,12 +80,6 @@ def default_aux_sizes(theorem: str, x_size: int) -> tuple:
     if theorem == "t1":
         return (x_size + 1, x_size, x_size)
     return (x_size + 1, 1, 1)
-
-
-def _entropy(arr: np.ndarray) -> float:
-    flat = arr.reshape(-1)
-    pos = flat[flat > 0.0]
-    return float(-(pos * np.log2(pos)).sum())
 
 
 class _SupportOracle:
@@ -148,69 +126,6 @@ class _SupportOracle:
         return float((self.ys @ rhs + self.consts).min())
 
 
-def _t1_rows(aux: np.ndarray, gamma: np.ndarray, k1: np.ndarray, k2: np.ndarray):
-    """Right-hand sides of the five-inequality bound for one (joint, gamma)."""
-    k1g = k1[gamma]  # (a0, a1, a2, Y1)
-    k2g = k2[gamma]
-    p01y = np.einsum("abc,abcy->aby", aux, k1g)
-    p02y = np.einsum("abc,abcy->acy", aux, k2g)
-    p0 = aux.sum(axis=(1, 2))
-    p01 = aux.sum(axis=2)
-    p02 = aux.sum(axis=1)
-    h0 = _entropy(p0)
-    h01 = _entropy(p01)
-    h02 = _entropy(p02)
-    h012 = _entropy(aux)
-    a_c = max(h01 + h02 - h0 - h012, 0.0)
-    h_y1 = _entropy(p01y.sum(axis=(0, 1)))
-    h_01y = _entropy(p01y)
-    h_0y1 = _entropy(p01y.sum(axis=1))
-    big1 = max(h01 + h_y1 - h_01y, 0.0)
-    b1 = max(h01 + h_0y1 - h0 - h_01y, 0.0)
-    h_y2 = _entropy(p02y.sum(axis=(0, 1)))
-    h_02y = _entropy(p02y)
-    h_0y2 = _entropy(p02y.sum(axis=1))
-    big2 = max(h02 + h_y2 - h_02y, 0.0)
-    b2 = max(h02 + h_0y2 - h0 - h_02y, 0.0)
-    rhs = np.array([big1, big2, big1 + b2 - a_c, big2 + b1 - a_c,
-                    big1 + big2 - a_c])
-    return rhs, (big1, b1, big2, b2)
-
-
-def _t2_rows(p_ux: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
-    """Deterministic-channel formula right-hand sides from p(u, x)."""
-    p_uy1 = p_ux @ k1
-    p_uy2 = p_ux @ k2
-    p_uy1y2 = np.einsum("ux,xa,xb->uab", p_ux, k1, k2)
-    h_y1 = _entropy(p_uy1.sum(axis=0))
-    h_y2 = _entropy(p_uy2.sum(axis=0))
-    h_u = _entropy(p_ux.sum(axis=1))
-    h_uy1 = _entropy(p_uy1)
-    h_uy2 = _entropy(p_uy2)
-    h_uy1y2 = _entropy(p_uy1y2)
-    h_y2_g = h_uy1y2 - h_uy1
-    h_y1_g = h_uy1y2 - h_uy2
-    i_uy1 = max(h_u + h_y1 - h_uy1, 0.0)
-    return np.array([h_y1, h_y2, h_y1 + h_y2_g, h_y2 + h_y1_g,
-                     i_uy1 + h_y2 + h_y1_g])
-
-
-def _t3_rows(p_ux: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
-    """More-capable formula right-hand sides from p(u, x)."""
-    p_uy2 = p_ux @ k2
-    p_uy1 = p_ux @ k1
-    p_u = p_ux.sum(axis=1)
-    p_x = p_ux.sum(axis=0)
-    p_xy1 = p_x[:, None] * k1
-    h_u = _entropy(p_u)
-    i_u_y2 = max(h_u + _entropy(p_uy2.sum(axis=0)) - _entropy(p_uy2), 0.0)
-    p_uxy1 = p_ux[:, :, None] * k1[None, :, :]
-    h_ux = _entropy(p_ux)
-    i_x_y1_u = max(h_ux + _entropy(p_uy1) - h_u - _entropy(p_uxy1), 0.0)
-    i_x_y1 = max(_entropy(p_x) + _entropy(p_xy1.sum(axis=0)) - _entropy(p_xy1), 0.0)
-    return np.array([i_u_y2, i_u_y2 + i_x_y1_u, i_x_y1])
-
-
 def _pareto_front(entries):
     """Keep (key4, payload) pairs not dominated componentwise."""
     front = []
@@ -243,9 +158,8 @@ class _Evaluator:
         self.ch = ch
         self.theorem = theorem
         self.weights = w
-        kern = ch.kernel_float()
-        self.k1 = kern.sum(axis=2)
-        self.k2 = kern.sum(axis=1)
+        self.k1 = ch.y1_given_x()
+        self.k2 = ch.y2_given_x()
         self.x_size = ch.x.size
         self.lhs = _LHS3 if theorem == "t3" else _LHS5
         self.oracle = _SupportOracle(self.lhs, w)
@@ -354,47 +268,6 @@ def evaluate_weighted_rate(ch: Channel, theorem: str, weights,
     return ev.value_ux(p_ux.as_float())
 
 
-def _refine(objective, start: np.ndarray, budget: int) -> tuple:
-    """Pairwise golden-section sweeps within a per-start evaluation budget.
-    Deterministic given (start, budget)."""
-    x = np.array(start, dtype=np.float64)
-    best = objective(x)
-    n = len(x)
-    remaining = budget
-    for _ in range(8):
-        improved = False
-        for i in range(n):
-            for j in range(i + 1, n):
-                if remaining <= 0:
-                    return x, best
-                lo, hi = -x[j], x[i]
-                if hi - lo < 1e-12:
-                    continue
-
-                def shifted(t, i=i, j=j):
-                    y = x.copy()
-                    y[i] -= t
-                    y[j] += t
-                    np.clip(y, 0.0, None, out=y)
-                    s = y.sum()
-                    if s <= 0:
-                        return -math.inf
-                    return objective(y / s)
-
-                remaining -= GOLDEN_ITERS + 1
-                t, val = golden_max_1d(shifted, lo, hi, iters=GOLDEN_ITERS)
-                if val > best + 1e-12:
-                    x[i] -= t
-                    x[j] += t
-                    np.clip(x, 0.0, None, out=x)
-                    x /= x.sum()
-                    best = objective(x)
-                    improved = True
-        if not improved:
-            break
-    return x, best
-
-
 def maximize_weighted_rate(ch: Channel, weights, theorem: str,
                            cfg: SearchConfig | None = None) -> SearchResult:
     """Best weighted rate over the searched union, with the argmax scheme.
@@ -451,7 +324,7 @@ def maximize_weighted_rate(ch: Channel, weights, theorem: str,
             def objective(p):
                 return ev.value_ux(p.reshape(u_cap, ch.x.size))
 
-        refined, val = _refine(objective, flat, cfg.max_iters)
+        refined, val = refine_on_simplex(objective, flat, cfg.max_iters)
         if theorem == "t1":
             # gamma may improve at the refined joint
             val2, gamma2 = value_of(refined)
@@ -464,16 +337,7 @@ def maximize_weighted_rate(ch: Channel, weights, theorem: str,
 
     if best_flat is None:
         raise InputError("search produced no candidates")
-    if theorem == "t1":
-        aux = JointPmf(tuple(Alphabet.indexed(f"U{i}", s) for i, s in enumerate(sizes)),
-                       np.asarray(best_flat, dtype=np.float64).reshape(sizes))
-        scheme = AuxScheme(aux, best_gamma)
-        return SearchResult(theorem, best_val, tuple(float(w) for w in ev.weights),
-                            scheme, None)
-    p_ux = JointPmf((Alphabet.indexed("U", sizes[0]), Alphabet.indexed("X", ch.x.size)),
-                    np.asarray(best_flat, dtype=np.float64).reshape(sizes[0], ch.x.size))
-    kind = "deterministic" if theorem == "t2" else "more_capable"
-    scheme = specialize_scheme(kind, p_ux, ch)
+    scheme, p_ux = _materialize(theorem, best_flat, best_gamma, ch, sizes)
     return SearchResult(theorem, best_val, tuple(float(w) for w in ev.weights),
                         scheme, p_ux)
 
@@ -518,6 +382,8 @@ def union_slice_2d(ch: Channel, free, fixed: dict, theorem: str,
         raise InputError(f"fixed must pin exactly {expected_fixed}")
     if any(val < 0 for val in fixed.values()):
         raise InputError("fixed rates must be nonnegative")
+    if directions < 1:
+        raise InputError("directions must be at least 1")
     ev = _Evaluator(ch, theorem, [1.0] * 5)
     sizes = cfg.aux_sizes or default_aux_sizes(theorem, ch.x.size)
     ia = RATE_VARS.index(free[0])
@@ -583,20 +449,16 @@ def union_slice_2d(ch: Channel, free, fixed: dict, theorem: str,
     for p in out:
         p["scheme_id"] = remap[p["scheme_id"]]
     kept = [schemes[i] for i in used]
-    return out, _materialize_schemes(kept, ch, sizes)
+    return out, [_materialize(*payload, ch, sizes)[0] for payload in kept]
 
 
-def _materialize_schemes(payloads, ch: Channel, sizes) -> list:
-    out = []
-    for theorem, flat, gamma in payloads:
-        if theorem == "t1":
-            aux = JointPmf(tuple(Alphabet.indexed(f"U{i}", s) for i, s in enumerate(sizes)),
-                           np.asarray(flat, dtype=np.float64).reshape(sizes))
-            out.append(AuxScheme(aux, gamma))
-        else:
-            p_ux = JointPmf((Alphabet.indexed("U", sizes[0]),
-                             Alphabet.indexed("X", ch.x.size)),
-                            np.asarray(flat, dtype=np.float64).reshape(sizes[0], ch.x.size))
-            kind = "deterministic" if theorem == "t2" else "more_capable"
-            out.append(specialize_scheme(kind, p_ux, ch))
-    return out
+def _materialize(theorem: str, flat, gamma, ch: Channel, sizes) -> tuple:
+    """(scheme, p_ux) of one searched candidate; p_ux is None for t1."""
+    if theorem == "t1":
+        aux = JointPmf(tuple(Alphabet.indexed(f"U{i}", s) for i, s in enumerate(sizes)),
+                       np.asarray(flat, dtype=np.float64).reshape(sizes))
+        return AuxScheme(aux, gamma), None
+    p_ux = JointPmf((Alphabet.indexed("U", sizes[0]), Alphabet.indexed("X", ch.x.size)),
+                    np.asarray(flat, dtype=np.float64).reshape(sizes[0], ch.x.size))
+    kind = "deterministic" if theorem == "t2" else "more_capable"
+    return specialize_scheme(kind, p_ux, ch), p_ux

@@ -276,10 +276,6 @@ class JointPmf:
         rest = tuple(a for i, a in enumerate(self.axes) if i not in given_idx)
         return JointPmf(rest, np.array(sliced / total, dtype=self.mass.dtype))
 
-    def single_axis_pmf(self, key) -> Pmf:
-        m = self.marginal([key])
-        return Pmf(m.axes[0], m.mass)
-
 
 def marginalize(j: JointPmf, keep) -> JointPmf:
     """Sum out every axis not in ``keep``; kept axes stay in original order."""
@@ -471,16 +467,6 @@ def induced_joint(scheme: AuxScheme, ch: Channel) -> JointPmf:
     axes = tuple(scheme.aux_joint.axes) + (ch.x, ch.y1, ch.y2)
     dtype = object if exact else np.float64
     return JointPmf(axes, np.array(mass, dtype=dtype))
-
-
-def input_marginal(scheme: AuxScheme) -> np.ndarray:
-    """Distribution on X pushed forward through gamma, as float."""
-    aux = np.asarray(scheme.aux_joint.mass, dtype=np.float64)
-    x_size = int(scheme.gamma.max()) + 1
-    out = np.zeros(x_size)
-    for cell in np.ndindex(*scheme.sizes):
-        out[int(scheme.gamma[cell])] += aux[cell]
-    return out
 
 
 # --- file loaders -----------------------------------------------------------

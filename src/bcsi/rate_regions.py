@@ -9,6 +9,10 @@ projects them back down, which must land on the same region.
 
 For deterministic channels and more-capable channels the inner bound is
 tight and the closed-form regions are built directly from p(u, x).
+
+Each theorem system is written once: the left-hand sides _LHS5 / _LHS3 and
+the float right-hand-side formulas _t1_rows / _t2_rows / _t3_rows, which
+the region builders use and the optimizer evaluates per candidate.
 """
 
 from __future__ import annotations
@@ -18,13 +22,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import polytope
 from .classifier import is_deterministic
 from .errors import InputError
-from .info_measures import conditional_mutual_information, entropy, mutual_information
+from .info_measures import _entropy_of_mass, conditional_mutual_information, mutual_information
+# perfbench/layers.py traces rate_regions.entropy by this name
+from .info_measures import entropy  # noqa: F401
 from .polytope import (LinearInequality, LinearSystem, RateRegion, RATE_VARS,
                        fme_eliminate, remove_redundant)
-from .probability import (Alphabet, AuxScheme, Channel, JointPmf, induced_joint)
+from .probability import Alphabet, AuxScheme, Channel, JointPmf, induced_joint
 
 SPLIT_VARS = ("R1", "R21", "R22", "R31", "R32", "R4", "R5", "Rp1", "Rp2")
 ELIMINATION_ORDER = ("Rp1", "Rp2", "R21", "R22", "R31", "R32")
@@ -85,21 +90,108 @@ def _ineq(coeffs: dict, rhs: float) -> LinearInequality:
     return LinearInequality({v: Fraction(c) for v, c in coeffs.items()}, rhs)
 
 
+# left-hand sides of the five-inequality regions (t1, t2) and of the
+# three-inequality more-capable region (t3), rows over R1..R5
+_LHS5 = np.array([
+    [1.0, 1.0, 0.0, 1.0, 0.0],
+    [1.0, 0.0, 1.0, 0.0, 1.0],
+    [1.0, 1.0, 1.0, 1.0, 0.0],
+    [1.0, 1.0, 1.0, 0.0, 1.0],
+    [2.0, 1.0, 1.0, 1.0, 1.0],
+])
+_LHS3 = np.array([
+    [1.0, 0.0, 1.0, 0.0, 1.0],
+    [1.0, 1.0, 1.0, 0.0, 1.0],
+    [1.0, 1.0, 1.0, 1.0, 0.0],
+])
+
+
+def _system(lhs: np.ndarray, rhs: np.ndarray) -> LinearSystem:
+    return LinearSystem(RATE_VARS, [_ineq(dict(zip(RATE_VARS, row)), b)
+                                    for row, b in zip(lhs, rhs)])
+
+
+def _marton_rhs(i_u0u1_y1, i_u0u2_y2, i_u1_y1_given_u0, i_u2_y2_given_u0,
+                i_u1_u2_given_u0) -> np.ndarray:
+    """Right-hand sides of the _LHS5 rows of the general inner bound."""
+    return np.array([i_u0u1_y1, i_u0u2_y2,
+                     i_u0u1_y1 + i_u2_y2_given_u0 - i_u1_u2_given_u0,
+                     i_u0u2_y2 + i_u1_y1_given_u0 - i_u1_u2_given_u0,
+                     i_u0u1_y1 + i_u0u2_y2 - i_u1_u2_given_u0])
+
+
 def marton_region(scheme: AuxScheme, ch: Channel) -> RateRegion:
     """The five-inequality inner bound for a fixed auxiliary scheme."""
     c = mi_constants(scheme, ch)
-    rows = [
-        _ineq({"R1": 1, "R2": 1, "R4": 1}, c.i_u0u1_y1),
-        _ineq({"R1": 1, "R3": 1, "R5": 1}, c.i_u0u2_y2),
-        _ineq({"R1": 1, "R2": 1, "R3": 1, "R4": 1},
-              c.i_u0u1_y1 + c.i_u2_y2_given_u0 - c.i_u1_u2_given_u0),
-        _ineq({"R1": 1, "R2": 1, "R3": 1, "R5": 1},
-              c.i_u0u2_y2 + c.i_u1_y1_given_u0 - c.i_u1_u2_given_u0),
-        _ineq({"R1": 2, "R2": 1, "R3": 1, "R4": 1, "R5": 1},
-              c.i_u0u1_y1 + c.i_u0u2_y2 - c.i_u1_u2_given_u0),
-    ]
-    return RateRegion(LinearSystem(RATE_VARS, rows),
+    rhs = _marton_rhs(c.i_u0u1_y1, c.i_u0u2_y2, c.i_u1_y1_given_u0,
+                      c.i_u2_y2_given_u0, c.i_u1_u2_given_u0)
+    return RateRegion(_system(_LHS5, rhs),
                       provenance={"kind": "t1", "aux_sizes": list(scheme.sizes)})
+
+
+def receiver_joints(aux: np.ndarray, gamma: np.ndarray, k1: np.ndarray,
+                    k2: np.ndarray) -> tuple:
+    """Float joints p(u0, u1, y1) and p(u0, u2, y2) of the scheme (aux,
+    gamma) over the marginal kernels k1 = p(y1 | x) and k2 = p(y2 | x)."""
+    return (np.einsum("abc,abcy->aby", aux, k1[gamma]),
+            np.einsum("abc,abcy->acy", aux, k2[gamma]))
+
+
+def _t1_rows(aux: np.ndarray, gamma: np.ndarray, k1: np.ndarray, k2: np.ndarray):
+    """Right-hand sides of the five-inequality bound for one float (joint,
+    gamma), and the key (I(U0U1;Y1), I(U1;Y1|U0), I(U0U2;Y2), I(U2;Y2|U0))."""
+    p01y, p02y = receiver_joints(aux, gamma, k1, k2)
+    h0 = _entropy_of_mass(aux.sum(axis=(1, 2)))
+    h01 = _entropy_of_mass(aux.sum(axis=2))
+    h02 = _entropy_of_mass(aux.sum(axis=1))
+    h012 = _entropy_of_mass(aux)
+    a_c = max(h01 + h02 - h0 - h012, 0.0)
+    h_y1 = _entropy_of_mass(p01y.sum(axis=(0, 1)))
+    h_01y = _entropy_of_mass(p01y)
+    h_0y1 = _entropy_of_mass(p01y.sum(axis=1))
+    big1 = max(h01 + h_y1 - h_01y, 0.0)
+    b1 = max(h01 + h_0y1 - h0 - h_01y, 0.0)
+    h_y2 = _entropy_of_mass(p02y.sum(axis=(0, 1)))
+    h_02y = _entropy_of_mass(p02y)
+    h_0y2 = _entropy_of_mass(p02y.sum(axis=1))
+    big2 = max(h02 + h_y2 - h_02y, 0.0)
+    b2 = max(h02 + h_0y2 - h0 - h_02y, 0.0)
+    return _marton_rhs(big1, big2, b1, b2, a_c), (big1, b1, big2, b2)
+
+
+def _t2_rows(p_ux: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
+    """Deterministic-channel formula right-hand sides (_LHS5) from p(u, x)."""
+    p_uy1 = p_ux @ k1
+    p_uy2 = p_ux @ k2
+    p_uy1y2 = np.einsum("ux,xa,xb->uab", p_ux, k1, k2)
+    h_y1 = _entropy_of_mass(p_uy1.sum(axis=0))
+    h_y2 = _entropy_of_mass(p_uy2.sum(axis=0))
+    h_u = _entropy_of_mass(p_ux.sum(axis=1))
+    h_uy1 = _entropy_of_mass(p_uy1)
+    h_uy2 = _entropy_of_mass(p_uy2)
+    h_uy1y2 = _entropy_of_mass(p_uy1y2)
+    h_y2_g = h_uy1y2 - h_uy1
+    h_y1_g = h_uy1y2 - h_uy2
+    i_uy1 = max(h_u + h_y1 - h_uy1, 0.0)
+    return np.array([h_y1, h_y2, h_y1 + h_y2_g, h_y2 + h_y1_g,
+                     i_uy1 + h_y2 + h_y1_g])
+
+
+def _t3_rows(p_ux: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
+    """More-capable formula right-hand sides (_LHS3) from p(u, x)."""
+    p_uy2 = p_ux @ k2
+    p_uy1 = p_ux @ k1
+    p_u = p_ux.sum(axis=1)
+    p_x = p_ux.sum(axis=0)
+    p_xy1 = p_x[:, None] * k1
+    h_u = _entropy_of_mass(p_u)
+    i_u_y2 = max(h_u + _entropy_of_mass(p_uy2.sum(axis=0)) - _entropy_of_mass(p_uy2), 0.0)
+    p_uxy1 = p_ux[:, :, None] * k1[None, :, :]
+    h_ux = _entropy_of_mass(p_ux)
+    i_x_y1_u = max(h_ux + _entropy_of_mass(p_uy1) - h_u - _entropy_of_mass(p_uxy1), 0.0)
+    i_x_y1 = max(_entropy_of_mass(p_x) + _entropy_of_mass(p_xy1.sum(axis=0))
+                 - _entropy_of_mass(p_xy1), 0.0)
+    return np.array([i_u_y2, i_u_y2 + i_x_y1_u, i_x_y1])
 
 
 def raw_coding_system(consts: MiConstants, u2_trivial: bool = False) -> LinearSystem:
@@ -144,20 +236,13 @@ def project_raw_system(sys: LinearSystem, box=None) -> RateRegion:
     return RateRegion(reduced, provenance={"kind": "t1-projection"})
 
 
-def channel_joint(p_ux: JointPmf, ch: Channel) -> JointPmf:
-    """Joint over (U, X, Y1, Y2) from p(u, x) and the channel kernel."""
+def _ux_float(p_ux: JointPmf, ch: Channel) -> np.ndarray:
+    """p(u, x) as a float table, checked against the channel input."""
     if len(p_ux.axes) != 2:
         raise InputError("expected a two-axis joint p(u, x)")
     if p_ux.axes[1].size != ch.x.size:
         raise InputError("p(u, x) input alphabet does not match the channel")
-    exact = p_ux.exact and ch.exact
-    ux = p_ux.mass if exact else p_ux.as_float()
-    kern = ch.kernel if exact else ch.kernel_float()
-    mass = ux[..., None, None] * kern[None, ...]
-    axes = (Alphabet(p_ux.axes[0].name if p_ux.axes[0].name != "X" else "U",
-                     p_ux.axes[0].symbols),
-            ch.x, ch.y1, ch.y2)
-    return JointPmf(axes, np.array(mass, dtype=object if exact else np.float64))
+    return p_ux.as_float()
 
 
 def deterministic_region(p_ux: JointPmf, ch: Channel) -> RateRegion:
@@ -166,42 +251,15 @@ def deterministic_region(p_ux: JointPmf, ch: Channel) -> RateRegion:
     verdict = is_deterministic(ch)
     if not verdict.holds:
         raise InputError("channel is not deterministic")
-    j = channel_joint(p_ux, ch)
-    uname = j.axes[0].name
-    h_y1 = entropy(j.marginal(("Y1",)))
-    h_y2 = entropy(j.marginal(("Y2",)))
-    h_u_y1 = entropy(j.marginal((uname, "Y1")))
-    h_u_y2 = entropy(j.marginal((uname, "Y2")))
-    h_u_y1_y2 = entropy(j.marginal((uname, "Y1", "Y2")))
-    h_u = entropy(j.marginal((uname,)))
-    h_y2_given_uy1 = h_u_y1_y2 - h_u_y1
-    h_y1_given_uy2 = h_u_y1_y2 - h_u_y2
-    i_u_y1 = h_u + h_y1 - h_u_y1
-    rows = [
-        _ineq({"R1": 1, "R2": 1, "R4": 1}, h_y1),
-        _ineq({"R1": 1, "R3": 1, "R5": 1}, h_y2),
-        _ineq({"R1": 1, "R2": 1, "R3": 1, "R4": 1}, h_y1 + h_y2_given_uy1),
-        _ineq({"R1": 1, "R2": 1, "R3": 1, "R5": 1}, h_y2 + h_y1_given_uy2),
-        _ineq({"R1": 2, "R2": 1, "R3": 1, "R4": 1, "R5": 1},
-              i_u_y1 + h_y2 + h_y1_given_uy2),
-    ]
-    return RateRegion(LinearSystem(RATE_VARS, rows), provenance={"kind": "t2"})
+    rows = _t2_rows(_ux_float(p_ux, ch), ch.y1_given_x(), ch.y2_given_x())
+    return RateRegion(_system(_LHS5, rows), provenance={"kind": "t2"})
 
 
 def more_capable_region(p_ux: JointPmf, ch: Channel) -> RateRegion:
     """Three-inequality region that is capacity for more-capable channels;
     an inner bound regardless of class."""
-    j = channel_joint(p_ux, ch)
-    uname = j.axes[0].name
-    i_u_y2 = mutual_information(j, (uname,), ("Y2",))
-    i_x_y1_given_u = conditional_mutual_information(j, ("X",), ("Y1",), (uname,))
-    i_x_y1 = mutual_information(j, ("X",), ("Y1",))
-    rows = [
-        _ineq({"R1": 1, "R3": 1, "R5": 1}, i_u_y2),
-        _ineq({"R1": 1, "R2": 1, "R3": 1, "R5": 1}, i_u_y2 + i_x_y1_given_u),
-        _ineq({"R1": 1, "R2": 1, "R3": 1, "R4": 1}, i_x_y1),
-    ]
-    return RateRegion(LinearSystem(RATE_VARS, rows), provenance={"kind": "t3"})
+    rows = _t3_rows(_ux_float(p_ux, ch), ch.y1_given_x(), ch.y2_given_x())
+    return RateRegion(_system(_LHS3, rows), provenance={"kind": "t3"})
 
 
 def _trivial_alphabet(name: str) -> Alphabet:

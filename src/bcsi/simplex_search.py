@@ -1,7 +1,9 @@
 """Lattice enumeration and local search on probability simplices.
 
 Shared between the classifier (grid + descent over input distributions) and
-the optimizer (grid + golden-section refinement over auxiliary joints).
+the optimizer (grid + refinement over auxiliary joints): both sweep a
+lattice and then polish its best points with the one budgeted pairwise
+golden-section refiner, refine_on_simplex.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_ITERS = 20
+MAX_SWEEPS = 8
 
 
 def lattice_count(parts: int, resolution: int) -> int:
@@ -51,7 +55,7 @@ def sample_lattice(rng: np.random.Generator, parts: int, resolution: int,
 
 
 def golden_max_1d(f: Callable[[float], float], lo: float, hi: float,
-                  iters: int = 30) -> tuple:
+                  iters: int = GOLDEN_ITERS) -> tuple:
     """Golden-section maximization of f on [lo, hi]."""
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
@@ -71,34 +75,45 @@ def golden_max_1d(f: Callable[[float], float], lo: float, hi: float,
 
 
 def refine_on_simplex(objective: Callable[[np.ndarray], float], start: np.ndarray,
-                      sweeps: int = 20, tol: float = 1e-12) -> tuple:
-    """Coordinate-pair local ascent: golden-section on mass transfers between
-    every pair of cells, repeated until a full sweep yields no improvement.
+                      budget: int) -> tuple:
+    """Coordinate-pair local ascent within an evaluation budget: golden-section
+    on mass transfers between every pair of cells (the shifted point clipped
+    at zero and renormalized), at most MAX_SWEEPS sweeps, stopping early after
+    a sweep without improvement. Each line search costs GOLDEN_ITERS + 1
+    evaluations of the budget.
 
-    Returns (point, value). Deterministic given the start.
+    Returns (point, value). Deterministic given (start, budget).
     """
     x = np.array(start, dtype=np.float64)
     best = objective(x)
     n = len(x)
-    for _ in range(sweeps):
+    remaining = budget
+    for _ in range(MAX_SWEEPS):
         improved = False
         for i in range(n):
-            for ji in range(i + 1, n):
-                lo, hi = -x[ji], x[i]
-                if hi - lo < 1e-15:
+            for j in range(i + 1, n):
+                if remaining <= 0:
+                    return x, best
+                lo, hi = -x[j], x[i]
+                if hi - lo < 1e-12:
                     continue
 
-                def shifted(t, i=i, ji=ji):
+                def shifted(t, i=i, j=j):
                     y = x.copy()
                     y[i] -= t
-                    y[ji] += t
-                    return objective(y)
+                    y[j] += t
+                    np.clip(y, 0.0, None, out=y)
+                    s = y.sum()
+                    if s <= 0:
+                        return -math.inf
+                    return objective(y / s)
 
+                remaining -= GOLDEN_ITERS + 1
                 t, val = golden_max_1d(shifted, lo, hi)
-                if val > best + tol:
+                if val > best + 1e-12:
                     x[i] -= t
-                    x[ji] += t
-                    x = np.clip(x, 0.0, None)
+                    x[j] += t
+                    np.clip(x, 0.0, None, out=x)
                     x /= x.sum()
                     best = objective(x)
                     improved = True

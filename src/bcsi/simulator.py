@@ -29,8 +29,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GuardError, InputError
-from .probability import AuxScheme, Channel, JointPmf, induced_joint
-from .rate_regions import MiConstants, SplitRates
+from .probability import AuxScheme, Channel, JointPmf
+from .rate_regions import MiConstants, SplitRates, receiver_joints
 
 DESK_CAP = 1_000_000  # product of all message-set and bin sizes
 _CHUNK_CELLS = 4_000_000
@@ -246,9 +246,8 @@ class _Tables:
         self.t_u2 = _conditional_table(aux.sum(axis=1), a0, a2)
         # p(u1, u2 | u0) for the covering scan
         self.t_pair = _conditional_table(aux, a0, a1 * a2)
-        j = induced_joint(scheme, ch)
-        m1 = j.marginal(("U0", "U1", "Y1")).as_float()
-        m2 = j.marginal(("U0", "U2", "Y2")).as_float()
+        self.gamma = np.asarray(scheme.gamma, dtype=np.int64)
+        m1, m2 = receiver_joints(aux, self.gamma, ch.y1_given_x(), ch.y2_given_x())
         # p(y_k | u0, u_k), indexed by receiver k
         self.t_y = {1: _conditional_table(m1, a0 * a1, ch.y1.size),
                     2: _conditional_table(m2, a0 * a2, ch.y2.size)}
@@ -256,7 +255,6 @@ class _Tables:
         # channel sampling cdfs over the composite (y1, y2) alphabet
         kern = ch.kernel_float().reshape(ch.x.size, -1)
         self.channel_cdf = np.cumsum(kern, axis=1)
-        self.gamma = np.asarray(scheme.gamma, dtype=np.int64)
 
 
 def _need_tables(tables, cfg: SchemeConfig, ch, what: str) -> _Tables:

@@ -191,6 +191,56 @@ class TestSimulate:
         assert "cap" in err
 
 
+_SLICE = ["slice", "--channel", "{channel}", "--theorem", "t1", "--free", "R2,R3",
+          "--fixed", "R1=0,R4=0,R5=0", "--aux-sizes", "2,1,1", "--resolution", "2",
+          "--directions", "3"]
+_SIMULATE = ["simulate", "--channel", "{channel}", "--scheme", "{aux}",
+             "--rates", "R1=0.5", "--n", "4", "--trials", "2"]
+_OPTIMIZE = ["optimize", "--channel", "{channel}", "--theorem", "t1",
+             "--weights", "0,0,0,1,0", "--aux-sizes", "2,1,1", "--resolution", "2"]
+
+
+def _with(argv, flag, value):
+    out = list(argv)
+    out[out.index(flag) + 1] = value
+    return out
+
+
+_BAD_ARGV = {
+    "optimize aux size x": _with(_OPTIMIZE, "--aux-sizes", "2,x"),
+    "slice aux size x": _with(_SLICE, "--aux-sizes", "2,x"),
+    "slice directions -1": _with(_SLICE, "--directions", "-1"),
+    "slice directions 0": _with(_SLICE, "--directions", "0"),
+    "slice fixed nan": _with(_SLICE, "--fixed", "R1=nan,R4=0,R5=0"),
+    "simulate rate nan": _with(_SIMULATE, "--rates", "R1=nan"),
+    "simulate rate inf": _with(_SIMULATE, "--rates", "R1=inf"),
+    "optimize weight nan": _with(_OPTIMIZE, "--weights", "0,nan,1,0,0"),
+    "validate out dir": ["validate", "--channel", "{channel}", "--out", "{tmp}"],
+    "classify out dir": ["classify", "--channel", "{channel}", "--resolution", "4",
+                         "--out", "{tmp}"],
+    "region out dir": ["region", "--theorem", "t2", "--channel", "{channel}",
+                       "--scheme", "{ux}", "--out", "{tmp}"],
+    "raw-project out dir": ["raw-project", "--channel", "{channel}", "--scheme", "{aux}",
+                            "--out", "{tmp}"],
+    "optimize out dir": _OPTIMIZE + ["--out", "{tmp}"],
+    "slice out dir": _SLICE + ["--out", "{tmp}"],
+    "simulate out dir": _SIMULATE + ["--out", "{tmp}"],
+    "compare out dir": ["compare", "{region}", "{region}", "--out", "{tmp}"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_BAD_ARGV.values()), ids=list(_BAD_ARGV))
+def test_bad_option_or_out_directory_exit_1(files, capsys, argv):
+    region = files["tmp"] / "region.json"
+    assert main(["region", "--theorem", "t2", "--channel", files["channel"],
+                 "--scheme", files["ux"], "--out", str(region)]) == 0
+    argv = [a.format(region=region, **files) for a in argv]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 class TestConsoleScript:
     def test_subprocess_entry_point(self, files):
         out = subprocess.run(

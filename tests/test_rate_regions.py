@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -12,12 +13,12 @@ from bcsi.probability import (Alphabet, AuxScheme, JointPmf, Pmf,
                               binary_symmetric_pair, blackwell_channel,
                               deterministic_channel, induced_joint,
                               noiseless_channel)
-from bcsi.rate_regions import (MiConstants, SplitRates, deterministic_region,
-                               marton_region, mi_constants, more_capable_region,
-                               project_raw_system, raw_coding_system,
-                               specialize_scheme)
+from bcsi.rate_regions import (MiConstants, SplitRates, _t1_rows, _t2_rows, _t3_rows,
+                               deterministic_region, marton_region, mi_constants,
+                               more_capable_region, project_raw_system,
+                               raw_coding_system, specialize_scheme)
 from conftest import random_channel, random_joint, random_scheme
-from oracles import binary_entropy, brute_cmi, brute_mi
+from oracles import binary_entropy, brute_cmi, brute_group_entropy, brute_mi
 
 
 def key_of(coeffs):
@@ -264,6 +265,65 @@ class TestMoreCapableRegion:
             assert EQ1 not in keys
             assert EQ5 not in keys
             assert regions_equal(full, more_capable_region(p_ux, ch))
+
+
+class TestTheoremRows:
+    """The float right-hand sides the optimizer evaluates, against the
+    region builders and against loop-by-loop entropies."""
+
+    def test_t1_rows_match_marton_region(self, rng):
+        checked = 0
+        for sizes in itertools.product((1, 2, 3), repeat=3):
+            for _ in range(4):
+                x = int(rng.integers(2, 4))
+                ch = random_channel(rng, x, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
+                scheme = random_scheme(rng, sizes, x)
+                rhs, _ = _t1_rows(scheme.aux_joint.as_float(), np.asarray(scheme.gamma),
+                                  ch.y1_given_x(), ch.y2_given_x())
+                direct = [i.rhs for i in marton_region(scheme, ch).system.inequalities]
+                np.testing.assert_allclose(rhs, direct, rtol=0.0, atol=1e-12)
+                checked += 1
+        assert checked >= 100
+
+    @staticmethod
+    def _ux_joint(rng, ch):
+        """Random p(u, x) with some zero cells, and the joint over
+        (U, X, Y1, Y2) it induces through the channel."""
+        u = int(rng.integers(1, 4))
+        m = rng.random((u, ch.x.size)) * (rng.random((u, ch.x.size)) > 0.25)
+        m[0, 0] += 0.05
+        p_ux = m / m.sum()
+        return p_ux, p_ux[:, :, None, None] * ch.kernel_float()[None]
+
+    def test_t2_rows_match_brute_entropies(self, rng):
+        for _ in range(30):
+            x = int(rng.integers(2, 5))
+            ch = deterministic_channel(rng.integers(0, 3, size=x).tolist(),
+                                       rng.integers(0, 3, size=x).tolist(), 3, 3)
+            p_ux, j = self._ux_joint(rng, ch)
+
+            def h(*axes):
+                return brute_group_entropy(j, j.shape, list(axes))
+
+            # axes: U X Y1 Y2
+            h_y2_given_uy1 = h(0, 2, 3) - h(0, 2)
+            h_y1_given_uy2 = h(0, 2, 3) - h(0, 3)
+            i_u_y1 = h(0) + h(2) - h(0, 2)
+            expect = [h(2), h(3), h(2) + h_y2_given_uy1, h(3) + h_y1_given_uy2,
+                      i_u_y1 + h(3) + h_y1_given_uy2]
+            np.testing.assert_allclose(_t2_rows(p_ux, ch.y1_given_x(), ch.y2_given_x()),
+                                       expect, rtol=0.0, atol=1e-12)
+
+    def test_t3_rows_match_brute_entropies(self, rng):
+        for _ in range(30):
+            ch = random_channel(rng, int(rng.integers(2, 4)), int(rng.integers(2, 4)),
+                                int(rng.integers(2, 4)))
+            p_ux, j = self._ux_joint(rng, ch)
+            i_u_y2 = brute_mi(j, j.shape, [0], [3])
+            expect = [i_u_y2, i_u_y2 + brute_cmi(j, j.shape, [1], [2], [0]),
+                      brute_mi(j, j.shape, [1], [2])]
+            np.testing.assert_allclose(_t3_rows(p_ux, ch.y1_given_x(), ch.y2_given_x()),
+                                       expect, rtol=0.0, atol=1e-12)
 
 
 class TestSpecializeScheme:
