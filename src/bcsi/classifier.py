@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import GuardError, InputError
+from .polytope import linprog
 from .probability import Channel
 from .simplex_search import (GOLDEN_ITERS, lattice_count, lattice_points, refine_on_simplex,
                              sample_lattice)

@@ -3,19 +3,18 @@
 Every inequality is of the form sum(coeff * var) <= rhs with exact rational
 coefficients and a float right-hand side. Strict inequalities from the
 achievability analysis are represented closed throughout; regions are their
-closures. The LP layer is scipy's HiGHS; only the 1e-7 tolerance contract is
-normative, not the method.
+closures. The LP layer is scipy's HiGHS, imported on the first solve; only
+the 1e-7 tolerance contract is normative, not the method.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import GuardError, InputError
 
@@ -78,10 +77,19 @@ class LinearInequality:
 
 @dataclass
 class LinearSystem:
-    """A conjunction of inequalities over a declared variable set."""
+    """A conjunction of inequalities over a declared variable set.
+
+    sources[i] holds the sets of original rows that row i combines, each an
+    int bitmask: one set per way of deriving the row, keeping only the
+    minimal ones. eliminated counts the variables projected out so far;
+    fme_eliminate prunes by both. A system built without sources starts
+    fresh: each row is its own source and nothing has been eliminated.
+    """
 
     variables: tuple
     inequalities: list = field(default_factory=list)
+    sources: list | None = None
+    eliminated: int = 0
 
     def __post_init__(self):
         self.variables = tuple(self.variables)
@@ -90,55 +98,66 @@ class LinearSystem:
             undeclared = set(ineq.coeffs) - declared
             if undeclared:
                 raise InputError(f"inequality uses undeclared variables {sorted(undeclared)}")
+        if self.sources is None:
+            self.sources = [(1 << i,) for i in range(len(self.inequalities))]
+            self.eliminated = 0
+        elif len(self.sources) != len(self.inequalities):
+            raise InputError("need one source set per inequality")
 
-    def copy(self) -> "LinearSystem":
-        return LinearSystem(self.variables,
-                            [LinearInequality(dict(i.coeffs), i.rhs) for i in self.inequalities])
 
-
-def _dedup(rows: Iterable[LinearInequality], merge_dominated: bool = False) -> list:
-    """Canonicalize rows and drop duplicates. By default only exact
-    duplicates (same coefficients and rhs) collapse; with merge_dominated,
-    rows sharing a coefficient vector keep the tightest rhs."""
+def _dedup(rows: Iterable[LinearInequality]) -> list:
+    """Canonicalize rows; rows sharing a coefficient vector keep the tightest
+    rhs, at the position of the first of them."""
     best = {}
-    order = []
     for row in rows:
         row = row.canonical()
-        k = row.key() if merge_dominated else (row.key(), row.rhs)
-        if k in best:
-            if row.rhs < best[k].rhs:
-                best[k] = row
-        else:
+        k = row.key()
+        if k not in best or row.rhs < best[k].rhs:
             best[k] = row
-            order.append(k)
-    return [best[k] for k in order]
+    return list(best.values())
+
+
+def _minimal(sets: Iterable[int]) -> tuple:
+    """The sets (int bitmasks) that contain no other set of the input."""
+    out = []
+    for s in sorted(set(sets), key=int.bit_count):
+        if not any(t & s == t for t in out):
+            out.append(s)
+    return tuple(out)
 
 
 def fme_eliminate(sys: LinearSystem, var: str) -> LinearSystem:
     """Project out one variable by pairing rows of opposite sign on it.
 
     Coefficient arithmetic is exact rational; the rhs combination is float.
-    Aborts if the step would exceed FME_ROW_CAP rows.
+    A combined row's source sets are the unions of one set of each parent.
+    After the k-th elimination, a derivation that combines more than k+1
+    original rows is implied by the others (Chernikov's rule): its set is
+    dropped, and a row with no set left is dropped without an LP. A row that
+    several derivations give keeps all their minimal sets, which keeps the
+    rule exact: this step then keeps every row that pruned elimination
+    without merging would keep. Aborts if the unpruned step would exceed
+    FME_ROW_CAP rows.
     """
     if var not in sys.variables:
         raise InputError(f"variable {var!r} not declared")
     zero, pos, neg = [], [], []
-    for row in sys.inequalities:
+    for row, src in zip(sys.inequalities, sys.sources, strict=True):
         c = row.coeffs.get(var, Fraction(0))
         if c > 0:
-            pos.append(row)
+            pos.append((row, src))
         elif c < 0:
-            neg.append(row)
+            neg.append((row, src))
         else:
-            zero.append(row)
+            zero.append((row, src))
     projected = len(zero) + len(pos) * len(neg)
     if projected > FME_ROW_CAP:
         raise GuardError(
             f"eliminating {var!r} would create {projected} inequalities (cap {FME_ROW_CAP})")
     out = list(zero)
-    for p in pos:
+    for p, p_src in pos:
         cp = p.coeffs[var]
-        for q in neg:
+        for q, q_src in neg:
             cq = q.coeffs[var]
             alpha = -cq  # > 0, multiplies p
             beta = cp    # > 0, multiplies q
@@ -149,9 +168,36 @@ def fme_eliminate(sys: LinearSystem, var: str) -> LinearSystem:
                 coeffs[v] = coeffs.get(v, Fraction(0)) + beta * c
             coeffs.pop(var, None)  # exact cancellation by construction
             rhs = float(alpha) * p.rhs + float(beta) * q.rhs
-            out.append(LinearInequality(coeffs, rhs))
+            out.append((LinearInequality(coeffs, rhs),
+                        tuple(a | b for a in p_src for b in q_src)))
+    # exact duplicates collapse at the first one's position, pooling their
+    # source sets
+    merged = {}
+    for row, src in out:
+        row = row.canonical()
+        k = (row.key(), row.rhs)
+        first, pooled = merged.get(k, (row, ()))
+        merged[k] = (first, pooled + src)
+    steps = sys.eliminated + 1
+    rows, sources = [], []
+    for row, src in merged.values():
+        src = _minimal(s for s in src if s.bit_count() <= steps + 1)
+        if src:
+            rows.append(row)
+            sources.append(src)
     remaining = tuple(v for v in sys.variables if v != var)
-    return LinearSystem(remaining, _dedup(out))
+    return LinearSystem(remaining, rows, sources, steps)
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first solve: importing
+    scipy.optimize takes about half a second, which verbs that solve no LP
+    should not pay. It is taken from its defining module, so that a wrapper
+    put on scipy.optimize.linprog (perfbench/layers.py wraps it for the
+    simulator's LP) does not count these solves a second time."""
+    from scipy.optimize._linprog import linprog as highs_linprog
+
+    return highs_linprog(*args, **kwargs)
 
 
 def _box_bounds(sys: LinearSystem, box) -> list:
@@ -217,7 +263,7 @@ def remove_redundant(sys: LinearSystem, box=None) -> LinearSystem:
                 return _empty_system(sys.variables)
             continue  # vacuously true
         rows.append(r)
-    rows = _dedup(rows, merge_dominated=True)
+    rows = _dedup(rows)
     work = LinearSystem(sys.variables, rows)
     if not is_feasible(work, box):
         return _empty_system(sys.variables)
@@ -247,7 +293,7 @@ def fix_variables(sys: LinearSystem, assignment: Mapping[str, float]) -> LinearS
         shift = sum(float(c) * float(assignment[v])
                     for v, c in r.coeffs.items() if v in assignment)
         out.append(LinearInequality(coeffs, r.rhs - shift))
-    return LinearSystem(remaining, _dedup(out, merge_dominated=True))
+    return LinearSystem(remaining, _dedup(out))
 
 
 @dataclass
@@ -307,22 +353,35 @@ def contains(region: RateRegion, point) -> bool:
     return True
 
 
-def region_subset(a: RateRegion, b: RateRegion, box=None) -> bool:
-    """True iff a is contained in b (within the box, 1e-7 LP tolerance)."""
-    fa = is_feasible(a.system, box)
-    fb = is_feasible(b.system, box)
-    if not fa:
-        return True
-    if not fb:
-        return False
+def _rows_hold(a: RateRegion, b: RateRegion, box) -> bool:
+    """True iff every row of b holds over a (1e-7 LP tolerance); both regions
+    must be feasible. A row that a states with the same canonical
+    coefficients and an rhs no larger needs no LP: the maximum over a is at
+    most that rhs."""
+    stated = {}
+    for ineq in a.system.inequalities:
+        row = ineq.canonical()
+        stated[row.key()] = min(row.rhs, stated.get(row.key(), inf))
     for ineq in b.system.inequalities:
         if ineq.is_vacuous():
+            continue
+        row = ineq.canonical()
+        if stated.get(row.key(), inf) <= row.rhs:
             continue
         status, value, _ = maximize(a.system,
                                     {v: float(c) for v, c in ineq.coeffs.items()}, box)
         if status != "optimal" or value > ineq.rhs + REDUNDANCY_TOL:
             return False
     return True
+
+
+def region_subset(a: RateRegion, b: RateRegion, box=None) -> bool:
+    """True iff a is contained in b (within the box, 1e-7 LP tolerance)."""
+    if not is_feasible(a.system, box):
+        return True
+    if not is_feasible(b.system, box):
+        return False
+    return _rows_hold(a, b, box)
 
 
 def regions_equal(a: RateRegion, b: RateRegion, box=None) -> bool:
@@ -333,4 +392,4 @@ def regions_equal(a: RateRegion, b: RateRegion, box=None) -> bool:
         return False
     if not fa:
         return True
-    return region_subset(a, b, box) and region_subset(b, a, box)
+    return _rows_hold(a, b, box) and _rows_hold(b, a, box)

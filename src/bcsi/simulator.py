@@ -392,6 +392,18 @@ def _classify(result: DecodeResult, msg: Msg) -> str:
     return "none_typical"
 
 
+def _wilson_half_width(pe: float, trials: int) -> float:
+    """Half-width of the 95% Wilson score interval [lo, hi] about pe, taken
+    as max(hi - pe, pe - lo) so that pe +- half covers the interval. Unlike
+    the Wald width it is not 0 at pe = 0 or 1."""
+    z = 1.96
+    z2n = z * z / trials
+    center = (pe + z2n / 2.0) / (1.0 + z2n)
+    spread = z / (1.0 + z2n) * math.sqrt(max(pe * (1.0 - pe), 0.0) / trials
+                                         + z2n / (4.0 * trials))
+    return max(center + spread - pe, pe - (center - spread))
+
+
 def estimate_error(ch: Channel, cfg: SchemeConfig, trials: int,
                    progress=None) -> SimReport:
     """Average error over independent trials. A receiver errors when its
@@ -430,7 +442,7 @@ def estimate_error(ch: Channel, cfg: SchemeConfig, trials: int,
         if progress is not None and (trial + 1) % 100 == 0:
             progress(trial + 1, any_errors)
     pe = any_errors / trials
-    half = 1.96 * math.sqrt(max(pe * (1.0 - pe), 0.0) / trials)
+    half = _wilson_half_width(pe, trials)
     r = cfg.rates
     nominal = {k: getattr(r, k) for k in RATE_NAMES}
     return SimReport(

@@ -92,3 +92,23 @@ def brute_conditionally_typical(known_seq, new_seq, table, eps):
             if abs(c - target) > eps * target + 1e-9:
                 return False
     return True
+
+
+def plain_fme(rows, var_indices):
+    """Project out the variables at var_indices, in order, by pairing every
+    row positive on the variable with every row negative on it: no
+    canonical form, no merging, no pruning. Rows are (coeffs list, rhs)
+    with exact rational coefficients; an eliminated column stays as 0."""
+    for j in var_indices:
+        out = [(coeffs, rhs) for coeffs, rhs in rows if coeffs[j] == 0]
+        for cp, bp in rows:
+            if cp[j] <= 0:
+                continue
+            for cq, bq in rows:
+                if cq[j] >= 0:
+                    continue
+                alpha, beta = -cq[j], cp[j]
+                coeffs = [alpha * a + beta * b for a, b in zip(cp, cq)]
+                out.append((coeffs, float(alpha) * bp + float(beta) * bq))
+        rows = out
+    return rows

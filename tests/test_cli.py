@@ -242,6 +242,15 @@ def test_bad_option_or_out_directory_exit_1(files, capsys, argv):
 
 
 class TestConsoleScript:
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # the LP layer is imported on the first solve
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, bcsi.cli; print('scipy.optimize' in sys.modules)"],
+            capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
+
     def test_subprocess_entry_point(self, files):
         out = subprocess.run(
             [sys.executable, "-m", "bcsi.cli", "classify",

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bcsi import polytope
 from bcsi.errors import GuardError, InputError
 from bcsi.polytope import (LinearInequality, LinearSystem, RATE_VARS, RateRegion,
                            contains, fix_variables, fme_eliminate, is_feasible,
                            maximize, regions_equal, region_subset,
                            remove_redundant)
-from oracles import lift_exists_interval
+from oracles import lift_exists_interval, plain_fme
 
 
 def ineq(coeffs, rhs):
@@ -63,10 +64,48 @@ class TestFme:
         (row,) = out.inequalities
         assert row.coeffs["x"] == Fraction(1)  # canonical primitive integers
 
+    def test_sources_and_pruning(self):
+        # after two steps a row may combine at most three original rows, so
+        # 3z <= 4, the sum of all four, is dropped; z <= 1 implies it
+        sys = LinearSystem(("x", "y", "z"), [
+            ineq({"x": 1, "y": 1}, 1.0),
+            ineq({"x": -1, "y": 1}, 1.0),
+            ineq({"x": 1, "y": -1, "z": 1}, 1.0),
+            ineq({"x": -1, "y": -1, "z": 2}, 1.0),
+        ])
+        assert sys.sources == [(0b0001,), (0b0010,), (0b0100,), (0b1000,)]
+        assert sys.eliminated == 0
+        once = fme_eliminate(sys, "x")
+        assert once.eliminated == 1
+        assert [str(r) for r in once.inequalities] == \
+            ["y <= 1", "z <= 1", "z <= 2", "-2*y + 3*z <= 2"]
+        assert once.sources == [(0b0011,), (0b1001,), (0b0110,), (0b1100,)]
+        twice = fme_eliminate(once, "y")
+        assert twice.eliminated == 2
+        assert [str(r) for r in twice.inequalities] == ["z <= 1", "z <= 2"]
+        assert twice.sources == [(0b1001,), (0b0110,)]
+        plain = plain_fme([([r.coeffs.get(v, Fraction(0)) for v in sys.variables], r.rhs)
+                           for r in sys.inequalities], [0, 1])
+        assert len(plain) == 3  # 2z <= 2, z <= 2 and 6z <= 8
+
+    def test_duplicate_row_keeps_every_minimal_source_set(self):
+        # y <= 1 comes from rows 0 and 1 and from rows 2 and 3; a later
+        # step may need either derivation, so both sets stay
+        sys = LinearSystem(("x", "y", "z"), [
+            ineq({"x": 1, "y": 1}, 1.0),
+            ineq({"x": -1, "y": 1}, 1.0),
+            ineq({"x": 1, "z": 1}, 0.0),
+            ineq({"x": -1, "y": 1, "z": -1}, 1.0),
+        ])
+        once = fme_eliminate(sys, "x")
+        assert [str(r) for r in once.inequalities] == \
+            ["y <= 1", "2*y + -1*z <= 2", "y + z <= 1"]
+        assert once.sources == [(0b0011, 0b1100), (0b1001,), (0b0110,)]
+
 
 @st.composite
-def random_system(draw):
-    n_vars = draw(st.integers(2, 4))
+def random_system(draw, min_vars=2, max_vars=4):
+    n_vars = draw(st.integers(min_vars, max_vars))
     n_rows = draw(st.integers(2, 8))
     names = tuple(f"v{i}" for i in range(n_vars))
     rows = []
@@ -102,6 +141,28 @@ class TestFmeSoundness:
                 lifted[sys.variables.index(v)] = x
             liftable = lift_exists_interval(rows, var_idx, lifted)
             assert in_proj == liftable
+
+    @given(random_system(min_vars=3, max_vars=5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pruned_steps_match_plain_fme(self, sys, data):
+        # Chernikov pruning only acts from the second step on
+        order = data.draw(st.permutations(range(len(sys.variables))))
+        order = order[:data.draw(st.integers(2, min(3, len(sys.variables) - 1)))]
+        projected = sys
+        for j in order:
+            projected = fme_eliminate(projected, sys.variables[j])
+        plain = plain_fme([([r.coeffs.get(v, Fraction(0)) for v in sys.variables], r.rhs)
+                           for r in sys.inequalities], order)
+        keep = projected.variables
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            point = {v: float(rng.integers(-4, 5)) for v in keep}
+            full = [point.get(v, 0.0) for v in sys.variables]
+            in_pruned = all(r.evaluate(point) <= r.rhs + 1e-9
+                            for r in projected.inequalities)
+            in_plain = all(sum(float(c) * x for c, x in zip(coeffs, full)) <= rhs + 1e-9
+                           for coeffs, rhs in plain)
+            assert in_pruned == in_plain
 
 
 class TestRemoveRedundant:
@@ -180,6 +241,37 @@ class TestRegions:
         assert region_subset(smaller, r)
         assert not region_subset(r, smaller)
         assert not regions_equal(r, smaller)
+
+    def count_lps(self, monkeypatch):
+        calls = []
+        solve = polytope.maximize
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(polytope, "maximize", counted)
+        return calls
+
+    def test_rows_a_region_states_need_no_lp(self, monkeypatch):
+        r = self.region()
+        calls = self.count_lps(monkeypatch)
+        assert region_subset(r, r)
+        assert calls == [{}, {}]  # the two feasibility checks
+        calls.clear()
+        assert regions_equal(r, r)
+        assert calls == [{}, {}]
+
+    def test_row_stated_with_larger_rhs_still_solved(self, monkeypatch):
+        r = self.region()
+        rows = list(r.system.inequalities)
+        tighter = rate_region([ineq({"R1": 2, "R2": 2, "R4": 2}, 1.0)] + rows[1:])
+        calls = self.count_lps(monkeypatch)
+        assert not region_subset(r, tighter)
+        assert calls == [{}, {}, {"R1": 2.0, "R2": 2.0, "R4": 2.0}]
+        calls.clear()
+        assert region_subset(tighter, r)
+        assert calls == [{}, {}]  # tighter states R1 + R2 + R4 <= 0.5 in canonical form
 
     def test_two_empty_regions_equal(self):
         empty1 = rate_region([ineq({"R1": 1}, -1.0)])

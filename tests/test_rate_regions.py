@@ -6,9 +6,10 @@ import pytest
 
 from bcsi.errors import InputError
 from bcsi.info_measures import entropy, mutual_information
-from bcsi.polytope import (LinearInequality, RATE_VARS, RateRegion, contains,
-                           fix_variables, maximize, regions_equal,
-                           remove_redundant)
+from bcsi import rate_regions
+from bcsi.polytope import (LinearInequality, LinearSystem, RATE_VARS, RateRegion,
+                           contains, fix_variables, fme_eliminate, maximize,
+                           regions_equal, remove_redundant)
 from bcsi.probability import (Alphabet, AuxScheme, JointPmf, Pmf,
                               binary_symmetric_pair, blackwell_channel,
                               deterministic_channel, induced_joint,
@@ -18,7 +19,7 @@ from bcsi.rate_regions import (MiConstants, SplitRates, _t1_rows, _t2_rows, _t3_
                                more_capable_region, project_raw_system,
                                raw_coding_system, specialize_scheme)
 from conftest import random_channel, random_joint, random_scheme
-from oracles import binary_entropy, brute_cmi, brute_group_entropy, brute_mi
+from oracles import binary_entropy, brute_cmi, brute_group_entropy, brute_mi, plain_fme
 
 
 def key_of(coeffs):
@@ -154,6 +155,35 @@ class TestRawSystem:
             c.i_u0u1_y1 + c.i_u2_y2_given_u0 - c.i_u1_u2_given_u0, abs=1e-12)
         assert keyed[EQ5] == pytest.approx(
             c.i_u0u1_y1 + c.i_u0u2_y2 - c.i_u1_u2_given_u0, abs=1e-12)
+
+    def test_pruned_projection_hands_few_rows_to_lp(self, monkeypatch):
+        # Chernikov pruning leaves at most 40 of the 216 rows that plain
+        # elimination with duplicate merging hands to redundancy removal
+        inputs, rows_in = [], []
+
+        def record_fme(sys, var):
+            inputs.append((sys, var))
+            return fme_eliminate(sys, var)
+
+        def record_rr(sys, box=None):
+            rows_in.append(len(sys.inequalities))
+            return remove_redundant(sys, box)
+
+        monkeypatch.setattr(rate_regions, "fme_eliminate", record_fme)
+        monkeypatch.setattr(rate_regions, "remove_redundant", record_rr)
+        projected = project_raw_system(
+            raw_coding_system(MiConstants(1.0, 0.9, 0.6, 0.5, 0.3)))
+        assert rows_in == [rows_in[0]] and rows_in[0] <= 40
+        # the same region as the unpruned elimination
+        start = inputs[0][0]
+        order = [start.variables.index(var) for _, var in inputs]
+        plain = plain_fme([([r.coeffs.get(v, Fraction(0)) for v in start.variables], r.rhs)
+                           for r in start.inequalities], order)
+        rows = [LinearInequality({v: c for v, c in zip(start.variables, coeffs)
+                                  if v in RATE_VARS}, rhs) for coeffs, rhs in plain]
+        assert len(rows) > 200
+        unpruned = RateRegion(remove_redundant(LinearSystem(RATE_VARS, rows)))
+        assert regions_equal(projected, unpruned)
 
     def test_zero_constants_project_to_origin(self):
         projected = project_raw_system(raw_coding_system(MiConstants(0, 0, 0, 0, 0)))

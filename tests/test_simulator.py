@@ -293,6 +293,27 @@ class TestEstimateError:
             report = estimate_error(ch, cfg, 100)
             assert report.pe_estimate == 0.0
 
+    def test_interval_not_zero_width_at_pe_zero(self):
+        ch = noiseless_channel(2)
+        cfg = SchemeConfig(scheme=complementary_scheme(ch), n=6, rates=SplitRates(), seed=1)
+        report = estimate_error(ch, cfg, 20)
+        assert report.pe_estimate == 0.0
+        # Wilson upper end for 0 of 20: z^2 / (n + z^2)
+        assert report.pe_half_width_95 == pytest.approx(1.96 ** 2 / (20 + 1.96 ** 2))
+
+    @pytest.mark.parametrize("errors,trials", [(0, 20), (20, 20), (3, 20), (37, 100),
+                                               (250, 500), (1, 7)])
+    def test_half_width_covers_the_wilson_interval(self, errors, trials):
+        pe, z = errors / trials, 1.96
+        # the textbook form (2np + z^2 -+ z sqrt(z^2 + 4np(1 - p))) / (2(n + z^2))
+        root = z * np.sqrt(z * z + 4 * trials * pe * (1 - pe))
+        lo = (2 * trials * pe + z * z - root) / (2 * (trials + z * z))
+        hi = (2 * trials * pe + z * z + root) / (2 * (trials + z * z))
+        half = simulator._wilson_half_width(pe, trials)
+        assert half == pytest.approx(max(hi - pe, pe - lo), rel=1e-12, abs=1e-15)
+        assert half > 0.0
+        assert pe - half <= lo + 1e-15 and hi - 1e-15 <= pe + half
+
     def test_seed_reproducibility(self):
         ch = noiseless_channel(2)
         cfg = SchemeConfig(scheme=complementary_scheme(ch), n=8,
