@@ -17,8 +17,8 @@ import numpy as np
 from .errors import GuardError, InputError
 from .polytope import linprog
 from .probability import Channel
-from .simplex_search import (GOLDEN_ITERS, lattice_count, lattice_points, refine_on_simplex,
-                             sample_lattice)
+from .simplex_search import (GOLDEN_ITERS, in_chunks, lattice_count, lattice_points,
+                             refine_on_simplex, sample_lattice)
 
 POINT_MASS_TOL = 1e-9
 DEGRADED_TOL = 1e-9
@@ -112,10 +112,28 @@ def _sweep_budget(sweeps: int, cells: int) -> int:
     return sweeps * math.comb(cells, 2) * (GOLDEN_ITERS + 1)
 
 
-def _capability_gap(p_x: np.ndarray, ch: Channel) -> float:
-    """I(X;Y1) - I(X;Y2) at the input distribution p_x."""
-    joint_xx = np.diag(p_x)
-    return _uy_mi(joint_xx, ch.y1_given_x()) - _uy_mi(joint_xx, ch.y2_given_x())
+def _gap(joint_ux: np.ndarray, ch: Channel) -> np.ndarray:
+    """I(U;Y1) - I(U;Y2) at joints p(u, x) (..., |U|, |X|)."""
+    return _uy_mi(joint_ux, ch.y1_given_x()) - _uy_mi(joint_ux, ch.y2_given_x())
+
+
+def _capability_gap(p_x: np.ndarray, ch: Channel) -> np.ndarray:
+    """I(X;Y1) - I(X;Y2) at input distributions p_x (..., |X|)."""
+    return _gap(p_x[..., None] * np.eye(ch.x.size), ch)
+
+
+def _worst_refined(gap, points: np.ndarray, budget: int) -> tuple:
+    """Smallest gap over the lattice points (N, cells), scored in chunks:
+    its five smallest points (stable order) refined together by descent.
+    Returns (gap, point)."""
+    gaps = in_chunks(gap, points)
+    worst = np.argsort(gaps, kind="stable")[:5]
+    best_gap, best_p = gaps[worst[0]], points[worst[0]]
+    refined, vals = refine_on_simplex(lambda q, _: -gap(q), points[worst], budget)
+    for p, val in zip(refined, vals):
+        if -val < best_gap:
+            best_gap, best_p = -val, p
+    return float(best_gap), best_p
 
 
 def is_more_capable_grid(ch: Channel, resolution: int | None = None) -> ClassVerdict:
@@ -125,17 +143,9 @@ def is_more_capable_grid(ch: Channel, resolution: int | None = None) -> ClassVer
         resolution = default_resolution(ch.x.size)
     if resolution < 2:
         raise InputError("resolution must be at least 2")
-    scored = []
-    for p in lattice_points(ch.x.size, resolution):
-        scored.append((_capability_gap(p, ch), p))
-    scored.sort(key=lambda sv: sv[0])
-    worst = scored[:5]
-    best_gap, best_p = worst[0]
-    for gap, p in worst:
-        refined, val = refine_on_simplex(lambda q: -_capability_gap(q, ch), p,
-                                         _sweep_budget(8, ch.x.size))
-        if -val < best_gap:
-            best_gap, best_p = -val, refined
+    best_gap, best_p = _worst_refined(lambda p: _capability_gap(p, ch),
+                                      lattice_points(ch.x.size, resolution),
+                                      _sweep_budget(8, ch.x.size))
     if best_gap < -WITNESS_TOL:
         return ClassVerdict("more_capable", False,
                             witness={"p_x": best_p.tolist(), "gap": best_gap},
@@ -143,16 +153,17 @@ def is_more_capable_grid(ch: Channel, resolution: int | None = None) -> ClassVer
     return ClassVerdict("more_capable", True, grid_resolution=resolution)
 
 
-def _uy_mi(joint_ux: np.ndarray, p_y_x: np.ndarray) -> float:
-    """I(U; Y) in bits for a joint p(u, x) and a marginal kernel p(y | x)."""
-    joint_uy = joint_ux @ p_y_x
-    p_u = joint_uy.sum(axis=1)
-    p_y = joint_uy.sum(axis=0)
+def _uy_mi(joint_ux: np.ndarray, p_y_x: np.ndarray) -> np.ndarray:
+    """I(U; Y) in bits for joints p(u, x) (..., |U|, |X|) and a marginal
+    kernel p(y | x)."""
+    joint_uy = np.einsum("...ux,xy->...uy", joint_ux, p_y_x)
+    p_u = joint_uy.sum(axis=-1)
+    p_y = np.einsum("...uy->...y", joint_uy)
     with np.errstate(divide="ignore", invalid="ignore"):
-        denom = p_u[:, None] * p_y[None, :]
+        denom = p_u[..., :, None] * p_y[..., None, :]
         ratio = np.where(joint_uy > 0.0, joint_uy / np.where(denom > 0.0, denom, 1.0), 1.0)
         terms = np.where(joint_uy > 0.0, joint_uy * np.log2(ratio), 0.0)
-    return float(terms.sum())
+    return terms.sum(axis=(-2, -1))
 
 
 def is_less_noisy_grid(ch: Channel, u_size: int = 2,
@@ -171,24 +182,13 @@ def is_less_noisy_grid(ch: Channel, u_size: int = 2,
         raise InputError("resolution must be at least 2")
     cells = u_size * ch.x.size
 
-    def gap_of(flat: np.ndarray) -> float:
-        return _uy_mi(flat.reshape(u_size, ch.x.size), ch.y1_given_x()) - \
-            _uy_mi(flat.reshape(u_size, ch.x.size), ch.y2_given_x())
-
     if lattice_count(cells, resolution) <= LATTICE_CAP:
         candidates = lattice_points(cells, resolution)
     else:
         rng = np.random.default_rng((_SAMPLE_SEED, u_size, resolution))
         candidates = sample_lattice(rng, cells, resolution, LATTICE_CAP // 10)
-    scored = []
-    for p in candidates:
-        scored.append((gap_of(p), p))
-    scored.sort(key=lambda sv: sv[0])
-    best_gap, best_p = scored[0]
-    for gap, p in scored[:5]:
-        refined, val = refine_on_simplex(lambda q: -gap_of(q), p, _sweep_budget(6, cells))
-        if -val < best_gap:
-            best_gap, best_p = -val, refined
+    best_gap, best_p = _worst_refined(lambda p: _gap(p.reshape(-1, u_size, ch.x.size), ch),
+                                      candidates, _sweep_budget(6, cells))
     if best_gap < -WITNESS_TOL:
         return ClassVerdict("less_noisy", False,
                             witness={"joint_ux": best_p.reshape(u_size, ch.x.size).tolist(),

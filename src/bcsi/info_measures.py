@@ -15,10 +15,17 @@ from .probability import JointPmf, Pmf
 CLAMP_TOL = 1e-9
 
 
+def _entropy_rows(mass, ndim: int) -> np.ndarray:
+    """Entropy of the trailing `ndim` axes, one value per leading index.
+    Each row is reduced along one contiguous trailing axis, so its value
+    does not depend on the batch it sits in."""
+    m = np.asarray(mass, dtype=np.float64)
+    m = m.reshape(m.shape[:m.ndim - ndim] + (-1,))
+    return -(m * np.log2(np.where(m > 0.0, m, 1.0))).sum(axis=-1)
+
+
 def _entropy_of_mass(mass: np.ndarray) -> float:
-    m = np.asarray(mass, dtype=np.float64).reshape(-1)
-    pos = m[m > 0.0]
-    return float(-(pos * np.log2(pos)).sum())
+    return float(_entropy_rows(mass, np.ndim(mass)))
 
 
 def _clamp(value: float, what: str) -> float:

@@ -7,11 +7,13 @@ sweep is cumulative: a search at resolution r walks the lattices of every
 level 2..r, with oversized levels subsampled through a per-level seeded
 stream, so the candidate set at r is a superset of the one at r-1 for the
 same seed. Refinement starts (each level's best point plus the seeded
-restart points) are refined independently with a per-start budget, which
-keeps them nested across resolutions too.
+restart points) each get their own budget and advance together through one
+batched refiner, ending where refining each alone would, which keeps them
+nested across resolutions too.
 
-Ties between candidates resolve to the earliest point in sweep order, which
-is a fixed lexicographic enumeration.
+Candidates are scored in batched calls of at most CHUNK rows. Ties between
+candidates resolve to the earliest point in sweep order, which is a fixed
+lexicographic enumeration.
 
 The support value max w . R over one candidate's region is evaluated by a
 parametric dual oracle: with the inequality left-hand sides and the weights
@@ -33,7 +35,8 @@ from .polytope import RATE_VARS, RateRegion
 from .probability import Alphabet, AuxScheme, Channel, JointPmf
 from .rate_regions import (_LHS3, _LHS5, _t1_rows, _t2_rows, _t3_rows, deterministic_region,
                            marton_region, more_capable_region, specialize_scheme)
-from .simplex_search import lattice_count, lattice_points, refine_on_simplex, sample_lattice
+from .simplex_search import (CHUNK, in_chunks, lattice_count, lattice_points, refine_on_simplex,
+                             sample_lattice)
 
 THEOREMS = ("t1", "t2", "t3")
 PER_LEVEL_CAP = 1200
@@ -120,24 +123,10 @@ class _SupportOracle:
         slack = weights[None, :] - ys @ lhs
         self.consts = BOX_HI * np.clip(slack, 0.0, None).sum(axis=1)
 
-    def value(self, rhs: np.ndarray) -> float:
-        if rhs.min() < 0.0:
-            return -math.inf
-        return float((self.ys @ rhs + self.consts).min())
-
-
-def _pareto_front(entries):
-    """Keep (key4, payload) pairs not dominated componentwise."""
-    front = []
-    for key, payload in sorted(entries, key=lambda e: -sum(e[0])):
-        dominated = False
-        for fkey, _ in front:
-            if all(fkey[i] >= key[i] for i in range(4)):
-                dominated = True
-                break
-        if not dominated:
-            front.append((key, payload))
-    return front
+    def value(self, rhs: np.ndarray) -> np.ndarray:
+        """value(b) for right-hand sides (..., m), -inf where any is negative."""
+        vals = (np.einsum("vm,...m->...v", self.ys, rhs) + self.consts).min(axis=-1)
+        return np.where(rhs.min(axis=-1) < 0.0, -math.inf, vals)
 
 
 class _Evaluator:
@@ -164,76 +153,79 @@ class _Evaluator:
         self.lhs = _LHS3 if theorem == "t3" else _LHS5
         self.oracle = _SupportOracle(self.lhs, w)
 
-    # ---- t1 -----------------------------------------------------------
-    def _gamma_candidates(self, aux: np.ndarray):
-        cells = aux.size
-        shape = aux.shape
-        if cells <= GAMMA_EXHAUSTIVE_CELLS and self.x_size <= GAMMA_EXHAUSTIVE_XMAX:
-            entries = []
-            for flat in itertools.product(range(self.x_size), repeat=cells):
-                gamma = np.asarray(flat, dtype=np.int64).reshape(shape)
-                rhs, key = _t1_rows(aux, gamma, self.k1, self.k2)
-                entries.append((key, (rhs, gamma)))
-            return [payload for _, payload in _pareto_front(entries)]
-        # greedy per-cell improvement from the all-zero map
-        gamma = np.zeros(shape, dtype=np.int64)
-        rhs, _ = _t1_rows(aux, gamma, self.k1, self.k2)
-        best = self.oracle.value(rhs)
-        for _ in range(3):
-            changed = False
-            for cell in np.ndindex(*shape):
-                for x in range(self.x_size):
-                    if x == gamma[cell]:
+    def rows(self, tables: np.ndarray, gammas: np.ndarray | None = None) -> np.ndarray:
+        """Right-hand sides (..., m) of candidate tables (..., *shape): joints
+        p(u0, u1, u2) with their maps gamma for t1, p(u, x) for t2/t3."""
+        if self.theorem == "t1":
+            return _t1_rows(tables, gammas, self.k1, self.k2)[0]
+        return (_t2_rows if self.theorem == "t2" else _t3_rows)(tables, self.k1, self.k2)
+
+    def value(self, tables: np.ndarray, gammas: np.ndarray | None = None) -> np.ndarray:
+        return self.oracle.value(self.rows(tables, gammas))
+
+    def value_t1(self, aux: np.ndarray) -> tuple:
+        """Best value over the maps gamma of one joint aux, and that map (None
+        when every map gives an empty region). A zero-mass cell adds an exact
+        0 to every joint, so only the map on the support matters (0 off it)."""
+        support = np.flatnonzero(aux.reshape(-1) > 0.0)
+        if aux.size <= GAMMA_EXHAUSTIVE_CELLS and self.x_size <= GAMMA_EXHAUSTIVE_XMAX:
+            digits = self.x_size ** np.arange(len(support) - 1, -1, -1)
+
+            def maps(codes):  # lexicographic order over the support cells
+                gamma = np.zeros((len(codes), aux.size), dtype=np.int64)
+                gamma[:, support] = codes[:, None] // digits % self.x_size
+                return gamma.reshape((-1,) + aux.shape)
+
+            def score(codes):
+                rhs, key = _t1_rows(aux, maps(codes), self.k1, self.k2)
+                key_sum = key[..., 0] + key[..., 1] + key[..., 2] + key[..., 3]
+                return np.stack([self.oracle.value(rhs), key_sum], axis=-1)
+
+            scored = in_chunks(score, np.arange(self.x_size ** len(support)))
+            # of the maps of maximal value the one with the largest key sum,
+            # the earliest on ties: the first Pareto-optimal map of that value
+            top = np.flatnonzero(scored[:, 0] == scored[:, 0].max())
+            pick = top[np.argmax(scored[top, 1])]
+            best, gamma = scored[pick, 0], maps(pick[None])[0]
+        else:  # greedy per-cell improvement from the all-zero map
+            gamma = np.zeros(aux.shape, dtype=np.int64)
+            flat = gamma.reshape(-1)
+            best = self.value(aux, gamma)
+            for _ in range(3):
+                changed = False
+                for cell, x in itertools.product(support, range(self.x_size)):
+                    old = flat[cell]
+                    if x == old:
                         continue
-                    old = gamma[cell]
-                    gamma[cell] = x
-                    rhs_try, _ = _t1_rows(aux, gamma, self.k1, self.k2)
-                    val = self.oracle.value(rhs_try)
+                    flat[cell] = x
+                    val = self.value(aux, gamma)
                     if val > best:
-                        best = val
-                        changed = True
+                        best, changed = val, True
                     else:
-                        gamma[cell] = old
-            if not changed:
-                break
-        rhs, _ = _t1_rows(aux, gamma, self.k1, self.k2)
-        return [(rhs, gamma)]
+                        flat[cell] = old
+                if not changed:
+                    break
+        return (float(best), gamma) if best > -math.inf else (-math.inf, None)
 
-    def value_t1(self, aux: np.ndarray):
-        best_val = -math.inf
-        best_gamma = None
-        for rhs, gamma in self._gamma_candidates(aux):
-            val = self.oracle.value(rhs)
-            if val > best_val:
-                best_val = val
-                best_gamma = gamma
-        return best_val, best_gamma
-
-    def value_t1_fixed_gamma(self, aux: np.ndarray, gamma: np.ndarray) -> float:
-        rhs, _ = _t1_rows(aux, gamma, self.k1, self.k2)
-        return self.oracle.value(rhs)
-
-    # ---- t2 / t3 ------------------------------------------------------
-    def value_ux(self, p_ux: np.ndarray) -> float:
-        return self.oracle.value(self.rows_ux(p_ux)[1])
-
-    def rows_ux(self, p_ux: np.ndarray):
-        if self.theorem == "t2":
-            return _LHS5, _t2_rows(p_ux, self.k1, self.k2)
-        return _LHS3, _t3_rows(p_ux, self.k1, self.k2)
+    def sweep(self, points: np.ndarray, shape: tuple) -> tuple:
+        """Values (N,) of candidate rows (N, cells) and their maps gamma
+        (None for t2/t3 and for empty t1 candidates)."""
+        if self.theorem == "t1":
+            picks = [self.value_t1(p.reshape(shape)) for p in points]
+            return np.array([v for v, _ in picks]), [g for _, g in picks]
+        return in_chunks(lambda c: self.value(c.reshape((-1,) + shape)), points), \
+            [None] * len(points)
 
 
-def _candidate_stream(cells: int, cfg: SearchConfig):
-    """Cumulative lattice sweep: (level, flat pmf) pairs, nested across
-    resolutions for a fixed seed."""
+def _candidate_levels(cells: int, cfg: SearchConfig):
+    """Cumulative lattice sweep, one (N, cells) array per level, nested
+    across resolutions for a fixed seed."""
     for level in range(2, cfg.grid_resolution + 1):
         if lattice_count(cells, level) <= PER_LEVEL_CAP:
-            for p in lattice_points(cells, level):
-                yield level, p
+            yield lattice_points(cells, level)
         else:
             rng = np.random.default_rng((cfg.seed, 11, level))
-            for p in sample_lattice(rng, cells, level, PER_LEVEL_CAP):
-                yield level, p
+            yield sample_lattice(rng, cells, level, PER_LEVEL_CAP)
 
 
 def region_for(ch: Channel, theorem: str, scheme: AuxScheme | None = None,
@@ -261,11 +253,11 @@ def evaluate_weighted_rate(ch: Channel, theorem: str, weights,
     if theorem == "t1":
         if scheme is None:
             raise InputError("t1 evaluation needs an auxiliary scheme")
-        aux = np.asarray(scheme.aux_joint.mass, dtype=np.float64)
-        return ev.value_t1_fixed_gamma(aux, np.asarray(scheme.gamma))
+        return float(ev.value(np.asarray(scheme.aux_joint.mass, dtype=np.float64),
+                              np.asarray(scheme.gamma)))
     if p_ux is None:
         raise InputError(f"{theorem} evaluation needs a p(u, x) joint")
-    return ev.value_ux(p_ux.as_float())
+    return float(ev.value(p_ux.as_float()))
 
 
 def maximize_weighted_rate(ch: Channel, weights, theorem: str,
@@ -278,89 +270,71 @@ def maximize_weighted_rate(ch: Channel, weights, theorem: str,
     cfg = cfg or SearchConfig()
     ev = _Evaluator(ch, theorem, weights)
     sizes = cfg.aux_sizes or default_aux_sizes(theorem, ch.x.size)
+    shape = tuple(sizes) if theorem == "t1" else (sizes[0], ch.x.size)
+    cells = math.prod(shape)
+
+    best = (-math.inf, None, None)  # value, flat point, gamma
+    starts = []  # refinement starts: each level's top point, then seeded restarts
+    for points in _candidate_levels(cells, cfg):
+        vals, gammas = ev.sweep(points, shape)
+        top = int(np.argmax(vals))
+        starts.append((points[top], gammas[top]))
+        if vals[top] > best[0]:
+            best = (vals[top], points[top], gammas[top])
+    for i in range(cfg.restarts):
+        flat = np.random.default_rng((cfg.seed, 22, i)).dirichlet(np.ones(cells))
+        vals, gammas = ev.sweep(flat[None], shape)
+        if vals[0] > best[0]:
+            best = (vals[0], flat, gammas[0])
+        starts.append((flat, gammas[0]))
 
     if theorem == "t1":
-        cells = sizes[0] * sizes[1] * sizes[2]
+        # a start whose every map gives an empty region stays at -inf
+        starts = [(flat, gamma) for flat, gamma in starts if gamma is not None]
+    fixed = np.array([gamma for _, gamma in starts]) if theorem == "t1" else None
 
-        def value_of(flat):
-            return ev.value_t1(flat.reshape(sizes))
-    else:
-        u_cap = sizes[0]
-        cells = u_cap * ch.x.size
+    def objective(points, which):
+        return ev.value(points.reshape((-1,) + shape), None if fixed is None else fixed[which])
 
-        def value_of(flat):
-            return ev.value_ux(flat.reshape(u_cap, ch.x.size)), None
+    if starts:
+        refined, vals = refine_on_simplex(objective, np.array([f for f, _ in starts]),
+                                          cfg.max_iters)
+        for flat, val, (_, gamma) in zip(refined, vals, starts):
+            if theorem == "t1":
+                # gamma may improve at the refined joint
+                val2, gamma2 = ev.value_t1(flat.reshape(shape))
+                if val2 > val:
+                    val, gamma = val2, gamma2
+            if val > best[0]:
+                best = (val, flat, gamma)
 
-    best_val = -math.inf
-    best_flat = None
-    best_gamma = None
-    level_best = {}
-    for level, flat in _candidate_stream(cells, cfg):
-        val, gamma = value_of(flat)
-        if val > best_val:
-            best_val, best_flat, best_gamma = val, flat, gamma
-        prev = level_best.get(level)
-        if prev is None or val > prev[0]:
-            level_best[level] = (val, flat, gamma)
-
-    # refinement starts: each level's top point, then seeded restarts
-    starts = [(flat, gamma) for _, flat, gamma in
-              (level_best[lv] for lv in sorted(level_best))]
-    for i in range(cfg.restarts):
-        rng = np.random.default_rng((cfg.seed, 22, i))
-        flat = rng.dirichlet(np.ones(cells))
-        val, gamma = value_of(flat)
-        if val > best_val:
-            best_val, best_flat, best_gamma = val, flat, gamma
-        starts.append((flat, gamma))
-
-    for flat, gamma in starts:
-        if theorem == "t1":
-            gfix = gamma if gamma is not None else value_of(flat)[1]
-
-            def objective(p, gfix=gfix):
-                return ev.value_t1_fixed_gamma(p.reshape(sizes), gfix)
-        else:
-            def objective(p):
-                return ev.value_ux(p.reshape(u_cap, ch.x.size))
-
-        refined, val = refine_on_simplex(objective, flat, cfg.max_iters)
-        if theorem == "t1":
-            # gamma may improve at the refined joint
-            val2, gamma2 = value_of(refined)
-            if val2 > val:
-                val, gamma = val2, gamma2
-            else:
-                gamma = gfix
-        if val > best_val:
-            best_val, best_flat, best_gamma = val, refined, gamma
-
+    best_val, best_flat, best_gamma = best
     if best_flat is None:
         raise InputError("search produced no candidates")
     scheme, p_ux = _materialize(theorem, best_flat, best_gamma, ch, sizes)
-    return SearchResult(theorem, best_val, tuple(float(w) for w in ev.weights),
+    return SearchResult(theorem, float(best_val), tuple(float(w) for w in ev.weights),
                         scheme, p_ux)
 
 
 # ---- 2-D slices ------------------------------------------------------------
 
-def _polygon_vertices(rows_a: np.ndarray, rows_b: np.ndarray):
-    """Vertices of {a1 x + a2 y <= b} rows (box included by caller)."""
-    m = rows_a.shape[0]
-    verts = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            det = rows_a[i, 0] * rows_a[j, 1] - rows_a[i, 1] * rows_a[j, 0]
-            if abs(det) < 1e-12:
-                continue
-            x = (rows_b[i] * rows_a[j, 1] - rows_b[j] * rows_a[i, 1]) / det
-            y = (rows_a[i, 0] * rows_b[j] - rows_a[j, 0] * rows_b[i]) / det
-            verts.append((x, y))
-    if not verts:
-        return np.empty((0, 2))
-    pts = np.asarray(verts)
-    feas = (rows_a @ pts.T <= rows_b[:, None] + 1e-9).all(axis=0)
-    return pts[feas]
+def _polygon_best(rows_a: np.ndarray, rows_b: np.ndarray, dirs: np.ndarray) -> tuple:
+    """Best vertex per direction of each polygon {z : rows_a z <= b}, b a row
+    of rows_b (C, M) (box included by caller): values (C, D), -inf for an
+    empty polygon, and the first vertex reaching each (C, D, 2)."""
+    i, j = np.triu_indices(len(rows_a), 1)
+    det = rows_a[i, 0] * rows_a[j, 1] - rows_a[i, 1] * rows_a[j, 0]
+    keep = np.abs(det) >= 1e-12
+    i, j, det = i[keep], j[keep], det[keep]
+    b_i, b_j = rows_b[:, i], rows_b[:, j]
+    verts = np.stack([(b_i * rows_a[j, 1] - b_j * rows_a[i, 1]) / det,
+                      (rows_a[i, 0] * b_j - rows_a[j, 0] * b_i) / det], axis=-1)
+    x, y = verts[..., :1], verts[..., 1:]  # elementwise, so no row depends on C
+    feas = (x * rows_a[:, 0] + y * rows_a[:, 1] <= rows_b[:, None, :] + 1e-9).all(axis=-1)
+    values = np.where(feas[..., None], x * dirs[:, 0] + y * dirs[:, 1], -math.inf)  # (C, P, D)
+    arg = values.argmax(axis=1)
+    return (np.take_along_axis(values, arg[:, None, :], axis=1)[:, 0],
+            np.take_along_axis(verts, arg[..., None], axis=1))
 
 
 def union_slice_2d(ch: Channel, free, fixed: dict, theorem: str,
@@ -397,42 +371,37 @@ def union_slice_2d(ch: Channel, free, fixed: dict, theorem: str,
     best_val = np.full(directions, -np.inf)
     best_pt = np.zeros((directions, 2))
     best_id = np.full(directions, -1, dtype=np.int64)
-    schemes = []
+    schemes = {}  # candidate index -> payload, for candidates that led a direction
 
-    if theorem == "t1":
-        cells = sizes[0] * sizes[1] * sizes[2]
-    else:
-        cells = sizes[0] * ch.x.size
-
-    for level, flat in _candidate_stream(cells, cfg):
-        if theorem == "t1":
-            aux = flat.reshape(sizes)
-            _, gamma = ev.value_t1(aux)
-            if gamma is None:
-                continue
-            lhs, rhs = _LHS5, _t1_rows(aux, gamma, ev.k1, ev.k2)[0]
-            payload = ("t1", flat.copy(), gamma.copy())
-        else:
-            p_ux = flat.reshape(sizes[0], ch.x.size)
-            lhs, rhs = ev.rows_ux(p_ux)
-            payload = (theorem, flat.copy(), None)
-        shifted = rhs - lhs @ fixed_vec
-        rows_a = np.vstack([lhs[:, [ia, ib]],
-                            [[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0]]])
-        rows_b = np.concatenate([shifted, [0.0, 0.0, BOX_HI, BOX_HI]])
-        verts = _polygon_vertices(rows_a, rows_b)
-        if verts.shape[0] == 0:
-            continue
-        values = dirs @ verts.T  # (directions, n_verts)
-        arg = values.argmax(axis=1)
-        vmax = values[np.arange(directions), arg]
-        better = vmax > best_val
-        if better.any():
-            schemes.append(payload)
-            scheme_id = len(schemes) - 1
-            best_val[better] = vmax[better]
-            best_pt[better] = verts[arg[better]]
-            best_id[better] = scheme_id
+    shape = tuple(sizes) if theorem == "t1" else (sizes[0], ch.x.size)
+    rows_a = np.vstack([ev.lhs[:, [ia, ib]],
+                        [[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0]]])
+    box_b = np.array([0.0, 0.0, BOX_HI, BOX_HI])
+    offset = ev.lhs @ fixed_vec
+    seen = 0
+    for points in _candidate_levels(math.prod(shape), cfg):
+        for start in range(0, len(points), CHUNK):
+            chunk = points[start:start + CHUNK]
+            tables = chunk.reshape((-1,) + shape)
+            t1 = theorem == "t1"
+            gammas = [ev.value_t1(t)[1] for t in tables] if t1 else [None] * len(chunk)
+            empty = np.array([t1 and g is None for g in gammas])
+            rhs = ev.rows(tables, np.array([np.zeros(shape, dtype=np.int64) if g is None else g
+                                            for g in gammas]) if t1 else None)
+            rows_b = np.concatenate([rhs - offset, np.broadcast_to(box_b, (len(chunk), 4))],
+                                    axis=1)
+            vmax, verts = _polygon_best(rows_a, rows_b, dirs)
+            vmax[empty] = -math.inf
+            # per direction the first candidate of the maximal value wins
+            win = vmax.argmax(axis=0)
+            better = vmax[win, np.arange(directions)] > best_val
+            for k in np.flatnonzero(better):
+                c = int(win[k])
+                best_val[k] = vmax[c, k]
+                best_pt[k] = verts[c, k]
+                best_id[k] = seen + c
+                schemes[seen + c] = (theorem, chunk[c].copy(), gammas[c])
+            seen += len(chunk)
 
     out = []
     for k in range(directions):

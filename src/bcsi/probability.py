@@ -24,6 +24,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -341,16 +342,25 @@ class Channel:
     def exact(self) -> bool:
         return _is_exact(self.kernel)
 
+    @cached_property
+    def _floats(self) -> tuple:
+        """(kernel, p(y1 | x), p(y2 | x)) as read-only floats, made on first use."""
+        k = np.asarray(self.kernel, dtype=np.float64)
+        out = (k, k.sum(axis=2), k.sum(axis=1))
+        for a in out:
+            a.flags.writeable = False
+        return out
+
     def kernel_float(self) -> np.ndarray:
-        return np.asarray(self.kernel, dtype=np.float64)
+        return self._floats[0]
 
     def y1_given_x(self) -> np.ndarray:
         """Marginal kernel p(y1 | x) as float."""
-        return self.kernel_float().sum(axis=2)
+        return self._floats[1]
 
     def y2_given_x(self) -> np.ndarray:
         """Marginal kernel p(y2 | x) as float."""
-        return self.kernel_float().sum(axis=1)
+        return self._floats[2]
 
     def swap_receivers(self) -> "Channel":
         kernel = np.swapaxes(self.kernel, 1, 2).copy()

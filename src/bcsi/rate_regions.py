@@ -12,7 +12,7 @@ tight and the closed-form regions are built directly from p(u, x).
 
 Each theorem system is written once: the left-hand sides _LHS5 / _LHS3 and
 the float right-hand-side formulas _t1_rows / _t2_rows / _t3_rows, which
-the region builders use and the optimizer evaluates per candidate.
+the region builders use and the optimizer evaluates in batches.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .classifier import is_deterministic
 from .errors import InputError
-from .info_measures import _entropy_of_mass, conditional_mutual_information, mutual_information
+from .info_measures import _entropy_rows, conditional_mutual_information, mutual_information
 # perfbench/layers.py traces rate_regions.entropy by this name
 from .info_measures import entropy  # noqa: F401
 from .polytope import (LinearInequality, LinearSystem, RateRegion, RATE_VARS,
@@ -113,11 +113,11 @@ def _system(lhs: np.ndarray, rhs: np.ndarray) -> LinearSystem:
 
 def _marton_rhs(i_u0u1_y1, i_u0u2_y2, i_u1_y1_given_u0, i_u2_y2_given_u0,
                 i_u1_u2_given_u0) -> np.ndarray:
-    """Right-hand sides of the _LHS5 rows of the general inner bound."""
-    return np.array([i_u0u1_y1, i_u0u2_y2,
-                     i_u0u1_y1 + i_u2_y2_given_u0 - i_u1_u2_given_u0,
-                     i_u0u2_y2 + i_u1_y1_given_u0 - i_u1_u2_given_u0,
-                     i_u0u1_y1 + i_u0u2_y2 - i_u1_u2_given_u0])
+    """Right-hand sides (..., 5) of the _LHS5 rows of the general inner bound."""
+    return np.stack(np.broadcast_arrays(
+        i_u0u1_y1, i_u0u2_y2, i_u0u1_y1 + i_u2_y2_given_u0 - i_u1_u2_given_u0,
+        i_u0u2_y2 + i_u1_y1_given_u0 - i_u1_u2_given_u0,
+        i_u0u1_y1 + i_u0u2_y2 - i_u1_u2_given_u0), axis=-1)
 
 
 def marton_region(scheme: AuxScheme, ch: Channel) -> RateRegion:
@@ -131,67 +131,61 @@ def marton_region(scheme: AuxScheme, ch: Channel) -> RateRegion:
 
 def receiver_joints(aux: np.ndarray, gamma: np.ndarray, k1: np.ndarray,
                     k2: np.ndarray) -> tuple:
-    """Float joints p(u0, u1, y1) and p(u0, u2, y2) of the scheme (aux,
-    gamma) over the marginal kernels k1 = p(y1 | x) and k2 = p(y2 | x)."""
-    return (np.einsum("abc,abcy->aby", aux, k1[gamma]),
-            np.einsum("abc,abcy->acy", aux, k2[gamma]))
+    """Float joints p(u0, u1, y1) and p(u0, u2, y2) of schemes (aux, gamma), each
+    (..., |U0|, |U1|, |U2|) with broadcast leading axes, over k1 = p(y1|x), k2 = p(y2|x)."""
+    return (np.einsum("...abc,...abcy->...aby", aux, k1[gamma]),
+            np.einsum("...abc,...abcy->...acy", aux, k2[gamma]))
 
 
 def _t1_rows(aux: np.ndarray, gamma: np.ndarray, k1: np.ndarray, k2: np.ndarray):
-    """Right-hand sides of the five-inequality bound for one float (joint,
-    gamma), and the key (I(U0U1;Y1), I(U1;Y1|U0), I(U0U2;Y2), I(U2;Y2|U0))."""
+    """Right-hand sides (..., 5) of the five-inequality bound for float (joint, gamma)
+    pairs, and keys (..., 4) = (I(U0U1;Y1), I(U1;Y1|U0), I(U0U2;Y2), I(U2;Y2|U0)).
+    Contractions are einsums, so each row is bitwise independent of its batch."""
     p01y, p02y = receiver_joints(aux, gamma, k1, k2)
-    h0 = _entropy_of_mass(aux.sum(axis=(1, 2)))
-    h01 = _entropy_of_mass(aux.sum(axis=2))
-    h02 = _entropy_of_mass(aux.sum(axis=1))
-    h012 = _entropy_of_mass(aux)
-    a_c = max(h01 + h02 - h0 - h012, 0.0)
-    h_y1 = _entropy_of_mass(p01y.sum(axis=(0, 1)))
-    h_01y = _entropy_of_mass(p01y)
-    h_0y1 = _entropy_of_mass(p01y.sum(axis=1))
-    big1 = max(h01 + h_y1 - h_01y, 0.0)
-    b1 = max(h01 + h_0y1 - h0 - h_01y, 0.0)
-    h_y2 = _entropy_of_mass(p02y.sum(axis=(0, 1)))
-    h_02y = _entropy_of_mass(p02y)
-    h_0y2 = _entropy_of_mass(p02y.sum(axis=1))
-    big2 = max(h02 + h_y2 - h_02y, 0.0)
-    b2 = max(h02 + h_0y2 - h0 - h_02y, 0.0)
-    return _marton_rhs(big1, big2, b1, b2, a_c), (big1, b1, big2, b2)
+    h0 = _entropy_rows(aux.sum(axis=(-2, -1)), 1)
+    h01 = _entropy_rows(aux.sum(axis=-1), 2)
+    h02 = _entropy_rows(np.einsum("...abc->...ac", aux), 2)
+    a_c = np.maximum(h01 + h02 - h0 - _entropy_rows(aux, 3), 0.0)
+    h_01y = _entropy_rows(p01y, 3)
+    big1 = np.maximum(h01 + _entropy_rows(np.einsum("...aby->...y", p01y), 1) - h_01y, 0.0)
+    b1 = np.maximum(h01 + _entropy_rows(np.einsum("...aby->...ay", p01y), 2) - h0 - h_01y, 0.0)
+    h_02y = _entropy_rows(p02y, 3)
+    big2 = np.maximum(h02 + _entropy_rows(np.einsum("...acy->...y", p02y), 1) - h_02y, 0.0)
+    b2 = np.maximum(h02 + _entropy_rows(np.einsum("...acy->...ay", p02y), 2) - h0 - h_02y, 0.0)
+    return _marton_rhs(big1, big2, b1, b2, a_c), np.stack([big1, b1, big2, b2], axis=-1)
 
 
 def _t2_rows(p_ux: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
-    """Deterministic-channel formula right-hand sides (_LHS5) from p(u, x)."""
-    p_uy1 = p_ux @ k1
-    p_uy2 = p_ux @ k2
-    p_uy1y2 = np.einsum("ux,xa,xb->uab", p_ux, k1, k2)
-    h_y1 = _entropy_of_mass(p_uy1.sum(axis=0))
-    h_y2 = _entropy_of_mass(p_uy2.sum(axis=0))
-    h_u = _entropy_of_mass(p_ux.sum(axis=1))
-    h_uy1 = _entropy_of_mass(p_uy1)
-    h_uy2 = _entropy_of_mass(p_uy2)
-    h_uy1y2 = _entropy_of_mass(p_uy1y2)
+    """Deterministic-channel formula right-hand sides (..., 5) (_LHS5) from
+    p(u, x) tables (..., |U|, |X|)."""
+    p_uy1 = np.einsum("...ux,xy->...uy", p_ux, k1)
+    p_uy2 = np.einsum("...ux,xy->...uy", p_ux, k2)
+    h_y1 = _entropy_rows(np.einsum("...uy->...y", p_uy1), 1)
+    h_y2 = _entropy_rows(np.einsum("...uy->...y", p_uy2), 1)
+    h_uy1 = _entropy_rows(p_uy1, 2)
+    h_uy1y2 = _entropy_rows(np.einsum("...ux,xa,xb->...uab", p_ux, k1, k2), 3)
     h_y2_g = h_uy1y2 - h_uy1
-    h_y1_g = h_uy1y2 - h_uy2
-    i_uy1 = max(h_u + h_y1 - h_uy1, 0.0)
-    return np.array([h_y1, h_y2, h_y1 + h_y2_g, h_y2 + h_y1_g,
-                     i_uy1 + h_y2 + h_y1_g])
+    h_y1_g = h_uy1y2 - _entropy_rows(p_uy2, 2)
+    i_uy1 = np.maximum(_entropy_rows(p_ux.sum(axis=-1), 1) + h_y1 - h_uy1, 0.0)
+    return np.stack([h_y1, h_y2, h_y1 + h_y2_g, h_y2 + h_y1_g, i_uy1 + h_y2 + h_y1_g],
+                    axis=-1)
 
 
 def _t3_rows(p_ux: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
-    """More-capable formula right-hand sides (_LHS3) from p(u, x)."""
-    p_uy2 = p_ux @ k2
-    p_uy1 = p_ux @ k1
-    p_u = p_ux.sum(axis=1)
-    p_x = p_ux.sum(axis=0)
-    p_xy1 = p_x[:, None] * k1
-    h_u = _entropy_of_mass(p_u)
-    i_u_y2 = max(h_u + _entropy_of_mass(p_uy2.sum(axis=0)) - _entropy_of_mass(p_uy2), 0.0)
-    p_uxy1 = p_ux[:, :, None] * k1[None, :, :]
-    h_ux = _entropy_of_mass(p_ux)
-    i_x_y1_u = max(h_ux + _entropy_of_mass(p_uy1) - h_u - _entropy_of_mass(p_uxy1), 0.0)
-    i_x_y1 = max(_entropy_of_mass(p_x) + _entropy_of_mass(p_xy1.sum(axis=0))
-                 - _entropy_of_mass(p_xy1), 0.0)
-    return np.array([i_u_y2, i_u_y2 + i_x_y1_u, i_x_y1])
+    """More-capable formula right-hand sides (..., 3) (_LHS3) from p(u, x)
+    tables (..., |U|, |X|)."""
+    p_uy2 = np.einsum("...ux,xy->...uy", p_ux, k2)
+    p_x = np.einsum("...ux->...x", p_ux)
+    p_xy1 = np.einsum("...x,xy->...xy", p_x, k1)
+    h_u = _entropy_rows(p_ux.sum(axis=-1), 1)
+    i_u_y2 = np.maximum(h_u + _entropy_rows(np.einsum("...uy->...y", p_uy2), 1)
+                        - _entropy_rows(p_uy2, 2), 0.0)
+    i_x_y1_u = np.maximum(_entropy_rows(p_ux, 2)
+                          + _entropy_rows(np.einsum("...ux,xy->...uy", p_ux, k1), 2) - h_u
+                          - _entropy_rows(np.einsum("...ux,xy->...uxy", p_ux, k1), 3), 0.0)
+    i_x_y1 = np.maximum(_entropy_rows(p_x, 1) + _entropy_rows(np.einsum("...xy->...y", p_xy1), 1)
+                        - _entropy_rows(p_xy1, 2), 0.0)
+    return np.stack([i_u_y2, i_u_y2 + i_x_y1_u, i_x_y1], axis=-1)
 
 
 def raw_coding_system(consts: MiConstants, u2_trivial: bool = False) -> LinearSystem:

@@ -112,3 +112,103 @@ def plain_fme(rows, var_indices):
                 out.append((coeffs, float(alpha) * bp + float(beta) * bq))
         rows = out
     return rows
+
+
+def plain_lattice_points(parts, resolution):
+    """Every composition of `resolution` into `parts` nonnegative parts, by
+    recursion, first part slowest, as pmfs."""
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            yield prefix + [remaining]
+            return
+        for k in range(remaining + 1):
+            yield from rec(prefix + [k], remaining - k, slots - 1)
+
+    return [np.asarray(c, dtype=np.float64) / resolution for c in rec([], resolution, parts)]
+
+
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def plain_golden(f, lo, hi, iters=20):
+    """Scalar golden-section maximization of f on [lo, hi]."""
+    a, b = lo, hi
+    c = b - GOLDEN * (b - a)
+    d = a + GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + GOLDEN * (b - a)
+            fd = f(d)
+    x = (a + b) / 2.0
+    return x, f(x)
+
+
+def plain_refine(objective, start, budget, sweeps=8, iters=20):
+    """One start at a time: pairwise golden-section ascent on mass transfers
+    (clipped at zero, renormalized), each line search charged iters + 1
+    evaluations, stopping after a sweep without improvement."""
+    x = np.array(start, dtype=np.float64)
+    best = objective(x)
+    n = len(x)
+    remaining = budget
+    for _ in range(sweeps):
+        improved = False
+        for i in range(n):
+            for j in range(i + 1, n):
+                if remaining <= 0:
+                    return x, best
+                lo, hi = -x[j], x[i]
+                if hi - lo < 1e-12:
+                    continue
+
+                def shifted(t, i=i, j=j):
+                    y = x.copy()
+                    y[i] -= t
+                    y[j] += t
+                    np.clip(y, 0.0, None, out=y)
+                    s = y.sum()
+                    if s <= 0:
+                        return -math.inf
+                    return objective(y / s)
+
+                remaining -= iters + 1
+                t, val = plain_golden(shifted, lo, hi, iters)
+                if val > best + 1e-12:
+                    x[i] -= t
+                    x[j] += t
+                    np.clip(x, 0.0, None, out=x)
+                    x /= x.sum()
+                    best = objective(x)
+                    improved = True
+        if not improved:
+            break
+    return x, best
+
+
+def pareto_gamma_pick(aux, x_size, rows_and_key, value):
+    """The t1 map choice by full enumeration: every map over all cells in
+    lexicographic order, the entries not dominated componentwise in their
+    key (sorted by decreasing key sum, the first of equal keys kept), then
+    the first front entry of maximal value. Returns (value, gamma), gamma
+    None when every value is -inf."""
+    entries = []
+    for flat in itertools.product(range(x_size), repeat=aux.size):
+        gamma = np.asarray(flat, dtype=np.int64).reshape(aux.shape)
+        rhs, key = rows_and_key(aux, gamma)
+        entries.append((tuple(float(k) for k in key), (rhs, gamma)))
+    front = []
+    for key, payload in sorted(entries, key=lambda e: -sum(e[0])):
+        if not any(all(f[i] >= key[i] for i in range(4)) for f, _ in front):
+            front.append((key, payload))
+    best_val, best_gamma = -math.inf, None
+    for _, (rhs, gamma) in front:
+        val = value(rhs)
+        if val > best_val:
+            best_val, best_gamma = val, gamma
+    return best_val, best_gamma

@@ -126,3 +126,19 @@ class TestHierarchy:
             assert is_degraded(ch).holds
             assert is_less_noisy_grid(ch, 2, 8).holds
             assert is_more_capable_grid(ch, 8).holds
+
+
+def test_uy_mi_batched_equals_single_calls_bitwise(rng):
+    from bcsi.classifier import _uy_mi
+    for _ in range(20):
+        u, x, y = (int(v) for v in rng.integers(1, 5, size=3))
+        kernel = rng.random((x, y))
+        kernel /= kernel.sum(axis=1, keepdims=True)
+        b = int(rng.integers(1, 70))
+        joints = rng.random((b, u, x)) * (rng.random((b, u, x)) > 0.3)
+        joints[:, 0, 0] += 1e-3
+        joints /= joints.sum(axis=(1, 2), keepdims=True)
+        batched = _uy_mi(joints, kernel)
+        assert batched.shape == (b,)
+        for i in range(b):
+            assert batched[i] == _uy_mi(joints[i], kernel)

@@ -6,7 +6,7 @@ from bcsi.optimizer import (SearchConfig, evaluate_weighted_rate,
                             maximize_weighted_rate, region_for, union_slice_2d)
 from bcsi.optimizer import _LHS3, _LHS5, _SupportOracle
 from bcsi.polytope import contains, maximize
-from bcsi.probability import (blackwell_channel, binary_symmetric_pair,
+from bcsi.probability import (Channel, blackwell_channel, binary_symmetric_pair,
                               noiseless_channel, product_channel)
 
 
@@ -29,6 +29,98 @@ class TestSupportOracle:
     def test_negative_rhs_is_empty(self):
         oracle = _SupportOracle(_LHS5, np.ones(5))
         assert oracle.value(np.array([1.0, 1.0, -0.2, 1.0, 1.0])) == -np.inf
+
+
+    def test_batched_values_equal_single_calls_bitwise(self, rng):
+        for lhs in (_LHS5, _LHS3):
+            oracle = _SupportOracle(lhs, rng.random(5))
+            b = rng.random((50, lhs.shape[0])) * 2.0 - 0.1
+            batched = oracle.value(b)
+            assert batched.shape == (50,)
+            for i in range(50):
+                assert batched[i] == oracle.value(b[i])
+            assert (batched[(b < 0).any(axis=1)] == -np.inf).all()
+
+
+class TestGammaOnSupport:
+    """The t1 map search enumerates maps on the support only and picks the
+    maximal value of largest key sum: the same map as enumerating every
+    map over every cell and taking the first Pareto-front entry of maximal
+    value."""
+
+    def test_pick_matches_full_enumeration_pareto_front(self, rng):
+        from conftest import random_channel
+        from oracles import pareto_gamma_pick
+
+        from bcsi.optimizer import _Evaluator
+        from bcsi.rate_regions import _t1_rows
+        checked = 0
+        for sizes, x in (((2, 2, 1), 2), ((2, 2, 1), 3), ((1, 2, 2), 2), ((2, 1, 2), 3),
+                         ((2, 2, 2), 2)):
+            for weights in ((1, 1, 1, 1, 1), (0, 0, 0, 1, 0), (0, 1, 1, 0, 0), None):
+                ch = random_channel(rng, x, 2, int(rng.integers(2, 4)))
+                ev = _Evaluator(ch, "t1", rng.random(5) if weights is None else weights)
+                for _ in range(3):
+                    aux = rng.random(sizes) * (rng.random(sizes) > 0.4)
+                    aux.flat[0] += 0.1
+                    aux /= aux.sum()
+                    val, gamma = ev.value_t1(aux)
+                    want_val, want_gamma = pareto_gamma_pick(
+                        aux, x, lambda a, g: _t1_rows(a, g, ev.k1, ev.k2),
+                        ev.oracle.value)
+                    assert val == want_val
+                    if want_gamma is None:
+                        assert gamma is None
+                    else:
+                        assert np.array_equal(gamma, want_gamma)
+                    checked += 1
+        assert checked == 60
+
+    def test_pick_matches_pareto_front_on_tied_values(self):
+        """Noiseless and deterministic channels at lattice joints give many
+        maps of exactly equal value, where the key sum decides."""
+        from oracles import pareto_gamma_pick
+
+        from bcsi.optimizer import _Evaluator
+        from bcsi.rate_regions import _t1_rows
+        from bcsi.simplex_search import lattice_points
+        for ch in (noiseless_channel(2), blackwell_channel()):
+            for weights in ((0, 0, 0, 1, 0), (0, 1, 0, 0, 0), (1, 1, 1, 1, 1)):
+                ev = _Evaluator(ch, "t1", weights)
+                for sizes in ((2, 2, 1), (1, 2, 2)):
+                    for p in lattice_points(4, 3)[::3]:
+                        aux = p.reshape(sizes)
+                        val, gamma = ev.value_t1(aux)
+                        want_val, want_gamma = pareto_gamma_pick(
+                            aux, ch.x.size, lambda a, g: _t1_rows(a, g, ev.k1, ev.k2),
+                            ev.oracle.value)
+                        assert val == want_val
+                        assert np.array_equal(gamma, want_gamma)
+
+    def test_empty_start_is_not_refined(self):
+        """Where every map of a refinement start gives an empty region (U1
+        and U2 dependent given U0 on a useless channel), the start keeps
+        value -inf instead of being refined with no map."""
+        ch = Channel.from_rows([["1/4"] * 4] * 2, 2, 2, 2)
+        for sizes in ((1, 2, 2), (2, 2, 2)):
+            for resolution in (2, 3):
+                cfg = SearchConfig(aux_sizes=sizes, grid_resolution=resolution)
+                res = maximize_weighted_rate(ch, (1, 1, 1, 1, 1), "t1", cfg)
+                assert abs(res.value) <= 1e-12
+
+    def test_empty_start_cli_exit_0(self, tmp_path, capsys):
+        import json
+
+        from bcsi.cli import main
+        path = tmp_path / "quarter.json"
+        path.write_text(json.dumps({"x_size": 2, "y1_size": 2, "y2_size": 2,
+                                    "kernel": [["1/4"] * 4] * 2}))
+        code = main(["optimize", "--channel", str(path), "--theorem", "t1",
+                     "--weights", "1,1,1,1,1", "--aux-sizes", "1,2,2", "--resolution", "2"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "Traceback" not in captured.err
+        assert abs(json.loads(captured.out)["best_value"]) <= 1e-12
 
 
 class TestMaximizeWeightedRate:

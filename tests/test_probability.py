@@ -252,3 +252,17 @@ class TestLoaders:
         path.write_text(json.dumps(spec))
         ch = load_channel(str(path))
         assert np.allclose(ch.kernel_float(), 0.25)
+
+    def test_float_kernels_made_once_and_read_only(self):
+        ch = Channel.from_rows([["1/2", "1/4", "1/8", "1/8"], ["0", "1/3", "1/3", "1/3"]],
+                               2, 2, 2)
+        for get, expected in ((ch.kernel_float, [[[0.5, 0.25], [0.125, 0.125]],
+                                                 [[0.0, 1 / 3], [1 / 3, 1 / 3]]]),
+                              (ch.y1_given_x, [[0.75, 0.25], [1 / 3, 2 / 3]]),
+                              (ch.y2_given_x, [[0.625, 0.375], [1 / 3, 2 / 3]])):
+            first = get()
+            assert get() is first
+            assert not first.flags.writeable
+            np.testing.assert_allclose(first, expected, rtol=0.0, atol=1e-15)
+            with pytest.raises(ValueError):
+                first[0, 0] = 1.0

@@ -356,6 +356,35 @@ class TestTheoremRows:
                                        expect, rtol=0.0, atol=1e-12)
 
 
+    def test_batched_rows_equal_single_calls_bitwise(self, rng):
+        """A row's value does not depend on the batch it is computed in."""
+        for _ in range(20):
+            x = int(rng.integers(2, 5))
+            ch = random_channel(rng, x, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
+            k1, k2 = ch.y1_given_x(), ch.y2_given_x()
+            sizes = tuple(int(s) for s in rng.integers(1, 4, size=3))
+            b = int(rng.integers(1, 40))
+            aux = rng.random((b,) + sizes) * (rng.random((b,) + sizes) > 0.3) + 1e-3
+            aux /= aux.sum(axis=(1, 2, 3), keepdims=True)
+            gamma = rng.integers(0, x, size=(b,) + sizes)
+            rhs, key = _t1_rows(aux, gamma, k1, k2)
+            # one joint shared by a batch of maps, as the t1 gamma search calls it
+            rhs0, key0 = _t1_rows(aux[0], gamma, k1, k2)
+            u = int(rng.integers(1, 5))
+            p_ux = rng.random((b, u, x)) * (rng.random((b, u, x)) > 0.3) + 1e-3
+            p_ux /= p_ux.sum(axis=(1, 2), keepdims=True)
+            r2, r3 = _t2_rows(p_ux, k1, k2), _t3_rows(p_ux, k1, k2)
+            assert rhs.shape == (b, 5) and key.shape == (b, 4)
+            assert r2.shape == (b, 5) and r3.shape == (b, 3)
+            for i in range(b):
+                one_rhs, one_key = _t1_rows(aux[i], gamma[i], k1, k2)
+                assert np.array_equal(rhs[i], one_rhs) and np.array_equal(key[i], one_key)
+                one_rhs, one_key = _t1_rows(aux[0], gamma[i], k1, k2)
+                assert np.array_equal(rhs0[i], one_rhs) and np.array_equal(key0[i], one_key)
+                assert np.array_equal(r2[i], _t2_rows(p_ux[i], k1, k2))
+                assert np.array_equal(r3[i], _t3_rows(p_ux[i], k1, k2))
+
+
 class TestSpecializeScheme:
     def test_complementary_embedding(self):
         px = Pmf.from_values(Alphabet.indexed("X", 2), [0.3, 0.7])
