@@ -375,11 +375,16 @@ def _rows_hold(a: RateRegion, b: RateRegion, box) -> bool:
     return True
 
 
-def region_subset(a: RateRegion, b: RateRegion, box=None) -> bool:
-    """True iff a is contained in b (within the box, 1e-7 LP tolerance)."""
-    if not is_feasible(a.system, box):
+def region_subset(a: RateRegion, b: RateRegion, box=None, feasible=None) -> bool:
+    """True iff a is contained in b (within the box, 1e-7 LP tolerance).
+    feasible, when given, is the pair (is_feasible(a), is_feasible(b)), so
+    that a caller testing both directions solves each feasibility LP once."""
+    fa, fb = feasible if feasible is not None else (is_feasible(a.system, box), None)
+    if not fa:
         return True
-    if not is_feasible(b.system, box):
+    if fb is None:
+        fb = is_feasible(b.system, box)
+    if not fb:
         return False
     return _rows_hold(a, b, box)
 

@@ -18,6 +18,9 @@ configuration never errors.
 
 Per-trial randomness comes from counter-style derived generators
 (master seed, trial index), so reports are bit-identical given the config.
+Trials run in blocks: every trial of a block makes its draws first, each
+from its own generator, then the codebook mapping, the encoder, the channel
+and both decoders each run once over the whole block.
 """
 
 from __future__ import annotations
@@ -36,9 +39,14 @@ DESK_CAP = 1_000_000  # product of all message-set and bin sizes
 _CHUNK_CELLS = 4_000_000
 _TABLE_KEYS = 2 ** 16  # type-key spaces up to this size get a pass/fail table
 _KEY_LIMIT = 2 ** 63   # type keys below this fit int64
+# Codeword symbols, bin pairs and channel draws a block of trials holds (a
+# block has at least one trial): what one trial of 65,536 cloud words of
+# length 8 draws
+_BLOCK_CELLS = 2 ** 19
 
 RATE_NAMES = ("r1", "r21", "r22", "r31", "r32", "r4", "r5", "rp1", "rp2")
 SIZE_NAMES = ("m1", "m4", "m5", "m21", "m31", "m22", "m32", "l1", "l2")
+_MSG_NAMES = SIZE_NAMES[:7]  # Msg field order, the order of the message draws
 
 
 def _size_from_rate(n: int, rate: float) -> int:
@@ -103,7 +111,10 @@ class Msg:
 @dataclass
 class Codebooks:
     """cb0 indexed by (m1, m4, m5, m21, m31); cb1 adds (m22, l1); cb2 adds
-    (m32, l2). Last axis is the blocklength."""
+    (m32, l2). Last axis is the blocklength; an optional leading axis holds
+    one book set per trial. Symbols are uint8 when every auxiliary alphabet
+    has at most 256 symbols, else int64. The book of a trivial satellite
+    alphabet is a read-only zero-stride view of zeros."""
 
     cb0: np.ndarray
     cb1: np.ndarray
@@ -112,6 +123,9 @@ class Codebooks:
 
 @dataclass
 class DecodeResult:
+    """One decision; in the batched form every field has a leading trial
+    axis (messages maps each name to an index array)."""
+
     ok: bool
     messages: dict
     kind: str | None  # None, "none_typical" or "ambiguous"
@@ -207,7 +221,8 @@ def _typical_flags(known: np.ndarray, new: np.ndarray, table: np.ndarray, eps: f
     n = shape[-1]
     base = n + 1
     if base ** cells > _KEY_LIMIT:
-        comp = np.broadcast_to(known * new_cells + new, shape).reshape(-1, n)
+        comp = np.broadcast_to(np.asarray(known, dtype=np.int64) * new_cells + new,
+                               shape).reshape(-1, n)
         flags = np.empty(len(comp), dtype=bool)
         chunk = max(1, _CHUNK_CELLS // cells)
         for start in range(0, len(comp), chunk):
@@ -240,6 +255,7 @@ class _Tables:
         aux = np.asarray(scheme.aux_joint.mass, dtype=np.float64)
         a0, a1, a2 = aux.shape
         self.sizes = (a0, a1, a2)
+        self.codeword_dtype = np.uint8 if max(self.sizes) <= 256 else np.int64
         self.p_u0 = aux.sum(axis=(1, 2))
         # p(u1 | u0) and p(u2 | u0) for codebook draws
         self.t_u1 = _conditional_table(aux.sum(axis=2), a0, a1)
@@ -265,100 +281,146 @@ def _need_tables(tables, cfg: SchemeConfig, ch, what: str) -> _Tables:
     return _Tables(cfg.scheme, ch)
 
 
-def _inverse_cdf(r: np.ndarray, columns) -> np.ndarray:
-    """Index drawn by each uniform in r: the number of cdf columns below it.
-    Callers leave out the last column, which can only push the count past
-    the last index."""
-    idx = np.zeros(r.shape, dtype=np.int64)
+def _inverse_cdf(r: np.ndarray, columns, dtype=np.int64) -> np.ndarray:
+    """Index drawn by each uniform in r: the number of cdf columns below it
+    (each column broadcasts against r). Callers leave out the last column,
+    which can only push the count past the last index."""
+    idx = np.zeros(r.shape, dtype=dtype)
     for col in columns:
         idx += col < r
     return idx
 
 
-def _sample_categorical(rng: np.random.Generator, cdf_rows: np.ndarray,
-                        rows: np.ndarray) -> np.ndarray:
-    """Inverse-cdf draw: one sample per entry of `rows`, each from the cdf row
-    selected by that entry."""
-    r = rng.random(rows.shape)
-    return _inverse_cdf(r, (cdf_rows[rows, k] for k in range(cdf_rows.shape[1] - 1)))
-
-
-def _generate(cfg: SchemeConfig, ch: Channel, tables: _Tables,
-              rng: np.random.Generator) -> Codebooks:
-    sz = cfg.sizes()
-    n = cfg.n
+def _book_shapes(cfg: SchemeConfig) -> tuple:
+    """Shapes of cb0, cb1 and cb2 for one trial."""
+    sz = cfg._sizes
     base = (sz["m1"], sz["m4"], sz["m5"], sz["m21"], sz["m31"])
+    return (base + (cfg.n,), base + (sz["m22"], sz["l1"], cfg.n),
+            base + (sz["m32"], sz["l2"], cfg.n))
+
+
+def _drawn_shapes(cfg: SchemeConfig, tables: _Tables) -> list:
+    """Shapes of the uniform draws behind one set of books, in draw order: a
+    trivial satellite alphabet draws nothing."""
+    cb0, cb1, cb2 = _book_shapes(cfg)
     _, a1, a2 = tables.sizes
-    cb0 = _inverse_cdf(rng.random(base + (n,)), np.cumsum(tables.p_u0)[:-1])
-    if a1 == 1:  # degenerate satellite alphabet: nothing to draw
-        cb1 = np.zeros(base + (sz["m22"], sz["l1"], n), dtype=np.int64)
-    else:
-        cb0_b1 = np.broadcast_to(cb0[..., None, None, :], base + (sz["m22"], sz["l1"], n))
-        cb1 = _sample_categorical(rng, np.cumsum(tables.t_u1, axis=1), cb0_b1)
-    if a2 == 1:
-        cb2 = np.zeros(base + (sz["m32"], sz["l2"], n), dtype=np.int64)
-    else:
-        cb0_b2 = np.broadcast_to(cb0[..., None, None, :], base + (sz["m32"], sz["l2"], n))
-        cb2 = _sample_categorical(rng, np.cumsum(tables.t_u2, axis=1), cb0_b2)
-    return Codebooks(cb0, cb1, cb2)
+    return [cb0] + [shape for a, shape in ((a1, cb1), (a2, cb2)) if a > 1]
+
+
+def _codebooks(cfg: SchemeConfig, tables: _Tables, uniforms) -> Codebooks:
+    """Map the uniforms of _drawn_shapes (with any leading trial axes) to
+    codewords by inverse cdf: cloud symbols from p(u0), satellite symbols
+    from p(u_k | u0) given the cloud symbol at the same position."""
+    dtype = tables.codeword_dtype
+    draws = iter(uniforms)
+    cb0 = _inverse_cdf(next(draws), np.cumsum(tables.p_u0)[:-1], dtype)
+    lead = cb0.shape[:cb0.ndim - 6]
+    rows = cb0[..., None, None, :]
+    books = [cb0]
+    for table, shape in zip((tables.t_u1, tables.t_u2), _book_shapes(cfg)[1:]):
+        if table.shape[1] == 1:  # trivial satellite alphabet: all zeros, no draw
+            books.append(np.broadcast_to(np.zeros((), dtype), lead + shape))
+        else:
+            cdf = np.cumsum(table, axis=1)
+            columns = (cdf[:, k][rows] for k in range(table.shape[1] - 1))
+            books.append(_inverse_cdf(next(draws), columns, dtype))
+    return Codebooks(*books)
+
+
+def _draw_books(cfg: SchemeConfig, tables: _Tables, rng: np.random.Generator) -> Codebooks:
+    return _codebooks(cfg, tables, [rng.random(s) for s in _drawn_shapes(cfg, tables)])
 
 
 def generate_codebooks(cfg: SchemeConfig, ch: Channel) -> Codebooks:
     """Standalone codebook draw, deterministic in cfg.seed."""
-    tables = _Tables(cfg.scheme, ch)
-    return _generate(cfg, ch, tables, np.random.default_rng((cfg.seed, 1)))
+    return _draw_books(cfg, _Tables(cfg.scheme, ch), np.random.default_rng((cfg.seed, 1)))
+
+
+def _per_trial(cb: Codebooks, trials: int) -> Codebooks:
+    """cb with a leading trial axis; books without one are shared by every
+    trial (a zero-stride view)."""
+    if cb.cb0.ndim == 7:
+        return cb
+    return Codebooks(*(np.broadcast_to(b, (trials,) + b.shape)
+                       for b in (cb.cb0, cb.cb1, cb.cb2)))
 
 
 def encode(cb: Codebooks, msg: Msg, cfg: SchemeConfig,
            tables: _Tables | None = None, ch: Channel | None = None):
     """Test every bin pair (l1, l2) and take the first conditionally typical
     triple in lexicographic order; fall back to (0, 0) when none passes.
-    Returns (x_seq, (l1, l2), fallback)."""
+    Returns (x_seq, (l1, l2), fallback).
+
+    Batched form: msg holds one index array per message with a leading
+    trial axis, and cb either has that axis too or is shared by every
+    trial; then every output gains the trial axis."""
     tables = _need_tables(tables, cfg, ch, "encode")
-    a2 = tables.sizes[2]
-    cloud = (msg.m1, msg.m4, msg.m5, msg.m21, msg.m31)
-    u0 = cb.cb0[cloud]                       # (n,)
-    u1 = cb.cb1[cloud + (msg.m22,)]          # (L1, n)
-    u2 = cb.cb2[cloud + (msg.m32,)]          # (L2, n)
-    flags = _typical_flags(u0, u1[:, None, :] * a2 + u2[None, :, :], tables.t_pair,
-                           cfg.eps_prime, tables.pass_tables["encode"])
+    single = np.ndim(msg.m1) == 0
+    m = [np.atleast_1d(getattr(msg, k)) for k in _MSG_NAMES]
+    trials = np.arange(len(m[0]))
+    cb = _per_trial(cb, len(trials))
+    cloud = (trials, *m[:5])
+    u0 = cb.cb0[cloud]                       # (T, n)
+    u1 = cb.cb1[cloud + (m[5],)]             # (T, L1, n)
+    u2 = cb.cb2[cloud + (m[6],)]             # (T, L2, n)
+    pairs = u1[:, :, None, :].astype(np.int64) * tables.sizes[2] + u2[:, None, :, :]
+    flags = _typical_flags(u0[:, None, None, :], pairs, tables.t_pair, cfg.eps_prime,
+                           tables.pass_tables["encode"]).reshape(len(trials), -1)
     # argmax is 0, i.e. the fallback pair (0, 0), when nothing passes
-    l1, l2 = divmod(int(flags.argmax()), flags.shape[1])
-    x = tables.gamma[u0, u1[l1], u2[l2]]
-    return x, (l1, l2), not flags.any()
+    l1, l2 = np.divmod(flags.argmax(axis=1), u2.shape[1])
+    x = tables.gamma[u0, u1[trials, l1], u2[trials, l2]]
+    fallback = ~flags.any(axis=1)
+    if single:
+        return x[0], (int(l1[0]), int(l2[0])), bool(fallback[0])
+    return x, (l1, l2), fallback
 
 
-# Per receiver: its satellite book, the cb0 axis of the message it knows,
-# the candidate axes the search is existential over (the other receiver's
-# private cloud part and the bin), and the messages it decodes.
+# Per receiver: its satellite book, the cb0 axis of the message it knows
+# (after the trial axis), the candidate axes the search is existential over
+# (the other receiver's private cloud part and the bin; the trial axis
+# first), and the messages it decodes.
 _RECEIVERS = {
-    1: ("cb1", 2, (3, 5), ("m1", "m4", "m21", "m22"), "eps1"),
-    2: ("cb2", 1, (2, 5), ("m1", "m5", "m31", "m32"), "eps2"),
+    1: ("cb1", 3, (4, 6), ("m1", "m4", "m21", "m22"), "eps1"),
+    2: ("cb2", 2, (3, 6), ("m1", "m5", "m31", "m32"), "eps2"),
 }
 
 
-def _decode(rx: int, cb: Codebooks, y: np.ndarray, known: int, cfg: SchemeConfig,
+def _decode(rx: int, cb: Codebooks, y: np.ndarray, known, cfg: SchemeConfig,
             tables: _Tables | None, ch: Channel | None) -> DecodeResult:
     tables = _need_tables(tables, cfg, ch, "decode")
     book, known_axis, hidden, names, eps = _RECEIVERS[rx]
-    pick = (slice(None),) * known_axis + (known,)
-    u0 = cb.cb0[pick]                        # (M1, M4 or M5, M21, M31, n)
-    us = getattr(cb, book)[pick]             # (..., M22 or M32, L1 or L2, n)
-    known_cells = u0[:, :, :, :, None, None, :] * tables.sizes[rx] + us  # (u0, u_rx)
+    single = np.ndim(known) == 0
+    known = np.atleast_1d(known)
+    y = np.asarray(y).reshape(len(known), 1, 1, 1, 1, 1, 1, -1)
+    trials = np.arange(len(known))
+    cb = _per_trial(cb, len(trials))
+    pick = (trials,) + (slice(None),) * (known_axis - 1) + (known,)
+    # (T, M1, M4 or M5, M21, M31, 1, 1, n), widened for the cell index
+    u0 = cb.cb0[pick].astype(np.int64)[:, :, :, :, :, None, None, :]
+    us = getattr(cb, book)[pick]             # (T, ..., M22 or M32, L1 or L2, n)
+    # cells (u0, u_rx); over a trivial satellite alphabet the cell is u0
+    a = tables.sizes[rx]
+    known_cells = u0 * a + us if a > 1 else u0
     flags = _typical_flags(known_cells, y, tables.t_y[rx], getattr(cfg, eps),
                            tables.pass_tables[rx])
-    return _resolve(flags.any(axis=hidden), names)
+    result = _resolve(np.broadcast_to(flags, us.shape[:-1]).any(axis=hidden), names)
+    if single:
+        return DecodeResult(bool(result.ok[0]),
+                            {k: int(v[0]) for k, v in result.messages.items()},
+                            result.kind[0], result.passing[0])
+    return result
 
 
-def decode_rx1(cb: Codebooks, y1: np.ndarray, m5: int, cfg: SchemeConfig,
+def decode_rx1(cb: Codebooks, y1: np.ndarray, m5, cfg: SchemeConfig,
                tables: _Tables | None = None, ch: Channel | None = None) -> DecodeResult:
     """Search all (m1, m21, m22, m4); a candidate passes if some (m31, l1)
     makes (cloud word, satellite word, y1) conditionally typical. Unique pass
-    decodes; zero or several is an error with a deterministic default guess."""
+    decodes; zero or several is an error with a deterministic default guess.
+    Batched form: y1 is (T, n) and m5 has T entries, as in encode."""
     return _decode(1, cb, y1, m5, cfg, tables, ch)
 
 
-def decode_rx2(cb: Codebooks, y2: np.ndarray, m4: int, cfg: SchemeConfig,
+def decode_rx2(cb: Codebooks, y2: np.ndarray, m4, cfg: SchemeConfig,
                tables: _Tables | None = None, ch: Channel | None = None) -> DecodeResult:
     """Mirror of decode_rx1: receiver 2 knows m4, decodes (m1, m31, m32, m5)
     with (m21, l2) existential."""
@@ -366,30 +428,34 @@ def decode_rx2(cb: Codebooks, y2: np.ndarray, m4: int, cfg: SchemeConfig,
 
 
 def _resolve(passing: np.ndarray, names) -> DecodeResult:
-    total = int(passing.sum())
-    if total == 1:
-        idx = np.unravel_index(int(passing.reshape(-1).argmax()), passing.shape)
-        return DecodeResult(True, dict(zip(names, map(int, idx))), None, passing)
-    if total == 0:
-        return DecodeResult(False, dict(zip(names, [0] * len(names))),
-                            "none_typical", passing)
-    idx = np.unravel_index(int(passing.reshape(-1).argmax()), passing.shape)
-    return DecodeResult(False, dict(zip(names, map(int, idx))), "ambiguous", passing)
+    """Per trial: the first passing candidate, else the all-zero tuple."""
+    flat = passing.reshape(len(passing), -1)
+    total = flat.sum(axis=1)
+    idx = np.unravel_index(flat.argmax(axis=1), passing.shape[1:])
+    kind = np.full(len(passing), None, dtype=object)
+    kind[total == 0] = "none_typical"
+    kind[total > 1] = "ambiguous"
+    return DecodeResult(total == 1, dict(zip(names, idx)), kind, passing)
 
 
-def _classify(result: DecodeResult, msg: Msg) -> str:
-    """Error event of a wrong decision; result.messages is keyed by the
-    receiver's decoded messages in candidate-axis order, cloud message first."""
+_EVENTS = ("none_typical", "wrong_satellite", "wrong_cloud", "other")
+
+
+def _classify(result: DecodeResult, msg: Msg) -> np.ndarray:
+    """Error event of each trial's decision, as an index into _EVENTS (read
+    only where the decision is wrong); result.messages is keyed by the
+    receiver's decoded messages in candidate-axis order, cloud message
+    first."""
     truth = tuple(getattr(msg, k) for k in result.messages)
+    trials = np.arange(len(truth[0]))
     others = result.passing.copy()
-    others[truth] = False
-    if np.delete(others, truth[0], axis=0).any():
-        return "wrong_cloud"
-    if others[truth[:3]].any():
-        return "wrong_satellite"
-    if others.any():
-        return "other"
-    return "none_typical"
+    others[(trials,) + truth] = False
+    per_cloud = others.reshape(len(trials), others.shape[1], -1).any(axis=2)
+    per_cloud[trials, truth[0]] = False
+    wrong_cloud = per_cloud.any(axis=1)
+    wrong_satellite = others[(trials,) + truth[:3]].any(axis=1)
+    other = others.reshape(len(trials), -1).any(axis=1)
+    return np.select([wrong_cloud, wrong_satellite, other], [2, 1, 3], 0)
 
 
 def _wilson_half_width(pe: float, trials: int) -> float:
@@ -404,43 +470,76 @@ def _wilson_half_width(pe: float, trials: int) -> float:
     return max(center + spread - pe, pe - (center - spread))
 
 
+def _draw_block(cfg: SchemeConfig, tables: _Tables, first: int, count: int,
+                fresh: bool):
+    """Every draw of trials first .. first + count - 1, each from its own
+    generator in the order cloud and satellite uniforms (fresh books only),
+    messages, channel uniforms. Returns (book uniforms, Msg of index arrays,
+    channel uniforms), each with a leading trial axis."""
+    uniforms = [np.empty((count,) + s) for s in _drawn_shapes(cfg, tables)] if fresh else []
+    channel = np.empty((count, cfg.n))
+    msgs = np.zeros((len(_MSG_NAMES), count), dtype=np.int64)
+    # a message set of size 1 is index 0 and takes nothing from the stream
+    drawn = [(i, cfg._sizes[k]) for i, k in enumerate(_MSG_NAMES) if cfg._sizes[k] > 1]
+    for t in range(count):
+        rng = np.random.default_rng((cfg.seed, 0, first + t))
+        for u in uniforms:
+            rng.random(out=u[t])
+        for i, high in drawn:
+            msgs[i, t] = rng.integers(high)
+        rng.random(out=channel[t])
+    return uniforms, Msg(*msgs), channel
+
+
 def estimate_error(ch: Channel, cfg: SchemeConfig, trials: int,
                    progress=None) -> SimReport:
     """Average error over independent trials. A receiver errors when its
     decoded message tuple differs from the transmitted one; failed searches
     contribute through their default guess. Fresh codebooks per trial by
-    default (the random-coding average)."""
+    default (the random-coding average).
+
+    Trials run in blocks: each trial still draws from its own generator,
+    then the encoder, the channel and both decoders run once per block."""
     if trials < 1:
         raise InputError("need at least one trial")
     tables = _Tables(cfg.scheme, ch)
     sz = cfg.sizes()
     fixed_books = None
     if not cfg.fresh_codebooks:
-        fixed_books = _generate(cfg, ch, tables, np.random.default_rng((cfg.seed, 1)))
+        fixed_books = _draw_books(cfg, tables, np.random.default_rng((cfg.seed, 1)))
+    # codeword symbols, bin pairs and channel draws of one trial
+    per_trial = (sum(math.prod(s) for s in _book_shapes(cfg))
+                 + cfg.n * (sz["l1"] * sz["l2"] + 1))
+    block = max(1, _BLOCK_CELLS // per_trial)
+    cdf_columns = range(tables.channel_cdf.shape[1] - 1)
     fallbacks = 0
     errors = {1: 0, 2: 0}
     any_errors = 0
-    buckets = {rx: {"none_typical": 0, "wrong_satellite": 0, "wrong_cloud": 0, "other": 0}
-               for rx in (1, 2)}
-    for trial in range(trials):
-        rng = np.random.default_rng((cfg.seed, 0, trial))
-        books = fixed_books if fixed_books is not None else _generate(cfg, ch, tables, rng)
-        msg = Msg(*(int(rng.integers(sz[k])) for k in
-                    ("m1", "m4", "m5", "m21", "m31", "m22", "m32")))
+    buckets = {rx: dict.fromkeys(_EVENTS, 0) for rx in (1, 2)}
+    for first in range(0, trials, block):
+        count = min(block, trials - first)
+        uniforms, msg, draws = _draw_block(cfg, tables, first, count, fixed_books is None)
+        books = fixed_books if fixed_books is not None else _codebooks(cfg, tables, uniforms)
         x, _, fb = encode(books, msg, cfg, tables)
-        fallbacks += int(fb)
-        flat = _sample_categorical(rng, tables.channel_cdf, x)
+        fallbacks += int(fb.sum())
+        flat = _inverse_cdf(draws, (tables.channel_cdf[x, k] for k in cdf_columns))
         results = {1: decode_rx1(books, flat // ch.y2.size, msg.m5, cfg, tables),
                    2: decode_rx2(books, flat % ch.y2.size, msg.m4, cfg, tables)}
-        failed = False
+        failed = np.zeros(count, dtype=bool)
         for rx, res in results.items():
-            if any(v != getattr(msg, k) for k, v in res.messages.items()):
-                errors[rx] += 1
-                buckets[rx][_classify(res, msg)] += 1
-                failed = True
-        any_errors += int(failed)
-        if progress is not None and (trial + 1) % 100 == 0:
-            progress(trial + 1, any_errors)
+            wrong = np.zeros(count, dtype=bool)
+            for k, v in res.messages.items():
+                wrong |= v != getattr(msg, k)
+            errors[rx] += int(wrong.sum())
+            events = np.bincount(_classify(res, msg)[wrong], minlength=len(_EVENTS))
+            for name, c in zip(_EVENTS, events):
+                buckets[rx][name] += int(c)
+            failed |= wrong
+        done = any_errors + np.cumsum(failed)
+        any_errors = int(done[-1])
+        if progress is not None:
+            for t in range((first // 100 + 1) * 100, first + count + 1, 100):
+                progress(t, int(done[t - first - 1]))
     pe = any_errors / trials
     half = _wilson_half_width(pe, trials)
     r = cfg.rates

@@ -212,3 +212,110 @@ def pareto_gamma_pick(aux, x_size, rows_and_key, value):
         if val > best_val:
             best_val, best_gamma = val, gamma
     return best_val, best_gamma
+
+
+def plain_sample_categorical(rng, cdf_rows, rows):
+    """Inverse-cdf draw, one uniform per entry of rows, counted column by
+    column against the cdf row each entry selects."""
+    r = rng.random(rows.shape)
+    idx = np.zeros(r.shape, dtype=np.int64)
+    for k in range(cdf_rows.shape[1] - 1):
+        idx += cdf_rows[rows, k] < r
+    return idx
+
+
+def plain_generate(cfg, tables, rng):
+    """One trial's codebooks as int64 arrays, drawn book by book: cloud
+    words from p(u0), satellite words from p(u_k | u0); a trivial satellite
+    alphabet draws nothing."""
+    from bcsi.simulator import Codebooks
+
+    sz = cfg.sizes()
+    n = cfg.n
+    base = (sz["m1"], sz["m4"], sz["m5"], sz["m21"], sz["m31"])
+    _, a1, a2 = tables.sizes
+    cb0 = plain_sample_categorical(rng, np.cumsum(tables.p_u0)[None, :],
+                                   np.zeros(base + (n,), dtype=np.int64))
+    if a1 == 1:
+        cb1 = np.zeros(base + (sz["m22"], sz["l1"], n), dtype=np.int64)
+    else:
+        cb0_b1 = np.broadcast_to(cb0[..., None, None, :], base + (sz["m22"], sz["l1"], n))
+        cb1 = plain_sample_categorical(rng, np.cumsum(tables.t_u1, axis=1), cb0_b1)
+    if a2 == 1:
+        cb2 = np.zeros(base + (sz["m32"], sz["l2"], n), dtype=np.int64)
+    else:
+        cb0_b2 = np.broadcast_to(cb0[..., None, None, :], base + (sz["m32"], sz["l2"], n))
+        cb2 = plain_sample_categorical(rng, np.cumsum(tables.t_u2, axis=1), cb0_b2)
+    return Codebooks(cb0, cb1, cb2)
+
+
+def plain_classify(result, msg):
+    """Error event of one wrong decision, one trial at a time."""
+    truth = tuple(getattr(msg, k) for k in result.messages)
+    others = result.passing.copy()
+    others[truth] = False
+    if np.delete(others, truth[0], axis=0).any():
+        return "wrong_cloud"
+    if others[truth[:3]].any():
+        return "wrong_satellite"
+    if others.any():
+        return "other"
+    return "none_typical"
+
+
+def plain_estimate_error(ch, cfg, trials, progress=None):
+    """The simulator one trial at a time: each trial draws its books, all
+    seven messages and its channel uniforms from the generator (seed, 0,
+    trial) and runs single encode and decode calls on int64 books."""
+    from bcsi import simulator
+    from bcsi.simulator import Msg, SimReport
+
+    tables = simulator._Tables(cfg.scheme, ch)
+    sz = cfg.sizes()
+    fixed_books = None
+    if not cfg.fresh_codebooks:
+        fixed_books = plain_generate(cfg, tables, np.random.default_rng((cfg.seed, 1)))
+    fallbacks = 0
+    errors = {1: 0, 2: 0}
+    any_errors = 0
+    buckets = {rx: {"none_typical": 0, "wrong_satellite": 0, "wrong_cloud": 0, "other": 0}
+               for rx in (1, 2)}
+    for trial in range(trials):
+        rng = np.random.default_rng((cfg.seed, 0, trial))
+        books = fixed_books if fixed_books is not None else plain_generate(cfg, tables, rng)
+        msg = Msg(*(int(rng.integers(sz[k])) for k in
+                    ("m1", "m4", "m5", "m21", "m31", "m22", "m32")))
+        x, _, fb = simulator.encode(books, msg, cfg, tables)
+        fallbacks += int(fb)
+        flat = plain_sample_categorical(rng, tables.channel_cdf, x)
+        results = {1: simulator.decode_rx1(books, flat // ch.y2.size, msg.m5, cfg, tables),
+                   2: simulator.decode_rx2(books, flat % ch.y2.size, msg.m4, cfg, tables)}
+        failed = False
+        for rx, res in results.items():
+            if any(v != getattr(msg, k) for k, v in res.messages.items()):
+                errors[rx] += 1
+                buckets[rx][plain_classify(res, msg)] += 1
+                failed = True
+        any_errors += int(failed)
+        if progress is not None and (trial + 1) % 100 == 0:
+            progress(trial + 1, any_errors)
+    pe = any_errors / trials
+    half = simulator._wilson_half_width(pe, trials)
+    r = cfg.rates
+    nominal = {k: getattr(r, k) for k in simulator.RATE_NAMES}
+    return SimReport(
+        trials=trials,
+        encoder_fallbacks=fallbacks,
+        rx1_errors=errors[1],
+        rx2_errors=errors[2],
+        rx1_events=buckets[1],
+        rx2_events=buckets[2],
+        pe_estimate=pe,
+        pe_half_width_95=half,
+        sizes=sz,
+        nominal_rates=nominal,
+        realized_rates=cfg.realized_rates(),
+        config={"n": cfg.n, "eps_prime": cfg.eps_prime, "eps1": cfg.eps1,
+                "eps2": cfg.eps2, "seed": cfg.seed,
+                "fresh_codebooks": cfg.fresh_codebooks},
+    )

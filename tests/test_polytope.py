@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcsi import polytope
+from bcsi import cli, polytope
 from bcsi.errors import GuardError, InputError
 from bcsi.polytope import (LinearInequality, LinearSystem, RATE_VARS, RateRegion,
                            contains, fix_variables, fme_eliminate, is_feasible,
@@ -261,6 +262,20 @@ class TestRegions:
         calls.clear()
         assert regions_equal(r, r)
         assert calls == [{}, {}]
+
+    def test_compare_solves_each_feasibility_lp_once(self, monkeypatch, tmp_path):
+        r = self.region()
+        smaller = rate_region([ineq({"R1": 1, "R2": 1, "R4": 1}, 0.5)] +
+                              list(r.system.inequalities)[1:])
+        paths = []
+        for name, region in (("a", r), ("b", smaller)):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(region.to_jsonable()))
+        calls = self.count_lps(monkeypatch)
+        assert cli.main(["compare", *map(str, paths), "--out", str(tmp_path / "c.json")]) == 0
+        assert [c for c in calls if not c] == [{}, {}]
+        assert json.loads((tmp_path / "c.json").read_text()) == \
+            {"equal": False, "a_subset_b": False, "b_subset_a": True}
 
     def test_row_stated_with_larger_rhs_still_solved(self, monkeypatch):
         r = self.region()

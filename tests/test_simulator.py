@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,7 @@ from bcsi.simulator import (Msg, SchemeConfig, decode_rx1, decode_rx2, encode,
                             estimate_error, generate_codebooks,
                             is_jointly_typical, plan_split_rates)
 from conftest import random_channel, random_scheme
-from oracles import brute_conditionally_typical
+from oracles import brute_conditionally_typical, plain_estimate_error, plain_generate
 
 
 def complementary_scheme(ch, px=None):
@@ -355,6 +358,182 @@ class TestEstimateError:
         a = estimate_error(ch, cfg, 100)
         b = estimate_error(ch, cfg, 100)
         assert a.to_jsonable() == b.to_jsonable()
+
+
+def trial_cells(cfg):
+    """What one trial adds to a block: codeword symbols of its books, bin
+    pairs scanned and channel draws."""
+    sz = cfg.sizes()
+    return (sum(math.prod(s) for s in simulator._book_shapes(cfg))
+            + cfg.n * (sz["l1"] * sz["l2"] + 1))
+
+
+ORACLE_SIZES = [(3, 1, 1), (3, 2, 1), (3, 1, 2), (3, 2, 2), (1, 2, 2), (2, 2, 1)]
+ORACLE_RATES = [SplitRates(r1=0.5), SplitRates(r1=0.25, r22=0.25, rp1=0.25),
+                SplitRates(r1=0.25, r32=0.25, rp2=0.25),
+                SplitRates(r21=0.25, r32=0.25, rp1=0.25, rp2=0.25),
+                SplitRates(r22=0.25, r32=0.25, rp1=0.375, rp2=0.375),
+                SplitRates(r1=0.25, r4=0.25, r5=0.25, r22=0.25)]
+ORACLE_TRIALS = [150, 203, 101, 250, 333, 120]
+ORACLE_BLOCKS = [1, 7, 37, 64, None]  # None keeps the module's block size
+
+
+class TestBatchedEstimate:
+    @pytest.mark.parametrize("case", range(24))
+    def test_matches_the_per_trial_loop(self, monkeypatch, case):
+        """Random noisy channels, U0 of size 3 (and 1, 2), trivial and
+        nontrivial satellites, fresh and fixed books, blocks that do not
+        divide the trial count and that straddle a multiple of 100."""
+        rng = np.random.default_rng((77, case))
+        x = int(rng.integers(2, 4))
+        ch = random_channel(rng, x, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
+        cfg = SchemeConfig(scheme=random_scheme(rng, ORACLE_SIZES[case % 6], x), n=6,
+                           rates=ORACLE_RATES[case % 6], eps_prime=0.5,
+                           eps1=(1.2, 2.5)[case % 2], eps2=(1.2, 2.5)[case % 2], seed=case,
+                           fresh_codebooks=case % 4 != 3)
+        trials = ORACLE_TRIALS[case % 6]
+        block = ORACLE_BLOCKS[case % 5]
+        if block is not None:
+            monkeypatch.setattr(simulator, "_BLOCK_CELLS", block * trial_cells(cfg))
+        batches = []
+        encode = simulator.encode
+
+        def recorded(cb, msg, *args):
+            batches.append(len(msg.m1))
+            return encode(cb, msg, *args)
+
+        monkeypatch.setattr(simulator, "encode", recorded)
+        seen, expected = [], []
+        report = estimate_error(ch, cfg, trials, lambda *a: seen.append(a))
+        monkeypatch.undo()
+        plain = plain_estimate_error(ch, cfg, trials, lambda *a: expected.append(a))
+        assert report.to_jsonable() == plain.to_jsonable()
+        assert seen == expected == [(t, seen[t // 100 - 1][1]) for t in range(100, trials + 1, 100)]
+        if block is not None:
+            assert batches == [block] * (trials // block) + [trials % block] * (trials % block > 0)
+        else:
+            assert batches == [trials]
+
+
+def wide_books(books):
+    return simulator.Codebooks(*(np.array(b, dtype=np.int64) for b in
+                                 (books.cb0, books.cb1, books.cb2)))
+
+
+class TestCodewordDtype:
+    @pytest.mark.parametrize("sizes", [(20, 16, 1), (2, 20, 16)])
+    def test_uint8_books_decide_as_int64_books(self, sizes):
+        """a0 * a1 = 320 (receiver 1's cells) and a1 * a2 = 320 (the
+        encoder's pairs) overflow uint8, so the cell index must be formed in
+        int64. A fifth of the (u0, u1, u2) cells carry no mass and the slacks
+        are wide, so a test passes exactly when no symbol lands on an empty
+        cell, and an aliased cell index changes the outcome."""
+        rng = np.random.default_rng(sum(sizes))
+        ch = noiseless_channel(4)
+        mass = (rng.random(sizes) + 0.02) * (rng.random(sizes) > 0.3)
+        axes = tuple(Alphabet.indexed(f"U{i}", s) for i, s in enumerate(sizes))
+        scheme = AuxScheme(JointPmf(axes, mass / mass.sum()), rng.integers(0, 4, size=sizes))
+        cfg = SchemeConfig(scheme=scheme, n=4, rates=SplitRates(r1=1.0, rp1=0.5, rp2=0.5),
+                           eps_prime=1e3, eps1=2e3, eps2=2e3, seed=2)
+        tables = simulator._Tables(scheme, ch)
+        books = generate_codebooks(cfg, ch)
+        assert books.cb0.dtype == books.cb1.dtype == books.cb2.dtype == np.uint8
+        plain = plain_generate(cfg, tables, np.random.default_rng((cfg.seed, 1)))
+        for ours, theirs in zip((books.cb0, books.cb1, books.cb2),
+                                (plain.cb0, plain.cb1, plain.cb2)):
+            assert ours.shape == theirs.shape and (ours == theirs).all()
+        wide = wide_books(books)
+        pairs, passing = set(), []
+        for m1 in range(cfg.sizes()["m1"]):
+            msg = Msg(m1, 0, 0, 0, 0, 0, 0)
+            x, pair, fallback = encode(books, msg, cfg, tables)
+            x_wide, pair_wide, fallback_wide = encode(wide, msg, cfg, tables)
+            assert (x == x_wide).all() and pair == pair_wide and fallback == fallback_wide
+            pairs.add((pair, fallback))
+            for decode in (decode_rx1, decode_rx2):
+                ours, theirs = decode(books, x, 0, cfg, tables), decode(wide, x, 0, cfg, tables)
+                assert (ours.ok, ours.messages, ours.kind) == \
+                    (theirs.ok, theirs.messages, theirs.kind)
+                assert (ours.passing == theirs.passing).all()
+                if decode is decode_rx1:
+                    passing.append(ours.passing)
+        if sizes[0] * sizes[1] > 256:
+            assert 0 < np.mean(passing) < 1
+        else:
+            assert len(pairs) > 2
+
+    def test_large_alphabets_keep_int64(self):
+        ch = noiseless_channel(2)
+        axes = (Alphabet.indexed("U0", 300), Alphabet.indexed("U1", 1),
+                Alphabet.indexed("U2", 1))
+        scheme = AuxScheme(JointPmf(axes, np.full((300, 1, 1), 1 / 300)),
+                           np.zeros((300, 1, 1), dtype=int))
+        books = generate_codebooks(SchemeConfig(scheme=scheme, n=4, rates=SplitRates()), ch)
+        assert books.cb0.dtype == np.int64
+
+    def test_trivial_satellite_books_are_zero_stride_views(self):
+        ch = noiseless_channel(2)
+        cfg = SchemeConfig(scheme=complementary_scheme(ch), n=8, rates=SplitRates(r1=0.5))
+        books = generate_codebooks(cfg, ch)
+        for book in (books.cb1, books.cb2):
+            assert book.strides == (0,) * book.ndim and not book.flags.writeable
+            assert (book == 0).all()
+
+
+def stacked_books(cfg, ch, trials):
+    """One fresh book set per trial, stacked on a leading trial axis."""
+    books = [generate_codebooks(replace(cfg, seed=s), ch) for s in range(trials)]
+    return simulator.Codebooks(*(np.stack([getattr(b, k) for b in books])
+                                 for k in ("cb0", "cb1", "cb2")))
+
+
+class TestBatchAxis:
+    """One batched call over T trials equals T single calls exactly."""
+
+    CLOUD = ((2, 1, 1), 2, SplitRates(r1=0.5))                       # table path
+    BINNING = ((1, 2, 2), 4, SplitRates(r22=0.25, r32=0.25, rp1=0.375, rp2=0.375))  # unique
+
+    @pytest.mark.parametrize("shape, path", [(CLOUD, "table"), (BINNING, "unique")])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_batched_calls_equal_single_calls(self, shape, path, shared):
+        sizes, x_size, rates = shape
+        rng = np.random.default_rng(5)
+        ch = binary_symmetric_pair(0.05, 0.1) if x_size == 2 else noiseless_channel(4)
+        mass = np.full(sizes, 1.0 / math.prod(sizes))
+        axes = tuple(Alphabet.indexed(f"U{i}", s) for i, s in enumerate(sizes))
+        gamma = np.arange(math.prod(sizes)).reshape(sizes) % x_size
+        cfg = SchemeConfig(scheme=AuxScheme(JointPmf(axes, mass), gamma), n=8, rates=rates,
+                           eps_prime=0.5, eps1=2.0, eps2=2.0, seed=4)
+        tables = simulator._Tables(cfg.scheme, ch)
+        keys = (cfg.n + 1) ** tables.t_y[1].size
+        assert path == ("table" if keys <= simulator._TABLE_KEYS else "unique")
+        trials = 12
+        books = generate_codebooks(cfg, ch) if shared else stacked_books(cfg, ch, trials)
+        sz = cfg.sizes()
+        fields = np.stack([rng.integers(sz[k], size=trials) for k in simulator._MSG_NAMES])
+        msg = Msg(*fields)
+        x, (l1, l2), fallback = encode(books, msg, cfg, tables)
+        # the sent words, half of them with symbol errors
+        y = np.where(rng.random(x.shape) < 0.1 * (np.arange(trials) % 2)[:, None],
+                     rng.integers(0, x_size, size=x.shape), x)
+        batched = {1: decode_rx1(books, y, msg.m5, cfg, tables),
+                   2: decode_rx2(books, y, msg.m4, cfg, tables)}
+        kinds = set()
+        for t in range(trials):
+            one = books if shared else simulator.Codebooks(books.cb0[t], books.cb1[t],
+                                                           books.cb2[t])
+            single_msg = Msg(*(int(v) for v in fields[:, t]))
+            x1, pair, fb = encode(one, single_msg, cfg, tables)
+            assert (x1 == x[t]).all() and pair == (l1[t], l2[t]) and fb == fallback[t]
+            for rx, decode in ((1, decode_rx1), (2, decode_rx2)):
+                known = single_msg.m5 if rx == 1 else single_msg.m4
+                res = decode(one, y[t], known, cfg, tables)
+                both = batched[rx]
+                assert res.ok == both.ok[t] and res.kind == both.kind[t]
+                assert res.messages == {k: v[t] for k, v in both.messages.items()}
+                assert (res.passing == both.passing[t]).all()
+                kinds.add(res.kind)
+        assert None in kinds and len(kinds) > 1
 
 
 class TestPlanSplitRates:
