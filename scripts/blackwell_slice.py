@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Sweep the private-rate plane (R2, R3) of the Blackwell-map channel.
 
-Compares the deterministic-channel capacity formula (t2) against the general
-inner bound (t1) at small auxiliary caps, and prints the supported boundary
-points. Writes CSV next to this script unless --out is given.
+Runs the deterministic-channel capacity formula (t2) at a small auxiliary
+cap, prints the supported boundary points and the best sum rate R2 + R3, and
+writes them as CSV to --out (blackwell_slice.csv in the working directory by
+default).
 """
 
 import argparse
@@ -13,14 +14,14 @@ from bcsi.optimizer import SearchConfig, union_slice_2d
 from bcsi.probability import blackwell_channel
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--resolution", type=int, default=6)
     ap.add_argument("--directions", type=int, default=17)
     ap.add_argument("--u-cap", type=int, default=4)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="blackwell_slice.csv")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     ch = blackwell_channel()
     fixed = {"R1": 0.0, "R4": 0.0, "R5": 0.0}

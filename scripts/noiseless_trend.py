@@ -14,12 +14,12 @@ from bcsi.rate_regions import SplitRates, specialize_scheme
 from bcsi.simulator import SchemeConfig, estimate_error
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=500)
     ap.add_argument("--eps", type=float, default=0.3)
     ap.add_argument("--seed", type=int, default=77)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     ch = noiseless_channel(2)
     scheme = specialize_scheme("complementary",

@@ -17,13 +17,13 @@ import numpy as np
 from .errors import GuardError, InputError
 from .polytope import linprog
 from .probability import Channel
-from .simplex_search import (GOLDEN_ITERS, in_chunks, lattice_count, lattice_points,
-                             refine_on_simplex, sample_lattice)
+from .simplex_search import GOLDEN_ITERS, in_chunks, lattice_or_sample, refine_on_simplex
 
 POINT_MASS_TOL = 1e-9
 DEGRADED_TOL = 1e-9
 WITNESS_TOL = 1e-9
-LATTICE_CAP = 250_000
+LATTICE_CAP = 250_000  # p(u, x) lattice points enumerated; a seeded tenth of that sampled above
+MORE_CAPABLE_CAP = 2 ** 21  # p(x) lattice points enumerated: every default lattice up to |X| = 10
 _SAMPLE_SEED = 20240917  # fixed: grid verdicts must be reproducible
 
 
@@ -138,13 +138,16 @@ def _worst_refined(gap, points: np.ndarray, budget: int) -> tuple:
 
 def is_more_capable_grid(ch: Channel, resolution: int | None = None) -> ClassVerdict:
     """Grid verdict on I(X;Y1) >= I(X;Y2) for all p(x): lattice sweep plus
-    local descent from the five worst lattice points."""
+    local descent from the five worst lattice points. A lattice of more than
+    MORE_CAPABLE_CAP points is replaced by a fixed-seed sample of
+    LATTICE_CAP // 10 of them."""
     if resolution is None:
         resolution = default_resolution(ch.x.size)
     if resolution < 2:
         raise InputError("resolution must be at least 2")
-    best_gap, best_p = _worst_refined(lambda p: _capability_gap(p, ch),
-                                      lattice_points(ch.x.size, resolution),
+    candidates = lattice_or_sample(ch.x.size, resolution, MORE_CAPABLE_CAP, LATTICE_CAP // 10,
+                                   (_SAMPLE_SEED, 1, resolution))
+    best_gap, best_p = _worst_refined(lambda p: _capability_gap(p, ch), candidates,
                                       _sweep_budget(8, ch.x.size))
     if best_gap < -WITNESS_TOL:
         return ClassVerdict("more_capable", False,
@@ -182,11 +185,8 @@ def is_less_noisy_grid(ch: Channel, u_size: int = 2,
         raise InputError("resolution must be at least 2")
     cells = u_size * ch.x.size
 
-    if lattice_count(cells, resolution) <= LATTICE_CAP:
-        candidates = lattice_points(cells, resolution)
-    else:
-        rng = np.random.default_rng((_SAMPLE_SEED, u_size, resolution))
-        candidates = sample_lattice(rng, cells, resolution, LATTICE_CAP // 10)
+    candidates = lattice_or_sample(cells, resolution, LATTICE_CAP, LATTICE_CAP // 10,
+                                   (_SAMPLE_SEED, u_size, resolution))
     best_gap, best_p = _worst_refined(lambda p: _gap(p.reshape(-1, u_size, ch.x.size), ch),
                                       candidates, _sweep_budget(6, cells))
     if best_gap < -WITNESS_TOL:

@@ -13,7 +13,9 @@ nested across resolutions too.
 
 Candidates are scored in batched calls of at most CHUNK rows. Ties between
 candidates resolve to the earliest point in sweep order, which is a fixed
-lexicographic enumeration.
+lexicographic enumeration. A t1 candidate is a joint p(u0, u1, u2) scored
+under its best map x = gamma(u0, u1, u2), enumerated on the joint's support
+up to GAMMA_CELL_CAP maps x joint cells, found by greedy passes above.
 
 The support value max w . R over one candidate's region is evaluated by a
 parametric dual oracle: with the inequality left-hand sides and the weights
@@ -35,34 +37,32 @@ from .polytope import RATE_VARS, RateRegion
 from .probability import Alphabet, AuxScheme, Channel, JointPmf
 from .rate_regions import (_LHS3, _LHS5, _t1_rows, _t2_rows, _t3_rows, deterministic_region,
                            marton_region, more_capable_region, specialize_scheme)
-from .simplex_search import (CHUNK, in_chunks, lattice_count, lattice_points, refine_on_simplex,
-                             sample_lattice)
+from .simplex_search import CHUNK, in_chunks, lattice_or_sample, refine_on_simplex
 
 THEOREMS = ("t1", "t2", "t3")
 PER_LEVEL_CAP = 1200
-GAMMA_EXHAUSTIVE_CELLS = 12   # exhaustive gamma search below this, and |X| <= 4
-GAMMA_EXHAUSTIVE_XMAX = 4
+REFINE_BUDGET = 2500  # refinement evaluations per start
+GAMMA_CELL_CAP = 2 ** 16  # t1 maps x joint cells scored exhaustively; greedy above
 BOX_HI = 64.0
+WEIGHT_CAP = 1e300  # keeps every support value finite
 
 @dataclass(frozen=True)
 class SearchConfig:
     """Knobs for the union search. aux_sizes caps (|U0|, |U1|, |U2|) for the
-    general bound; the first entry is the |U| cap for the t2/t3 formulas.
-    max_iters is the per-start refinement evaluation budget."""
+    general bound; the first entry is the |U| cap for the t2/t3 formulas."""
 
     aux_sizes: tuple | None = None
     grid_resolution: int = 5
     restarts: int = 2
     seed: int = 0
-    max_iters: int = 2500
 
     def __post_init__(self):
         if self.grid_resolution < 2:
             raise InputError("grid_resolution must be at least 2")
         if self.restarts < 1:
             raise InputError("restarts must be at least 1")
-        if self.max_iters < 1:
-            raise InputError("max_iters must be at least 1")
+        if self.seed < 0:
+            raise InputError("seed must be nonnegative")
         if self.aux_sizes is not None:
             sizes = tuple(int(s) for s in self.aux_sizes)
             if len(sizes) != 3 or any(s < 1 for s in sizes):
@@ -117,7 +117,11 @@ class _SupportOracle:
             if (y < -1e-9).any():
                 continue
             vertices.append(np.clip(y, 0.0, None))
-        ys = np.unique(np.round(np.stack(vertices), 12), axis=0)
+        ys = np.stack(vertices)
+        # rounded to 12 decimals to merge duplicates; from 2^52 on a float
+        # is an integer already, and rounding it could overflow
+        whole = np.abs(ys) >= 2.0 ** 52
+        ys = np.unique(np.where(whole, ys, np.round(np.where(whole, 0.0, ys), 12)), axis=0)
         self.ys = ys
         # constant part of the dual objective at each vertex
         slack = weights[None, :] - ys @ lhs
@@ -130,9 +134,11 @@ class _SupportOracle:
 
 
 class _Evaluator:
-    """Objective plumbing for one (channel, theorem, weights) search."""
+    """Objective plumbing for one (channel, theorem, weights) search over
+    candidate tables of one shape: joints p(u0, u1, u2) of aux_sizes for t1,
+    p(u, x) with |U| = aux_sizes[0] for t2/t3."""
 
-    def __init__(self, ch: Channel, theorem: str, weights):
+    def __init__(self, ch: Channel, theorem: str, weights, aux_sizes=None):
         if theorem not in THEOREMS:
             raise InputError(f"theorem must be one of {THEOREMS}")
         w = np.asarray(weights, dtype=np.float64)
@@ -142,6 +148,8 @@ class _Evaluator:
             raise InputError("weights must be nonnegative")
         if not w.any():
             raise InputError("weights must not all be zero")
+        if w.max() > WEIGHT_CAP:
+            raise InputError(f"weights above {WEIGHT_CAP:g} are too large")
         if theorem == "t2" and not is_deterministic(ch).holds:
             raise InputError("t2 applies to deterministic channels only")
         self.ch = ch
@@ -150,6 +158,8 @@ class _Evaluator:
         self.k1 = ch.y1_given_x()
         self.k2 = ch.y2_given_x()
         self.x_size = ch.x.size
+        self.sizes = tuple(aux_sizes or default_aux_sizes(theorem, ch.x.size))
+        self.shape = self.sizes if theorem == "t1" else (self.sizes[0], ch.x.size)
         self.lhs = _LHS3 if theorem == "t3" else _LHS5
         self.oracle = _SupportOracle(self.lhs, w)
 
@@ -163,12 +173,27 @@ class _Evaluator:
     def value(self, tables: np.ndarray, gammas: np.ndarray | None = None) -> np.ndarray:
         return self.oracle.value(self.rows(tables, gammas))
 
-    def value_t1(self, aux: np.ndarray) -> tuple:
-        """Best value over the maps gamma of one joint aux, and that map (None
-        when every map gives an empty region). A zero-mass cell adds an exact
-        0 to every joint, so only the map on the support matters (0 off it)."""
+    def _score_maps(self, aux: np.ndarray, maps: np.ndarray) -> np.ndarray:
+        """One joint aux under each map of maps (M, *aux.shape): rows (M, 7)
+        of the right-hand sides, the value and the key sum."""
+        rhs, key = _t1_rows(aux, maps, self.k1, self.k2)
+        key_sum = key[..., 0] + key[..., 1] + key[..., 2] + key[..., 3]
+        return np.concatenate([rhs, self.oracle.value(rhs)[:, None], key_sum[:, None]], axis=1)
+
+    def _best_map(self, aux: np.ndarray) -> tuple:
+        """(value, map, right-hand sides) of the best map gamma of one joint aux.
+
+        A zero-mass cell adds an exact 0 to every joint, so only the map on
+        the support matters (0 off it). A map costs more the more cells the
+        joint has, so while |X|^|support| * aux.size is at most GAMMA_CELL_CAP
+        every map on the support is scored, and of the maps of maximal value
+        the one with the largest key sum wins, the earliest on ties: the first
+        Pareto-optimal map of that value. Above the cap, up to three greedy
+        passes from the all-zero map score every symbol of one support cell
+        per call; the current symbol keeps ties, otherwise the first maximum
+        wins."""
         support = np.flatnonzero(aux.reshape(-1) > 0.0)
-        if aux.size <= GAMMA_EXHAUSTIVE_CELLS and self.x_size <= GAMMA_EXHAUSTIVE_XMAX:
+        if self.x_size ** len(support) * aux.size <= GAMMA_CELL_CAP:
             digits = self.x_size ** np.arange(len(support) - 1, -1, -1)
 
             def maps(codes):  # lexicographic order over the support cells
@@ -176,56 +201,63 @@ class _Evaluator:
                 gamma[:, support] = codes[:, None] // digits % self.x_size
                 return gamma.reshape((-1,) + aux.shape)
 
-            def score(codes):
-                rhs, key = _t1_rows(aux, maps(codes), self.k1, self.k2)
-                key_sum = key[..., 0] + key[..., 1] + key[..., 2] + key[..., 3]
-                return np.stack([self.oracle.value(rhs), key_sum], axis=-1)
-
-            scored = in_chunks(score, np.arange(self.x_size ** len(support)))
-            # of the maps of maximal value the one with the largest key sum,
-            # the earliest on ties: the first Pareto-optimal map of that value
-            top = np.flatnonzero(scored[:, 0] == scored[:, 0].max())
-            pick = top[np.argmax(scored[top, 1])]
-            best, gamma = scored[pick, 0], maps(pick[None])[0]
-        else:  # greedy per-cell improvement from the all-zero map
-            gamma = np.zeros(aux.shape, dtype=np.int64)
-            flat = gamma.reshape(-1)
-            best = self.value(aux, gamma)
+            scored = in_chunks(lambda codes: self._score_maps(aux, maps(codes)),
+                               np.arange(self.x_size ** len(support)))
+            top = np.flatnonzero(scored[:, -2] == scored[:, -2].max())
+            pick = top[np.argmax(scored[top, -1])]
+            gamma, row = maps(pick[None])[0], scored[pick]
+        else:
+            gamma = np.zeros(aux.size, dtype=np.int64)
             for _ in range(3):
                 changed = False
-                for cell, x in itertools.product(support, range(self.x_size)):
-                    old = flat[cell]
-                    if x == old:
-                        continue
-                    flat[cell] = x
-                    val = self.value(aux, gamma)
-                    if val > best:
-                        best, changed = val, True
-                    else:
-                        flat[cell] = old
+                for cell in support:
+                    trial = np.repeat(gamma[None], self.x_size, axis=0)
+                    trial[:, cell] = np.arange(self.x_size)
+                    scored = self._score_maps(aux, trial.reshape((-1,) + aux.shape))
+                    x = int(np.argmax(scored[:, -2]))
+                    if scored[x, -2] > scored[gamma[cell], -2]:
+                        gamma[cell], changed = x, True
+                    row = scored[gamma[cell]]
                 if not changed:
                     break
-        return (float(best), gamma) if best > -math.inf else (-math.inf, None)
+            gamma = gamma.reshape(aux.shape)
+        return float(row[-2]), gamma, row[:-2]
 
-    def sweep(self, points: np.ndarray, shape: tuple) -> tuple:
-        """Values (N,) of candidate rows (N, cells) and their maps gamma
-        (None for t2/t3 and for empty t1 candidates)."""
+    def value_t1(self, aux: np.ndarray) -> tuple:
+        """Best value over the maps gamma of one joint aux, and that map (None
+        when every map gives an empty region)."""
+        value, gamma, _ = self._best_map(aux)
+        return (value, gamma) if value > -math.inf else (-math.inf, None)
+
+    def score(self, points: np.ndarray) -> tuple:
+        """Values (N,), maps (N, *shape) and right-hand sides (N, m) of
+        candidate rows (N, cells): for t1 each joint under its best map, for
+        t2/t3 in batched calls of CHUNK rows, with maps all None."""
+        tables = points.reshape((-1,) + self.shape)
         if self.theorem == "t1":
-            picks = [self.value_t1(p.reshape(shape)) for p in points]
-            return np.array([v for v, _ in picks]), [g for _, g in picks]
-        return in_chunks(lambda c: self.value(c.reshape((-1,) + shape)), points), \
-            [None] * len(points)
+            vals, maps, rhs = zip(*map(self._best_map, tables))
+            return np.array(vals), np.array(maps), np.array(rhs)
+        rhs = in_chunks(self.rows, tables)
+        return in_chunks(self.oracle.value, rhs), np.full(len(tables), None), rhs
+
+    def materialize(self, flat, gamma) -> tuple:
+        """(scheme, p_ux) of one searched candidate; p_ux is None for t1."""
+        mass = np.asarray(flat, dtype=np.float64).reshape(self.shape)
+        if self.theorem == "t1":
+            aux = JointPmf(tuple(Alphabet.indexed(f"U{i}", s) for i, s in enumerate(self.sizes)),
+                           mass)
+            return AuxScheme(aux, gamma), None
+        p_ux = JointPmf((Alphabet.indexed("U", self.shape[0]), Alphabet.indexed("X", self.x_size)),
+                        mass)
+        kind = "deterministic" if self.theorem == "t2" else "more_capable"
+        return specialize_scheme(kind, p_ux, self.ch), p_ux
 
 
 def _candidate_levels(cells: int, cfg: SearchConfig):
     """Cumulative lattice sweep, one (N, cells) array per level, nested
     across resolutions for a fixed seed."""
     for level in range(2, cfg.grid_resolution + 1):
-        if lattice_count(cells, level) <= PER_LEVEL_CAP:
-            yield lattice_points(cells, level)
-        else:
-            rng = np.random.default_rng((cfg.seed, 11, level))
-            yield sample_lattice(rng, cells, level, PER_LEVEL_CAP)
+        yield lattice_or_sample(cells, level, PER_LEVEL_CAP, PER_LEVEL_CAP, (cfg.seed, 11, level))
 
 
 def region_for(ch: Channel, theorem: str, scheme: AuxScheme | None = None,
@@ -268,50 +300,35 @@ def maximize_weighted_rate(ch: Channel, weights, theorem: str,
     evaluate_weighted_rate returns for the reported candidate.
     """
     cfg = cfg or SearchConfig()
-    ev = _Evaluator(ch, theorem, weights)
-    sizes = cfg.aux_sizes or default_aux_sizes(theorem, ch.x.size)
-    shape = tuple(sizes) if theorem == "t1" else (sizes[0], ch.x.size)
-    cells = math.prod(shape)
+    ev = _Evaluator(ch, theorem, weights, cfg.aux_sizes)
+    cells = math.prod(ev.shape)
 
-    best = (-math.inf, None, None)  # value, flat point, gamma
-    starts = []  # refinement starts: each level's top point, then seeded restarts
+    starts = []  # (value, flat point, map): each level's top point, then seeded restarts
     for points in _candidate_levels(cells, cfg):
-        vals, gammas = ev.sweep(points, shape)
+        vals, maps, _ = ev.score(points)
         top = int(np.argmax(vals))
-        starts.append((points[top], gammas[top]))
-        if vals[top] > best[0]:
-            best = (vals[top], points[top], gammas[top])
-    for i in range(cfg.restarts):
-        flat = np.random.default_rng((cfg.seed, 22, i)).dirichlet(np.ones(cells))
-        vals, gammas = ev.sweep(flat[None], shape)
-        if vals[0] > best[0]:
-            best = (vals[0], flat, gammas[0])
-        starts.append((flat, gammas[0]))
+        starts.append((vals[top], points[top], maps[top]))
+    restarts = np.array([np.random.default_rng((cfg.seed, 22, i)).dirichlet(np.ones(cells))
+                         for i in range(cfg.restarts)])
+    vals, maps, _ = ev.score(restarts)
+    starts += zip(vals, restarts, maps)
 
-    if theorem == "t1":
-        # a start whose every map gives an empty region stays at -inf
-        starts = [(flat, gamma) for flat, gamma in starts if gamma is not None]
-    fixed = np.array([gamma for _, gamma in starts]) if theorem == "t1" else None
+    # a t1 joint whose every map gives an empty region has no map to climb with
+    live = [start for start in starts if theorem != "t1" or start[0] > -math.inf]
+    if live:
+        fixed = np.array([m for _, _, m in live])
+        refined, vals = refine_on_simplex(
+            lambda points, which: ev.value(points.reshape((-1,) + ev.shape), fixed[which]),
+            np.array([flat for _, flat, _ in live]), REFINE_BUDGET)
+        # a t1 map may improve at the refined joint; t2/t3 have no map
+        rescored = ev.score(refined)[:2] if theorem == "t1" else (vals, fixed)
+        for flat, val, m, val2, m2 in zip(refined, vals, fixed, *rescored):
+            starts.append((val2, flat, m2) if val2 > val else (val, flat, m))
 
-    def objective(points, which):
-        return ev.value(points.reshape((-1,) + shape), None if fixed is None else fixed[which])
-
-    if starts:
-        refined, vals = refine_on_simplex(objective, np.array([f for f, _ in starts]),
-                                          cfg.max_iters)
-        for flat, val, (_, gamma) in zip(refined, vals, starts):
-            if theorem == "t1":
-                # gamma may improve at the refined joint
-                val2, gamma2 = ev.value_t1(flat.reshape(shape))
-                if val2 > val:
-                    val, gamma = val2, gamma2
-            if val > best[0]:
-                best = (val, flat, gamma)
-
-    best_val, best_flat, best_gamma = best
-    if best_flat is None:
-        raise InputError("search produced no candidates")
-    scheme, p_ux = _materialize(theorem, best_flat, best_gamma, ch, sizes)
+    best_val, best_flat, best_map = max(starts, key=lambda start: start[0])  # the first maximum
+    if best_val == -math.inf:
+        raise InputError("every searched candidate gives an empty region")
+    scheme, p_ux = ev.materialize(best_flat, best_map)
     return SearchResult(theorem, float(best_val), tuple(float(w) for w in ev.weights),
                         scheme, p_ux)
 
@@ -358,8 +375,7 @@ def union_slice_2d(ch: Channel, free, fixed: dict, theorem: str,
         raise InputError("fixed rates must be nonnegative")
     if directions < 1:
         raise InputError("directions must be at least 1")
-    ev = _Evaluator(ch, theorem, [1.0] * 5)
-    sizes = cfg.aux_sizes or default_aux_sizes(theorem, ch.x.size)
+    ev = _Evaluator(ch, theorem, [1.0] * 5, cfg.aux_sizes)
     ia = RATE_VARS.index(free[0])
     ib = RATE_VARS.index(free[1])
     fixed_vec = np.zeros(5)
@@ -373,25 +389,20 @@ def union_slice_2d(ch: Channel, free, fixed: dict, theorem: str,
     best_id = np.full(directions, -1, dtype=np.int64)
     schemes = {}  # candidate index -> payload, for candidates that led a direction
 
-    shape = tuple(sizes) if theorem == "t1" else (sizes[0], ch.x.size)
     rows_a = np.vstack([ev.lhs[:, [ia, ib]],
                         [[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0]]])
     box_b = np.array([0.0, 0.0, BOX_HI, BOX_HI])
     offset = ev.lhs @ fixed_vec
     seen = 0
-    for points in _candidate_levels(math.prod(shape), cfg):
+    for points in _candidate_levels(math.prod(ev.shape), cfg):
         for start in range(0, len(points), CHUNK):
             chunk = points[start:start + CHUNK]
-            tables = chunk.reshape((-1,) + shape)
-            t1 = theorem == "t1"
-            gammas = [ev.value_t1(t)[1] for t in tables] if t1 else [None] * len(chunk)
-            empty = np.array([t1 and g is None for g in gammas])
-            rhs = ev.rows(tables, np.array([np.zeros(shape, dtype=np.int64) if g is None else g
-                                            for g in gammas]) if t1 else None)
+            vals, maps, rhs = ev.score(chunk)
             rows_b = np.concatenate([rhs - offset, np.broadcast_to(box_b, (len(chunk), 4))],
                                     axis=1)
             vmax, verts = _polygon_best(rows_a, rows_b, dirs)
-            vmax[empty] = -math.inf
+            if theorem == "t1":  # a joint whose every map gives an empty region
+                vmax[vals == -math.inf] = -math.inf
             # per direction the first candidate of the maximal value wins
             win = vmax.argmax(axis=0)
             better = vmax[win, np.arange(directions)] > best_val
@@ -400,7 +411,7 @@ def union_slice_2d(ch: Channel, free, fixed: dict, theorem: str,
                 best_val[k] = vmax[c, k]
                 best_pt[k] = verts[c, k]
                 best_id[k] = seen + c
-                schemes[seen + c] = (theorem, chunk[c].copy(), gammas[c])
+                schemes[seen + c] = (chunk[c].copy(), maps[c])
             seen += len(chunk)
 
     out = []
@@ -417,17 +428,5 @@ def union_slice_2d(ch: Channel, free, fixed: dict, theorem: str,
     remap = {old: new for new, old in enumerate(used)}
     for p in out:
         p["scheme_id"] = remap[p["scheme_id"]]
-    kept = [schemes[i] for i in used]
-    return out, [_materialize(*payload, ch, sizes)[0] for payload in kept]
+    return out, [ev.materialize(*schemes[i])[0] for i in used]
 
-
-def _materialize(theorem: str, flat, gamma, ch: Channel, sizes) -> tuple:
-    """(scheme, p_ux) of one searched candidate; p_ux is None for t1."""
-    if theorem == "t1":
-        aux = JointPmf(tuple(Alphabet.indexed(f"U{i}", s) for i, s in enumerate(sizes)),
-                       np.asarray(flat, dtype=np.float64).reshape(sizes))
-        return AuxScheme(aux, gamma), None
-    p_ux = JointPmf((Alphabet.indexed("U", sizes[0]), Alphabet.indexed("X", ch.x.size)),
-                    np.asarray(flat, dtype=np.float64).reshape(sizes[0], ch.x.size))
-    kind = "deterministic" if theorem == "t2" else "more_capable"
-    return specialize_scheme(kind, p_ux, ch), p_ux

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd, inf, isfinite
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -331,12 +331,23 @@ class RateRegion:
     @classmethod
     def from_jsonable(cls, data: dict) -> "RateRegion":
         try:
-            ineqs = [LinearInequality({v: Fraction(c) for v, c in item["coeffs"].items()},
-                                      float(item["rhs"]))
-                     for item in data["inequalities"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            ineqs = [_read_row(item) for item in data["inequalities"]]
+        except (KeyError, TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
             raise InputError(f"bad region data: {exc}") from exc
         return cls(LinearSystem(RATE_VARS, ineqs), data.get("provenance"))
+
+
+def _read_row(item: dict) -> LinearInequality:
+    """One row of a region file: finite float coefficients and rhs, and a
+    canonical form whose scale fits a float."""
+    if not isinstance(item["coeffs"], dict):
+        raise TypeError("coeffs must map rate names to numbers")
+    row = LinearInequality({v: Fraction(c) for v, c in item["coeffs"].items()},
+                           float(item["rhs"]))
+    if not (isfinite(row.rhs) and all(isfinite(float(c)) for c in row.coeffs.values())):
+        raise ValueError("coefficients and rhs must be finite")
+    row.canonical()
+    return row
 
 
 def contains(region: RateRegion, point) -> bool:

@@ -117,6 +117,11 @@ def validate_mass(mass: np.ndarray, expected_cells: int) -> str | None:
         if v < 0:
             return f"mass[{i}] = {v} is negative"
     if exact:
+        # an entry above 1 fails the sum anyway; it is caught first, because
+        # an exact sum that large can overflow a float
+        for i, v in enumerate(flat):
+            if v > 1 + SUM_TOL:
+                return f"mass[{i}] is above 1"
         total = sum(flat, Fraction(0))
         if abs(float(total) - 1.0) > SUM_TOL:
             return f"sum = {float(total):g}"
@@ -495,14 +500,34 @@ def load_json(path_or_dict):
         raise InputError(f"{path_or_dict} is not valid JSON: {exc}") from exc
 
 
+def _integer(value) -> int:
+    """An integer entry of an input file (a number or a decimal string)."""
+    i = int(value)
+    if not isinstance(value, str) and i != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return i
+
+
+def _indexed_axes(names, sizes) -> tuple:
+    """Indexed alphabets of a file's sizes, checked before any is built."""
+    if any(s < 1 for s in sizes):
+        raise InputError(f"alphabet sizes must be positive, got {list(sizes)}")
+    cells = math.prod(sizes)
+    if cells > CELL_CAP:
+        raise GuardError(f"joint over {cells} cells exceeds dense cap {CELL_CAP}")
+    return tuple(Alphabet.indexed(n, s) for n, s in zip(names, sizes))
+
+
 def load_channel(path_or_dict) -> Channel:
     spec = load_json(path_or_dict)
     try:
-        x_size = int(spec["x_size"])
-        y1_size = int(spec["y1_size"])
-        y2_size = int(spec["y2_size"])
+        x_size = _integer(spec["x_size"])
+        y1_size = _integer(spec["y1_size"])
+        y2_size = _integer(spec["y2_size"])
         rows = spec["kernel"]
-    except (KeyError, TypeError, ValueError) as exc:
+        if not isinstance(rows, list):
+            raise TypeError("kernel must be a list of rows")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad channel file: {exc}") from exc
     return Channel.from_rows(rows, x_size, y1_size, y2_size)
 
@@ -510,29 +535,26 @@ def load_channel(path_or_dict) -> Channel:
 def load_aux_scheme(path_or_dict) -> AuxScheme:
     spec = load_json(path_or_dict)
     try:
-        sizes = tuple(int(s) for s in spec["u_sizes"])
+        sizes = tuple(_integer(s) for s in spec["u_sizes"])
         joint = spec["joint"]
-        gamma = spec["gamma"]
-    except (KeyError, TypeError, ValueError) as exc:
+        gamma = np.asarray([_integer(v) for v in spec["gamma"]], dtype=np.int64)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad aux scheme file: {exc}") from exc
     if len(sizes) != 3:
         raise InputError("u_sizes must list exactly three sizes")
-    axes = tuple(Alphabet.indexed(f"U{i}", s) for i, s in enumerate(sizes))
-    jp = JointPmf.from_values(axes, joint)
-    g = np.asarray([int(v) for v in gamma], dtype=np.int64)
-    if g.size != math.prod(sizes):
+    jp = JointPmf.from_values(_indexed_axes(("U0", "U1", "U2"), sizes), joint)
+    if gamma.size != math.prod(sizes):
         raise InputError("gamma length does not match u_sizes")
-    return AuxScheme(jp, g.reshape(sizes))
+    return AuxScheme(jp, gamma.reshape(sizes))
 
 
 def load_ux_joint(path_or_dict) -> JointPmf:
     """Load a p(u, x) joint for the capacity-formula regions."""
     spec = load_json(path_or_dict)
     try:
-        u_size = int(spec["u_size"])
-        x_size = int(spec["x_size"])
+        u_size = _integer(spec["u_size"])
+        x_size = _integer(spec["x_size"])
         joint = spec["joint"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad input-auxiliary joint file: {exc}") from exc
-    axes = (Alphabet.indexed("U", u_size), Alphabet.indexed("X", x_size))
-    return JointPmf.from_values(axes, joint)
+    return JointPmf.from_values(_indexed_axes(("U", "X"), (u_size, x_size)), joint)

@@ -45,6 +45,14 @@ def sample_lattice(rng: np.random.Generator, parts: int, resolution: int,
     return _from_bars(bars, resolution)
 
 
+def lattice_or_sample(parts: int, resolution: int, cap: int, sample: int, seed) -> np.ndarray:
+    """Every lattice pmf when there are at most `cap` of them, else `sample`
+    of them drawn by sample_lattice from the stream default_rng(seed)."""
+    if lattice_count(parts, resolution) <= cap:
+        return lattice_points(parts, resolution)
+    return sample_lattice(np.random.default_rng(seed), parts, resolution, sample)
+
+
 def _from_bars(bars: np.ndarray, resolution: int) -> np.ndarray:
     """Pmfs (N, parts) from sorted stars-and-bars positions (N, parts - 1)."""
     slots = resolution + bars.shape[1]

@@ -50,6 +50,8 @@ _MSG_NAMES = SIZE_NAMES[:7]  # Msg field order, the order of the message draws
 
 
 def _size_from_rate(n: int, rate: float) -> int:
+    if n * rate > 64:  # far beyond DESK_CAP, where 2.0 ** (n * rate) may overflow
+        raise GuardError(f"message set 2^{n * rate:g} exceeds desk-scale cap {DESK_CAP}")
     v = 2.0 ** (n * rate)
     nearest = round(v)
     if abs(v - nearest) < 1e-9:
@@ -73,6 +75,8 @@ class SchemeConfig:
     def __post_init__(self):
         if self.n < 1:
             raise InputError("blocklength must be at least 1")
+        if self.seed < 0:
+            raise InputError("seed must be nonnegative")
         if not (self.eps_prime > 0 and self.eps1 > 0 and self.eps2 > 0):
             raise InputError("typicality slacks must be positive")
         if self.eps_prime >= min(self.eps1, self.eps2):

@@ -214,6 +214,33 @@ def pareto_gamma_pick(aux, x_size, rows_and_key, value):
     return best_val, best_gamma
 
 
+def plain_greedy_gamma(aux, x_size, value):
+    """The t1 greedy map search as a scalar loop, one map per value call:
+    from the all-zero map, up to three passes over the support cells, each
+    symbol tried in turn and kept only on a strict improvement. value(aux,
+    gamma) is the support value of one map. Returns (value, gamma), gamma
+    None when the value is -inf."""
+    support = np.flatnonzero(aux.reshape(-1) > 0.0)
+    gamma = np.zeros(aux.shape, dtype=np.int64)
+    flat = gamma.reshape(-1)
+    best = value(aux, gamma)
+    for _ in range(3):
+        changed = False
+        for cell, x in itertools.product(support, range(x_size)):
+            old = flat[cell]
+            if x == old:
+                continue
+            flat[cell] = x
+            val = value(aux, gamma)
+            if val > best:
+                best, changed = val, True
+            else:
+                flat[cell] = old
+        if not changed:
+            break
+    return (float(best), gamma) if best > -math.inf else (-math.inf, None)
+
+
 def plain_sample_categorical(rng, cdf_rows, rows):
     """Inverse-cdf draw, one uniform per entry of rows, counted column by
     column against the cdf row each entry selects."""

@@ -142,3 +142,30 @@ def test_uy_mi_batched_equals_single_calls_bitwise(rng):
         assert batched.shape == (b,)
         for i in range(b):
             assert batched[i] == _uy_mi(joints[i], kernel)
+
+
+def test_large_input_alphabet_samples_instead_of_enumerating(rng, monkeypatch):
+    """A default classify on |X| = 16 would enumerate 300.5M more-capable
+    lattice points; the more-capable grid samples above MORE_CAPABLE_CAP,
+    the less-noisy grid above LATTICE_CAP. Only the lattices matter here,
+    so the descent is skipped."""
+    from conftest import random_channel
+
+    import bcsi.classifier as cl
+    import bcsi.simplex_search as ss
+    sizes = []
+    inner = ss.lattice_points
+
+    def recording(parts, resolution):
+        sizes.append(ss.lattice_count(parts, resolution))
+        return inner(parts, resolution)
+
+    monkeypatch.setattr(ss, "lattice_points", recording)
+    monkeypatch.setattr(cl, "refine_on_simplex",
+                        lambda objective, starts, budget: (starts, objective(starts, None)))
+    ch = random_channel(rng, 16, 2, 2)
+    assert ss.lattice_count(16, 16) > cl.MORE_CAPABLE_CAP
+    verdicts = classify_all(ch)
+    assert max(sizes, default=0) <= cl.LATTICE_CAP
+    assert verdicts["more_capable"].grid_resolution == 16
+    assert verdicts["less_noisy"].grid_resolution == 8

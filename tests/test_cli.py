@@ -1,8 +1,15 @@
+import copy
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bcsi.cli import main
 
@@ -25,6 +32,9 @@ def files(tmp_path):
         p.write_text(json.dumps(data))
         paths[name] = str(p)
     paths["tmp"] = tmp_path
+    paths["region"] = str(tmp_path / "region.json")
+    assert main(["region", "--theorem", "t2", "--channel", paths["channel"],
+                 "--scheme", paths["ux"], "--out", paths["region"]]) == 0
     return paths
 
 
@@ -231,14 +241,154 @@ _BAD_ARGV = {
 
 @pytest.mark.parametrize("argv", list(_BAD_ARGV.values()), ids=list(_BAD_ARGV))
 def test_bad_option_or_out_directory_exit_1(files, capsys, argv):
-    region = files["tmp"] / "region.json"
-    assert main(["region", "--theorem", "t2", "--channel", files["channel"],
-                 "--scheme", files["ux"], "--out", str(region)]) == 0
-    argv = [a.format(region=region, **files) for a in argv]
+    argv = [a.format(**files) for a in argv]
     code, _, err = run_cli(argv, capsys)
     assert code == 1
     assert "error:" in err
     assert "Traceback" not in err
+
+
+def _mutated(spec, path, value):
+    out = copy.deepcopy(spec)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+# Inputs that once ended in a Python traceback or ran out of memory: (file
+# kind, path in the file, value) or None, the argv, and the exit code they
+# must end in.
+_KERNEL_400 = [[["1e400", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]]
+_MALFORMED = {
+    "kernel not a list": (("channel", ["kernel"], 5), ["validate", "--channel", "{file}"], 1),
+    "probability 1e400": (("channel", ["kernel"], _KERNEL_400),
+                          ["validate", "--channel", "{file}"], 1),
+    "coefficient 1e400": (("region", ["inequalities", 0, "coeffs"], {"R1": "1e400"}),
+                          ["compare", "{file}", "{file}"], 1),
+    "gamma x": (("aux", ["gamma", 1], "x"),
+                ["validate", "--channel", "{channel}", "--scheme", "{file}"], 1),
+    "gamma dict": (("aux", ["gamma", 1], {"x": 1}),
+                   ["validate", "--channel", "{channel}", "--scheme", "{file}"], 1),
+    "gamma null": (("aux", ["gamma", 1], None),
+                   ["validate", "--channel", "{channel}", "--scheme", "{file}"], 1),
+    "gamma 1.5": (("aux", ["gamma", 1], 1.5),
+                  ["validate", "--channel", "{channel}", "--scheme", "{file}"], 1),
+    "rhs nan": (("region", ["inequalities", 0, "rhs"], "nan"), ["compare", "{file}", "{file}"], 1),
+    "rhs -inf": (("region", ["inequalities", 0, "rhs"], "-inf"),
+                 ["compare", "{file}", "{file}"], 1),
+    "coeffs list": (("region", ["inequalities", 0, "coeffs"], ["R1"]),
+                    ["compare", "{file}", "{file}"], 1),
+    "u_sizes 67M": (("aux", ["u_sizes", 0], 67103744),  # found by the fuzz test below
+                    ["validate", "--channel", "{channel}", "--scheme", "{file}"], 2),
+    "u_sizes 0": (("aux", ["u_sizes", 0], 0),
+                  ["validate", "--channel", "{channel}", "--scheme", "{file}"], 1),
+    "rate 1e9": (None, _with(_SIMULATE, "--rates", "R1=1e9"), 2),
+    "n 3000": (None, _with(_SIMULATE, "--n", "3000"), 2),
+    "simulate seed -1": (None, _SIMULATE + ["--seed", "-1"], 1),
+    "optimize seed -1": (None, _OPTIMIZE + ["--seed", "-1"], 1),
+    "slice seed -1": (None, _SLICE + ["--seed", "-1"], 1),
+    "weights 1e308": (None, _with(_OPTIMIZE, "--weights", "1e308,1e308,1,1,1"), 1),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED.values()), ids=list(_MALFORMED))
+def test_malformed_input_exit_code(files, capsys, case):
+    edit, argv, want = case
+    specs = {"channel": NOISELESS, "aux": AUX_COMPLEMENTARY,
+             "region": json.loads(Path(files["region"]).read_text())}
+    target = ""
+    if edit is not None:
+        kind, path, value = edit
+        target = files["tmp"] / f"mutated_{kind}.json"
+        target.write_text(json.dumps(_mutated(specs[kind], path, value)))
+    code, out, err = run_cli([a.format(file=target, **files) for a in argv], capsys)
+    assert code == want
+    assert ("error:" if want == 1 else "guard:") in err
+    assert "Traceback" not in err
+
+
+# ---- fuzzing: mutated fixture files and option values ------------------------
+
+FUZZ_EXAMPLES = 60
+_FUZZ_ARGV = {
+    "validate": ["validate", "--channel", "{channel}", "--scheme", "{aux}"],
+    "classify": ["classify", "--channel", "{channel}", "--resolution", "3", "--u-size", "2"],
+    "region t1": ["region", "--theorem", "t1", "--channel", "{channel}", "--scheme", "{aux}"],
+    "region t3": ["region", "--theorem", "t3", "--channel", "{channel}", "--scheme", "{ux}"],
+    "raw-project": ["raw-project", "--channel", "{channel}", "--scheme", "{aux}"],
+    "optimize": ["optimize", "--channel", "{channel}", "--theorem", "t1",
+                 "--weights", "1,1,1,1,1", "--aux-sizes", "2,1,2", "--resolution", "3",
+                 "--restarts", "1", "--seed", "1"],
+    "optimize t2": ["optimize", "--channel", "{channel}", "--theorem", "t2",
+                    "--weights", "0,1,1,0,0", "--aux-sizes", "2,1,1", "--resolution", "3"],
+    "slice": ["slice", "--channel", "{channel}", "--theorem", "t1", "--free", "R2,R3",
+              "--fixed", "R1=0,R4=0,R5=0", "--aux-sizes", "2,2,1", "--resolution", "3",
+              "--directions", "3", "--seed", "2"],
+    "simulate": ["simulate", "--channel", "{channel}", "--scheme", "{aux}",
+                 "--rates", "R1=0.5", "--n", "6", "--trials", "20", "--eps", "0.3",
+                 "--seed", "3"],
+    "compare": ["compare", "{region}", "{region}"],
+}
+# option values: small counts, so that every run stays small, and edge cases
+_OPTION_VALUES = st.one_of(
+    st.integers(-2, 6).map(str),
+    st.sampled_from(["", "x", ",", "nan", "inf", "-inf", "1e300", "1e400", "-1e-300", "0.5",
+                     "1,1,1,1,1e300", "0,0,0,0,0", "1,-1,1,1,1", "1,1,1,1", "2,2,2", "0,1,1",
+                     "3,2,x", "R1=1e9", "R1=-1", "R9=1", "R1", "R2,R2", "R1,R4", "Rp1=0.5",
+                     "R22=0.5,Rp2=1e300", "R1=0,R4=0", "t4"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr))
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 4),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["1e400", "-1e400", "1e-400", "x", "1/0", "1/2", "nan", "-inf", "0", "1",
+                     "-1", "0.5"]),
+    st.lists(st.sampled_from([0, 1, "1/2", -1, 2.5]), max_size=4),
+    st.dictionaries(st.sampled_from(["R1", "R2", "X", "rhs"]), st.sampled_from([0, 1, "1e400"]),
+                    max_size=2))
+
+
+def _paths(node, prefix=()):
+    """Every path to a value inside a JSON tree, the root's children first."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@settings(max_examples=FUZZ_EXAMPLES, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_inputs_end_in_an_exit_code(files, data):
+    specs = {"channel": NOISELESS, "aux": AUX_COMPLEMENTARY, "ux": UX_UNIFORM,
+             "region": json.loads(Path(files["region"]).read_text())}
+    name = data.draw(st.sampled_from(sorted(_FUZZ_ARGV)), label="verb")
+    argv = list(_FUZZ_ARGV[name])
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = dict(files)
+        used = [kind for kind in specs if any("{" + kind + "}" in a for a in argv)]
+        for kind in used:
+            spec = specs[kind]
+            if data.draw(st.booleans(), label=f"mutate {kind}"):
+                path = data.draw(st.sampled_from(list(_paths(spec))), label=f"{kind} path")
+                spec = _mutated(spec, path, data.draw(_JSON_VALUES, label="value"))
+            paths[kind] = str(Path(tmp) / f"{kind}.json")
+            Path(paths[kind]).write_text(json.dumps(spec))
+        values = [i + 1 for i, a in enumerate(argv[:-1]) if a.startswith("--")]
+        for i in data.draw(st.lists(st.sampled_from(values), max_size=2), label="options") \
+                if values else ():
+            argv[i] = data.draw(_OPTION_VALUES, label=argv[i - 1])
+        argv = [a.format(**paths) for a in argv]
+        err = io.StringIO()
+        try:
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(argv)
+        except SystemExit as exc:  # argparse rejects an option value
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 class TestConsoleScript:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bcsi.errors import InputError
-from bcsi.optimizer import (SearchConfig, evaluate_weighted_rate,
+from bcsi.optimizer import (THEOREMS, SearchConfig, evaluate_weighted_rate,
                             maximize_weighted_rate, region_for, union_slice_2d)
 from bcsi.optimizer import _LHS3, _LHS5, _SupportOracle
 from bcsi.polytope import contains, maximize
@@ -123,6 +123,86 @@ class TestGammaOnSupport:
         assert abs(json.loads(captured.out)["best_value"]) <= 1e-12
 
 
+class TestGammaCellCap:
+    """Above GAMMA_CELL_CAP maps on the support times joint cells, the t1 map
+    search runs greedy passes that score every symbol of one cell per call."""
+
+    @staticmethod
+    def _joints(rng, sizes, count, support=None):
+        cells = int(np.prod(sizes))
+        for _ in range(count):
+            aux = np.zeros(cells)
+            aux[:support or cells] = rng.dirichlet(np.ones(support or cells))
+            yield aux.reshape(sizes)
+
+    def test_greedy_matches_scalar_loop_bitwise(self, rng):
+        from conftest import random_channel
+        from oracles import plain_greedy_gamma
+
+        from bcsi.optimizer import GAMMA_CELL_CAP, _Evaluator
+        cases = [(blackwell_channel(), (4, 3, 3), 12),
+                 (random_channel(rng, 3, 2, 2), (3, 2, 2), 12),
+                 (random_channel(rng, 5, 2, 3), (2, 2, 2), 10)]
+        checked = 0
+        for ch, sizes, count in cases:
+            for weights in ((1, 1, 1, 1, 1), (0, 1, 1, 0, 0), rng.random(5)):
+                ev = _Evaluator(ch, "t1", weights)
+                for aux in self._joints(rng, sizes, count // 3 + 1):
+                    assert ch.x.size ** np.count_nonzero(aux) * aux.size > GAMMA_CELL_CAP
+                    val, gamma = ev.value_t1(aux)
+                    want_val, want_gamma = plain_greedy_gamma(aux, ch.x.size, ev.value)
+                    assert val == want_val
+                    if want_gamma is None:
+                        assert gamma is None
+                    else:
+                        assert np.array_equal(gamma, want_gamma)
+                    checked += 1
+        assert checked >= 30
+
+    @staticmethod
+    def _count_maps(monkeypatch):
+        import bcsi.optimizer as opt
+        counts = {"calls": 0, "maps": 0}
+        inner = opt._t1_rows
+
+        def counting(aux, gamma, k1, k2):
+            counts["calls"] += 1
+            counts["maps"] += int(np.prod(np.shape(gamma)[:-3]))
+            return inner(aux, gamma, k1, k2)
+
+        monkeypatch.setattr(opt, "_t1_rows", counting)
+        return counts
+
+    def test_one_search_scores_at_most_the_cap(self, rng, monkeypatch):
+        from conftest import random_channel
+
+        from bcsi.optimizer import GAMMA_CELL_CAP, _Evaluator
+        ev = _Evaluator(random_channel(rng, 4, 2, 2), "t1", (1, 1, 1, 1, 1))
+        aux = next(self._joints(rng, (3, 2, 2), 1))
+        counts = self._count_maps(monkeypatch)
+        ev.value_t1(aux)
+        assert counts["maps"] * aux.size <= GAMMA_CELL_CAP  # enumerating would score 4^12
+        # one call per support cell and pass, |X| maps each
+        assert counts["calls"] in (12, 24, 36)
+        assert counts["maps"] == 4 * counts["calls"]
+
+    def test_cap_counts_maps_on_the_support_times_cells(self, rng, monkeypatch):
+        from conftest import random_channel
+
+        from bcsi.optimizer import GAMMA_CELL_CAP, _Evaluator
+        ev = _Evaluator(random_channel(rng, 2, 2, 2), "t1", (1, 1, 1, 1, 1))
+        counts = self._count_maps(monkeypatch)
+        ev.value_t1(next(self._joints(rng, (3, 2, 2), 1)))  # 2^12 maps of 12 cells: all scored
+        assert counts["maps"] == 2 ** 12
+        for support, enumerated in ((12, True), (13, False), (16, False)):
+            counts["maps"] = 0
+            ev.value_t1(next(self._joints(rng, (4, 2, 2), 1, support)))
+            if enumerated:  # 2^12 maps on the support, 16 cells each: at the cap
+                assert counts["maps"] * 16 == GAMMA_CELL_CAP
+            else:
+                assert counts["maps"] <= 3 * support * 2
+
+
 class TestMaximizeWeightedRate:
     def test_r4_on_noiseless_binary_reaches_capacity(self):
         ch = noiseless_channel(2)
@@ -134,6 +214,19 @@ class TestMaximizeWeightedRate:
         ch = noiseless_channel(2)
         with pytest.raises(InputError):
             maximize_weighted_rate(ch, (0, 0, 0, 0, 0), "t1", SearchConfig())
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InputError, match="seed"):
+            SearchConfig(seed=-1)
+
+    def test_huge_weights_rejected_or_exact(self):
+        ch = noiseless_channel(2)
+        cfg = SearchConfig(aux_sizes=(2, 1, 1), grid_resolution=2, restarts=1)
+        for theorem in THEOREMS:
+            res = maximize_weighted_rate(ch, (1, 1, 1, 1, 1e300), theorem, cfg)
+            assert res.value == pytest.approx(1e300)
+            with pytest.raises(InputError, match="too large"):
+                maximize_weighted_rate(ch, (1e308,) * 5, theorem, cfg)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(InputError):

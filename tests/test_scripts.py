@@ -1,0 +1,52 @@
+"""Smoke runs of the example scripts, in-process and at small sizes."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"script_{name}", SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_noiseless_trend(capsys):
+    assert _load("noiseless_trend").main(["--trials", "20"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["rate", "n", "pe", "ci95", "fallbacks"]
+    rows = [line.split() for line in lines[1:]]
+    assert [row[:2] for row in rows] == [["0.50", "4"], ["0.50", "8"], ["0.50", "12"],
+                                         ["2.00", "4"], ["2.00", "8"], ["2.00", "12"]]
+    assert all(row[2] == "1.0000" for row in rows[3:5])  # overloaded: every trial fails
+    assert rows[5][2] == "skipped"  # 2^24 cloud words exceed the desk-scale cap
+
+
+def test_blackwell_slice(capsys, tmp_path):
+    out = tmp_path / "slice.csv"
+    assert _load("blackwell_slice").main(["--resolution", "3", "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert "max R2+R3 = 1.584963" in text
+    assert f"wrote {out}" in text
+    lines = out.read_text().splitlines()
+    assert lines[0] == "angle_deg,R2,R3,scheme_id"
+    assert len(lines) == 1 + 17
+
+
+def test_classify_channels(capsys):
+    assert _load("classify_channels").main() == 0
+    verdicts = {}
+    for line in capsys.readouterr().out.splitlines():
+        cells = line.rsplit(maxsplit=4)
+        if len(cells) == 5 and set(cells[1:]) <= {"True", "False"}:
+            verdicts[cells[0].strip()] = [c == "True" for c in cells[1:]]
+    # deterministic, degraded, less_noisy, more_capable
+    assert verdicts == {
+        "noiseless binary": [True, True, True, True],
+        "crossover 0.1 / 0.2": [False, True, True, True],
+        "crossover 0.2 / 0.1 (swapped)": [False, False, False, False],
+        "blackwell maps": [True, False, False, False],
+        "y2 constant": [False, True, True, True],
+    }
