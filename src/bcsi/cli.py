@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+import time
 
 import numpy as np
 
@@ -235,8 +236,12 @@ def cmd_simulate(args) -> int:
                        eps_prime=args.eps / 2, eps1=args.eps, eps2=args.eps,
                        seed=args.seed, fresh_codebooks=not args.fixed_codebook)
 
+    start = time.perf_counter()
+
     def progress(done, errs):
-        sys.stderr.write(f"trials={done} errors={errs}\n")
+        elapsed = time.perf_counter() - start
+        sys.stderr.write(f"trials={done} errors={errs} elapsed_s={elapsed:.2f} "
+                         f"trials_per_s={done / max(elapsed, 1e-9):.0f}\n")
 
     report = estimate_error(ch, cfg, args.trials, progress=progress)
     data = report.to_jsonable()

@@ -99,6 +99,12 @@ class _SupportOracle:
 
     def __init__(self, lhs: np.ndarray, weights: np.ndarray):
         m, n = lhs.shape
+        # The vertices and values are linear in the weights, so they are
+        # built for the weights scaled by 2**shift to a largest entry in
+        # [1, 2), where the rounding below merges duplicates at any scale,
+        # and values are scaled back exactly
+        self.shift = 1 - math.frexp(float(weights.max()))[1]
+        weights = np.ldexp(weights, self.shift)
         planes = []  # rows (a, c) of a . y = c
         for i in range(m):
             e = np.zeros(m)
@@ -130,7 +136,7 @@ class _SupportOracle:
     def value(self, rhs: np.ndarray) -> np.ndarray:
         """value(b) for right-hand sides (..., m), -inf where any is negative."""
         vals = (np.einsum("vm,...m->...v", self.ys, rhs) + self.consts).min(axis=-1)
-        return np.where(rhs.min(axis=-1) < 0.0, -math.inf, vals)
+        return np.where(rhs.min(axis=-1) < 0.0, -math.inf, np.ldexp(vals, -self.shift))
 
 
 class _Evaluator:

@@ -11,10 +11,13 @@ sequences are tested against the conditional law given the empirical type of
 the part already fixed (the cloud word at the encoder, the candidate
 codeword pair at the decoders). The test depends on a candidate only through
 its joint type, so it runs once per distinct type rather than once per
-candidate. The standalone is_jointly_typical keeps the plain multiplicative
-form. Receiver errors are counted as decoded-message mismatches; a failed
-search still yields a deterministic default guess, so a rate-zero
-configuration never errors.
+candidate. A type is keyed by an integer summed over packed words: each
+group of positions forms one uint16 word of cell indices, looked up in a
+cached table of partial keys, and codewords are packed once per call rather
+than gathered position by position. The standalone is_jointly_typical keeps
+the plain multiplicative form. Receiver errors are counted as
+decoded-message mismatches; a failed search still yields a deterministic
+default guess, so a rate-zero configuration never errors.
 
 Per-trial randomness comes from counter-style derived generators
 (master seed, trial index), so reports are bit-identical given the config.
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -39,6 +42,7 @@ DESK_CAP = 1_000_000  # product of all message-set and bin sizes
 _CHUNK_CELLS = 4_000_000
 _TABLE_KEYS = 2 ** 16  # type-key spaces up to this size get a pass/fail table
 _KEY_LIMIT = 2 ** 63   # type keys below this fit int64
+_WORD_KEYS = 2 ** 16  # packed words of cell indices below this fit uint16
 # Codeword symbols, bin pairs and channel draws a block of trials holds (a
 # block has at least one trial): what one trial of 65,536 cloud words of
 # length 8 draws
@@ -206,6 +210,45 @@ def _band_ok(counts: np.ndarray, table: np.ndarray, eps: float) -> np.ndarray:
     return ~(zero_viol | band_viol)
 
 
+def _group_size(cells: int, n: int) -> int:
+    """Positions per packed word: the most with cells**g <= _WORD_KEYS, at
+    most n."""
+    g = 1
+    while g < n and cells ** (g + 1) <= _WORD_KEYS:
+        g += 1
+    return g
+
+
+@lru_cache(maxsize=16)
+def _partial_keys(base: int, cells: int, size: int) -> np.ndarray:
+    """Partial type key sum_j base**d_j of every word sum_j d_j * cells**j of
+    size digits d_j < cells, indexed by the word, in the smallest unsigned
+    dtype that holds every full key (below base**cells)."""
+    digit = (base ** np.arange(cells, dtype=np.int64)).astype(
+        np.min_scalar_type(base ** cells - 1))
+    keys = digit
+    for _ in range(size - 1):  # word = d_0 + cells * (word of the other digits)
+        keys = (keys[:, None] + digit).reshape(-1)
+    keys.flags.writeable = False
+    return keys
+
+
+def _pack(idx: np.ndarray, cells: int, g: int) -> list:
+    """uint16 words sum_j idx[..., s + j] * cells**j, one per group of g
+    positions starting at s (the last group may be shorter), by Horner's
+    rule over the positions of the group."""
+    n = idx.shape[-1]
+    words = []
+    for s in range(0, n, g):
+        top = min(s + g, n) - 1
+        word = idx[..., top].astype(np.uint16)
+        for t in range(top - 1, s - 1, -1):
+            word *= np.uint16(cells)
+            np.add(word, idx[..., t], out=word, casting="unsafe")
+        words.append(word)
+    return words
+
+
 def _typical_flags(known: np.ndarray, new: np.ndarray, table: np.ndarray, eps: float,
                    pass_tables: dict | None = None) -> np.ndarray:
     """Vectorized conditional typicality over candidates.
@@ -213,20 +256,26 @@ def _typical_flags(known: np.ndarray, new: np.ndarray, table: np.ndarray, eps: f
     known and new hold per-position cell indices into table = p(new | known)
     and broadcast against each other to one (..., n) array of candidates;
     the flags have the leading shape. The test depends on a candidate only
-    through its count vector, which the key sum_t (n+1)**(known_t *
-    new_cells + new_t) spells out in base n + 1. The band test runs on every
-    possible key when there are at most _TABLE_KEYS of them (the pass/fail
-    table is kept in pass_tables under (n, eps)), else on each distinct key,
-    and per candidate only where a key would overflow int64.
+    through its count vector, which the key sum_t (n+1)**c_t, c_t = known_t
+    * new_cells + new_t, spells out in base n + 1. The sum does not depend
+    on the order of the positions, so it is taken over groups of g
+    positions, g the most with cells**g <= _WORD_KEYS: each group's cells
+    form one uint16 word sum_j c_{s+j} * cells**j, whose partial key is
+    looked up in a cached table (_partial_keys). The word is linear in c,
+    so known and new are packed on their own shapes and only the words
+    broadcast. The band test runs on every possible key when there are at
+    most _TABLE_KEYS of them (the pass/fail table is kept in pass_tables
+    under (n, eps)), else on each distinct key, and per candidate only where
+    a key would overflow int64.
     """
+    known, new = np.asarray(known), np.asarray(new)
     new_cells = table.shape[1]
     cells = table.size
-    shape = np.broadcast_shapes(np.shape(known), np.shape(new))
+    shape = np.broadcast_shapes(known.shape, new.shape)
     n = shape[-1]
     base = n + 1
     if base ** cells > _KEY_LIMIT:
-        comp = np.broadcast_to(np.asarray(known, dtype=np.int64) * new_cells + new,
-                               shape).reshape(-1, n)
+        comp = np.broadcast_to(known.astype(np.int64) * new_cells + new, shape).reshape(-1, n)
         flags = np.empty(len(comp), dtype=bool)
         chunk = max(1, _CHUNK_CELLS // cells)
         for start in range(0, len(comp), chunk):
@@ -236,8 +285,15 @@ def _typical_flags(known: np.ndarray, new: np.ndarray, table: np.ndarray, eps: f
             counts = np.bincount((offsets + part).ravel(), minlength=m * cells)
             flags[start:start + m] = _band_ok(counts.reshape(m, cells), table, eps)
         return flags.reshape(shape[:-1])
+    g = _group_size(cells, n)
+    keys = 0
+    for s, known_word, new_word in zip(range(0, n, g), _pack(known, cells, g),
+                                       _pack(new, cells, g)):
+        known_word *= np.uint16(new_cells)
+        # np.take gathers by a uint16 index about 3x faster than indexing
+        keys = keys + np.take(_partial_keys(base, cells, min(g, n - s)),
+                              known_word + new_word)
     weights = base ** np.arange(cells, dtype=np.int64)
-    keys = np.einsum("...t,...t->...", weights[::new_cells][known], weights[:new_cells][new])
     if base ** cells <= _TABLE_KEYS:
         pass_tables = {} if pass_tables is None else pass_tables
         ok = pass_tables.get((n, eps))
@@ -245,9 +301,10 @@ def _typical_flags(known: np.ndarray, new: np.ndarray, table: np.ndarray, eps: f
             every = np.arange(base ** cells, dtype=np.int64)
             ok = pass_tables[(n, eps)] = _band_ok(every[:, None] // weights % base,
                                                   table, eps)
-        return ok[keys]
+        return np.take(ok, keys)
     uniq, inverse = np.unique(keys.reshape(-1), return_inverse=True)
-    return _band_ok(uniq[:, None] // weights % base, table, eps)[inverse].reshape(keys.shape)
+    return _band_ok(uniq.astype(np.int64)[:, None] // weights % base,
+                    table, eps)[inverse].reshape(keys.shape)
 
 
 class _Tables:
@@ -349,6 +406,12 @@ def _per_trial(cb: Codebooks, trials: int) -> Codebooks:
                        for b in (cb.cb0, cb.cb1, cb.cb2)))
 
 
+def _cell_index(major: np.ndarray, minor_size: int, minor: np.ndarray) -> np.ndarray:
+    """major * minor_size + minor in a dtype that holds every such cell:
+    uint8 codewords (alphabets of at most 256 symbols) widen to uint16."""
+    return major.astype(np.promote_types(major.dtype, np.uint16)) * minor_size + minor
+
+
 def encode(cb: Codebooks, msg: Msg, cfg: SchemeConfig,
            tables: _Tables | None = None, ch: Channel | None = None):
     """Test every bin pair (l1, l2) and take the first conditionally typical
@@ -367,7 +430,7 @@ def encode(cb: Codebooks, msg: Msg, cfg: SchemeConfig,
     u0 = cb.cb0[cloud]                       # (T, n)
     u1 = cb.cb1[cloud + (m[5],)]             # (T, L1, n)
     u2 = cb.cb2[cloud + (m[6],)]             # (T, L2, n)
-    pairs = u1[:, :, None, :].astype(np.int64) * tables.sizes[2] + u2[:, None, :, :]
+    pairs = _cell_index(u1[:, :, None, :], tables.sizes[2], u2[:, None, :, :])
     flags = _typical_flags(u0[:, None, None, :], pairs, tables.t_pair, cfg.eps_prime,
                            tables.pass_tables["encode"]).reshape(len(trials), -1)
     # argmax is 0, i.e. the fallback pair (0, 0), when nothing passes
@@ -399,15 +462,17 @@ def _decode(rx: int, cb: Codebooks, y: np.ndarray, known, cfg: SchemeConfig,
     trials = np.arange(len(known))
     cb = _per_trial(cb, len(trials))
     pick = (trials,) + (slice(None),) * (known_axis - 1) + (known,)
-    # (T, M1, M4 or M5, M21, M31, 1, 1, n), widened for the cell index
-    u0 = cb.cb0[pick].astype(np.int64)[:, :, :, :, :, None, None, :]
-    us = getattr(cb, book)[pick]             # (T, ..., M22 or M32, L1 or L2, n)
-    # cells (u0, u_rx); over a trivial satellite alphabet the cell is u0
+    u0 = cb.cb0[pick][:, :, :, :, :, None, None, :]  # (T, M1, M4 or M5, M21, M31, 1, 1, n)
+    sat = getattr(cb, book)
+    # the candidate axes (T, ..., M22 or M32, L1 or L2) of sat[pick]
+    candidates = (len(trials),) + sat.shape[1:known_axis] + sat.shape[known_axis + 1:-1]
+    # cells (u0, u_rx); over a trivial satellite alphabet the cell is u0, and
+    # the zero-stride book is not copied by a pick
     a = tables.sizes[rx]
-    known_cells = u0 * a + us if a > 1 else u0
+    known_cells = _cell_index(u0, a, sat[pick]) if a > 1 else u0
     flags = _typical_flags(known_cells, y, tables.t_y[rx], getattr(cfg, eps),
                            tables.pass_tables[rx])
-    result = _resolve(np.broadcast_to(flags, us.shape[:-1]).any(axis=hidden), names)
+    result = _resolve(np.broadcast_to(flags, candidates).any(axis=hidden), names)
     if single:
         return DecodeResult(bool(result.ok[0]),
                             {k: int(v[0]) for k, v in result.messages.items()},

@@ -1,6 +1,7 @@
 import copy
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -148,6 +149,16 @@ class TestOptimize:
         assert out1 == out2
         assert json.loads(out1)["best_value"] == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("weight", ["1e-13", "5e-324"])
+    def test_tiny_weight_keeps_its_value(self, files, capsys, weight):
+        """The support value is scale-free: one bit at weight w is worth w,
+        not the rate box bound 64 * w, however small w is."""
+        code, out, _ = run_cli(["optimize", "--channel", files["channel"],
+                                "--theorem", "t2", "--weights", f"{weight},0,0,0,0",
+                                "--aux-sizes", "2,1,1", "--resolution", "2"], capsys)
+        assert code == 0
+        assert json.loads(out)["best_value"] == float(weight)
+
 
     def test_bad_weight_exit_1(self, files, capsys):
         code, out, err = run_cli(["optimize", "--channel", files["channel"],
@@ -184,6 +195,8 @@ class TestSimulate:
         assert report["trials"] == 120
         assert 0.0 <= report["pe_estimate"] <= 1.0
         assert "trials=100" in err
+        line = err.splitlines()[-1]
+        assert re.fullmatch(r"trials=100 errors=\d+ elapsed_s=\d+\.\d\d trials_per_s=\d+", line)
 
     def test_byte_identical_reruns(self, files, capsys):
         args = ["simulate", "--channel", files["channel"], "--scheme",

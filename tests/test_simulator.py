@@ -108,6 +108,36 @@ class TestTypicalFlags:
                                             for w in new]
         assert dec.any() and enc.any()
 
+    @pytest.mark.parametrize("n, known_cells, new_cells, groups", [
+        (12, 2, 2, [8, 4]),  # a group boundary inside n, table path
+        (1, 2, 2, [1]),
+        (8, 2, 2, [8]),      # one group covers n
+        (8, 2, 4, [5, 3]),   # unique path
+    ])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_packed_words(self, rng, n, known_cells, new_cells, groups, dtype):
+        """Keys summed over packed words of g positions, g the most with
+        cells**g <= 2**16, on codeword-dtype operands in the flat, decoder
+        and encoder layouts."""
+        g = simulator._group_size(known_cells * new_cells, n)
+        assert [min(g, n - s) for s in range(0, n, g)] == groups
+        table, known, new = typicality_case(rng, n, known_cells, new_cells)
+        known, new = known.astype(dtype), new.astype(dtype)
+        eps = 0.5
+        memo = {}
+        flags = simulator._typical_flags(known, new, table, eps, memo)
+        assert flags.tolist() == [brute_conditionally_typical(k, w, table, eps)
+                                  for k, w in zip(known, new)]
+        on_table = (n + 1) ** (known_cells * new_cells) <= simulator._TABLE_KEYS
+        assert list(memo) == ([(n, eps)] if on_table else [])
+        y, u0 = new[0], known[0]
+        dec = simulator._typical_flags(known.reshape(5, -1, n), y, table, eps, memo)
+        enc = simulator._typical_flags(u0, new.reshape(5, -1, n), table, eps, memo)
+        assert dec.reshape(-1).tolist() == [brute_conditionally_typical(k, y, table, eps)
+                                            for k in known]
+        assert enc.reshape(-1).tolist() == [brute_conditionally_typical(u0, w, table, eps)
+                                            for w in new]
+
 
 class TestSchemeConfig:
     def test_eps_ordering_enforced(self):
