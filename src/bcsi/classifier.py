@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardError, InputError
+from .info_measures import _entropy_rows
 from .polytope import linprog
 from .probability import Channel
 from .simplex_search import GOLDEN_ITERS, in_chunks, lattice_or_sample, refine_on_simplex
@@ -113,8 +114,16 @@ def _sweep_budget(sweeps: int, cells: int) -> int:
 
 
 def _gap(joint_ux: np.ndarray, ch: Channel) -> np.ndarray:
-    """I(U;Y1) - I(U;Y2) at joints p(u, x) (..., |U|, |X|)."""
-    return _uy_mi(joint_ux, ch.y1_given_x()) - _uy_mi(joint_ux, ch.y2_given_x())
+    """I(U;Y1) - I(U;Y2) at joints p(u, x) (..., |U|, |X|). Both receivers'
+    p(u, y) come from one einsum over p(y1 | x) and p(y2 | x), stacked and
+    zero-padded to a common |Y| (a zero cell adds nothing to an entropy).
+    H(U) cancels, so the gap is [H(Y1) - H(U,Y1)] - [H(Y2) - H(U,Y2)]."""
+    kernels = np.zeros((2, ch.x.size, max(ch.y1.size, ch.y2.size)))
+    kernels[0, :, :ch.y1.size] = ch.y1_given_x()
+    kernels[1, :, :ch.y2.size] = ch.y2_given_x()
+    p_uy = np.einsum("...ux,kxy->...kuy", joint_ux, kernels)
+    h = _entropy_rows(np.einsum("...kuy->...ky", p_uy), 1) - _entropy_rows(p_uy, 2)
+    return h[..., 0] - h[..., 1]
 
 
 def _capability_gap(p_x: np.ndarray, ch: Channel) -> np.ndarray:
@@ -154,19 +163,6 @@ def is_more_capable_grid(ch: Channel, resolution: int | None = None) -> ClassVer
                             witness={"p_x": best_p.tolist(), "gap": best_gap},
                             grid_resolution=resolution)
     return ClassVerdict("more_capable", True, grid_resolution=resolution)
-
-
-def _uy_mi(joint_ux: np.ndarray, p_y_x: np.ndarray) -> np.ndarray:
-    """I(U; Y) in bits for joints p(u, x) (..., |U|, |X|) and a marginal
-    kernel p(y | x)."""
-    joint_uy = np.einsum("...ux,xy->...uy", joint_ux, p_y_x)
-    p_u = joint_uy.sum(axis=-1)
-    p_y = np.einsum("...uy->...y", joint_uy)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        denom = p_u[..., :, None] * p_y[..., None, :]
-        ratio = np.where(joint_uy > 0.0, joint_uy / np.where(denom > 0.0, denom, 1.0), 1.0)
-        terms = np.where(joint_uy > 0.0, joint_uy * np.log2(ratio), 0.0)
-    return terms.sum(axis=(-2, -1))
 
 
 def is_less_noisy_grid(ch: Channel, u_size: int = 2,

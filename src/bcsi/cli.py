@@ -39,14 +39,12 @@ t2 = deterministic-channel capacity formula, t3 = more-capable formula."""
 
 
 def _round_floats(obj):
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
+    if isinstance(obj, (float, np.floating)):
+        return float(f"{float(obj):.12g}") + 0.0  # + 0.0: never a -0.0
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(f"{float(obj):.12g}")
     if isinstance(obj, (np.integer,)):
         return int(obj)
     return obj

@@ -1,11 +1,16 @@
 """Entropy and mutual information functionals on finite joints, in bits.
 
-Base-2 logarithms throughout. Tiny negative values from float cancellation
+Every entropy is one _entropy_rows call, and every (conditional) mutual
+information is a sum of marginal entropies,
+I(A; B | C) = H(A, C) + H(B, C) - H(C) - H(A, B, C). Base-2 logarithms
+throughout. Tiny negative values from float cancellation
 (above -1e-9) clamp to zero; anything below that raises ConsistencyError
 because it indicates a bug, not rounding.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -42,7 +47,19 @@ def entropy(p) -> float:
 
 
 def _group_entropy(j: JointPmf, axes) -> float:
-    return _entropy_of_mass(j.marginal(axes).as_float())
+    return _entropy_of_mass(j.marginal(axes).as_float()) if axes else 0.0
+
+
+def _information(j: JointPmf, a: tuple, b: tuple, c: tuple, what: str) -> float:
+    """I(A; B | C) = H(A, C) + H(B, C) - H(C) - H(A, B, C), clamped at zero;
+    exactly 0 when A or B is empty or spans a single cell."""
+    if len(set(a + b + c)) < len(a + b + c):
+        raise InputError(f"{what} groups overlap")
+    if min(math.prod(j.axes[i].size for i in group) for group in (a, b)) <= 1:
+        return 0.0
+    value = (_group_entropy(j, a + c) + _group_entropy(j, b + c) - _group_entropy(j, c)
+             - _group_entropy(j, a + b + c))
+    return _clamp(value, what)
 
 
 def mutual_information(j: JointPmf, group_a, group_b) -> float:
@@ -51,56 +68,14 @@ def mutual_information(j: JointPmf, group_a, group_b) -> float:
     b = j.resolve_axes(group_b)
     if not a or not b:
         raise InputError("mutual information groups must be nonempty")
-    if set(a) & set(b):
-        raise InputError("mutual information groups overlap")
-    value = _group_entropy(j, a) + _group_entropy(j, b) - _group_entropy(j, a + b)
-    return _clamp(value, "mutual information")
+    return _information(j, a, b, (), "mutual information")
 
 
 def conditional_mutual_information(j: JointPmf, group_a, group_b, group_c) -> float:
-    """I(A; B | C) as the p(c)-weighted average of the per-slice mutual
-    informations. Reduces to I(A; B) when C is empty or degenerate."""
-    a = j.resolve_axes(group_a)
-    b = j.resolve_axes(group_b)
-    c = j.resolve_axes(group_c)
-    groups = [set(a), set(b), set(c)]
-    for i in range(3):
-        for k in range(i + 1, 3):
-            if groups[i] & groups[k]:
-                raise InputError("conditional mutual information groups overlap")
-    if not a or not b:
-        return 0.0
-    if not c:
-        return mutual_information(j, a, b)
-
-    sub = j.marginal(tuple(a) + tuple(b) + tuple(c))
-    mass = sub.as_float()
-    # positions of the groups inside the marginal (which is sorted by axis)
-    order = sorted(set(a) | set(b) | set(c))
-    local = {orig: pos for pos, orig in enumerate(order)}
-    la = [local[i] for i in a]
-    lb = [local[i] for i in b]
-    lc = [local[i] for i in c]
-
-    c_sizes = [mass.shape[i] for i in lc]
-    total = 0.0
-    for combo in np.ndindex(*c_sizes):
-        index = [slice(None)] * mass.ndim
-        for axis, v in zip(lc, combo):
-            index[axis] = v
-        sliced = mass[tuple(index)]
-        pc = float(sliced.sum())
-        if pc <= 0.0:
-            continue
-        sliced = sliced / pc
-        # axis positions after removing the conditioned axes
-        remaining = [i for i in range(mass.ndim) if i not in lc]
-        pos = {orig: k for k, orig in enumerate(remaining)}
-        ha = _entropy_of_mass(sliced.sum(axis=tuple(pos[i] for i in lb)))
-        hb = _entropy_of_mass(sliced.sum(axis=tuple(pos[i] for i in la)))
-        hab = _entropy_of_mass(sliced)
-        total += pc * (ha + hb - hab)
-    return _clamp(total, "conditional mutual information")
+    """I(A; B | C) from four group entropies. Reduces to I(A; B) when C is
+    empty, and is 0 when A or B is."""
+    return _information(j, j.resolve_axes(group_a), j.resolve_axes(group_b),
+                        j.resolve_axes(group_c), "conditional mutual information")
 
 
 def csiszar_sum_check(j: JointPmf, t_axes, a_axes, b_axes) -> tuple:

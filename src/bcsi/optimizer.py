@@ -124,13 +124,14 @@ class _SupportOracle:
                 continue
             vertices.append(np.clip(y, 0.0, None))
         ys = np.stack(vertices)
-        # rounded to 12 decimals to merge duplicates; from 2^52 on a float
-        # is an integer already, and rounding it could overflow
+        # duplicates merge on their values rounded to 12 decimals (from 2^52
+        # on a float is an integer already, and rounding it could overflow);
+        # each group keeps its first vertex, unrounded
         whole = np.abs(ys) >= 2.0 ** 52
-        ys = np.unique(np.where(whole, ys, np.round(np.where(whole, 0.0, ys), 12)), axis=0)
-        self.ys = ys
+        keys = np.where(whole, ys, np.round(np.where(whole, 0.0, ys), 12))
+        self.ys = ys[np.unique(keys, axis=0, return_index=True)[1]]
         # constant part of the dual objective at each vertex
-        slack = weights[None, :] - ys @ lhs
+        slack = weights[None, :] - self.ys @ lhs
         self.consts = BOX_HI * np.clip(slack, 0.0, None).sum(axis=1)
 
     def value(self, rhs: np.ndarray) -> np.ndarray:
@@ -229,12 +230,6 @@ class _Evaluator:
             gamma = gamma.reshape(aux.shape)
         return float(row[-2]), gamma, row[:-2]
 
-    def value_t1(self, aux: np.ndarray) -> tuple:
-        """Best value over the maps gamma of one joint aux, and that map (None
-        when every map gives an empty region)."""
-        value, gamma, _ = self._best_map(aux)
-        return (value, gamma) if value > -math.inf else (-math.inf, None)
-
     def score(self, points: np.ndarray) -> tuple:
         """Values (N,), maps (N, *shape) and right-hand sides (N, m) of
         candidate rows (N, cells): for t1 each joint under its best map, for
@@ -291,8 +286,7 @@ def evaluate_weighted_rate(ch: Channel, theorem: str, weights,
     if theorem == "t1":
         if scheme is None:
             raise InputError("t1 evaluation needs an auxiliary scheme")
-        return float(ev.value(np.asarray(scheme.aux_joint.mass, dtype=np.float64),
-                              np.asarray(scheme.gamma)))
+        return float(ev.value(scheme.aux_joint.mass, scheme.gamma))
     if p_ux is None:
         raise InputError(f"{theorem} evaluation needs a p(u, x) joint")
     return float(ev.value(p_ux.as_float()))

@@ -1,17 +1,18 @@
 """Finite-alphabet probability objects and their kernel algebra.
 
-Pmf and JointPmf carry either float64 masses or exact rational masses
-(fractions.Fraction in an object array). Exact inputs stay exact through
-products, marginals and conditionals; information measures convert to float
-at the point of evaluation. All values are immutable after construction and
-every operation is a pure function.
+Pmf, JointPmf and Channel hold read-only float64 masses. Input entries are
+parsed exactly (fractions.Fraction for strings and integers), so a negative,
+above-1 or overflowing entry is judged on its exact value; then they are
+checked, renormalized once and stored as float64. All values are immutable
+after construction and every operation is a pure function.
 
 File formats accepted by the loaders:
 
 * channel: ``{"x_size": n, "y1_size": m1, "y2_size": m2, "kernel": [...]}``
   where ``kernel[x]`` is the row-major m1 x m2 table of p(y1, y2 | x),
   either flat or nested. Probabilities may be JSON numbers, decimal strings,
-  or "num/den" rational strings; strings and integers are kept exact.
+  or "num/den" rational strings; entries are parsed exactly, checked, and
+  stored as float64.
 * auxiliary scheme: ``{"u_sizes": [a, b, c], "joint": [...], "gamma": [...]}``
   with ``joint`` flat in row-major (u0, u1, u2) order and ``gamma`` a flat
   list of x indices of the same length.
@@ -82,68 +83,53 @@ def parse_probability(value):
     raise InputError(f"cannot parse probability {value!r}")
 
 
-def _build_mass(values, shape) -> np.ndarray:
-    """Build a mass array from parsed entries: object array of Fractions if
-    every entry is exact, float64 otherwise."""
-    parsed = [parse_probability(v) for v in values]
-    total = 1
-    for s in shape:
-        total *= s
-    if len(parsed) != total:
-        raise InputError(f"expected {total} mass entries, got {len(parsed)}")
-    if all(isinstance(v, Fraction) for v in parsed):
-        arr = np.empty(len(parsed), dtype=object)
-        arr[:] = parsed
-    else:
-        arr = np.array([float(v) for v in parsed], dtype=np.float64)
-        arr = arr + 0.0  # scrub negative zeros
-    return arr.reshape(shape)
+def _frozen(mass) -> np.ndarray:
+    """mass as a read-only float64 array with negative zeros scrubbed; a
+    read-only float64 array is kept as it is."""
+    if isinstance(mass, np.ndarray) and mass.dtype == np.float64 and not mass.flags.writeable:
+        return mass
+    out = np.asarray(mass, dtype=np.float64) + 0.0
+    out.flags.writeable = False
+    return out
 
 
-def _is_exact(mass: np.ndarray) -> bool:
-    return mass.dtype == object
+def _checked_mass(values, shape, what: str) -> np.ndarray:
+    """A pmf of the given shape from raw entries, renormalized once. Entries
+    are parsed exactly, so a negative or above-1 entry is judged on its exact
+    value; then they are stored as floats and checked by validate_mass. A
+    failed check is an InputError prefixed by what."""
+    parsed = [parse_probability(v) for v in np.asarray(values, dtype=object).reshape(-1)]
+    cells = math.prod(shape)
+    if len(parsed) != cells:
+        raise InputError(f"expected {cells} mass entries, got {len(parsed)}")
+    for i, v in enumerate(parsed):
+        if isinstance(v, Fraction) and v < 0:
+            raise InputError(f"{what}: mass[{i}] = {v} is negative")
+        if isinstance(v, Fraction) and v > 1 + SUM_TOL:  # a float of it could overflow
+            raise InputError(f"{what}: mass[{i}] is above 1")
+    mass = np.array([float(v) for v in parsed])
+    msg = validate_mass(mass, cells)
+    if msg is not None:
+        raise InputError(f"{what}: {msg}")
+    total = float(mass.sum())
+    return _frozen((mass if total == 1.0 else mass / total).reshape(shape))
 
 
 def validate_mass(mass: np.ndarray, expected_cells: int) -> str | None:
-    """Return None if the mass vector is a valid pmf, else a description
-    naming the failing index or the sum deficit."""
+    """Return None if the float mass vector is a valid pmf, else a
+    description naming the failing index or the sum deficit."""
     if mass.size != expected_cells:
         return f"length {mass.size} != expected {expected_cells}"
     flat = mass.reshape(-1)
-    exact = _is_exact(mass)
     for i, v in enumerate(flat):
-        if not exact and not math.isfinite(v):
+        if not math.isfinite(v):
             return f"mass[{i}] = {v} is not finite"
         if v < 0:
             return f"mass[{i}] = {v} is negative"
-    if exact:
-        # an entry above 1 fails the sum anyway; it is caught first, because
-        # an exact sum that large can overflow a float
-        for i, v in enumerate(flat):
-            if v > 1 + SUM_TOL:
-                return f"mass[{i}] is above 1"
-        total = sum(flat, Fraction(0))
-        if abs(float(total) - 1.0) > SUM_TOL:
-            return f"sum = {float(total):g}"
-    else:
-        total = float(flat.sum())
-        if abs(total - 1.0) > SUM_TOL:
-            return f"sum = {total:g}"
+    total = float(flat.sum())
+    if abs(total - 1.0) > SUM_TOL:
+        return f"sum = {total:g}"
     return None
-
-
-def _normalize_once(mass: np.ndarray) -> np.ndarray:
-    if _is_exact(mass):
-        total = sum(mass.reshape(-1), Fraction(0))
-        if total != 1:
-            mass = mass / total
-    else:
-        total = float(mass.sum())
-        if total != 1.0:
-            mass = mass / total
-    out = np.array(mass, dtype=mass.dtype)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)
@@ -160,30 +146,19 @@ class Pmf:
     def __post_init__(self):
         if self.mass.shape != (self.alphabet.size,):
             raise InputError("mass shape does not match alphabet size")
-        if not self.mass.flags.writeable:
-            return
-        m = self.mass + 0.0 if not _is_exact(self.mass) else self.mass.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "mass", m)
+        object.__setattr__(self, "mass", _frozen(self.mass))
 
     @classmethod
     def from_values(cls, alphabet: Alphabet, values) -> "Pmf":
-        mass = _build_mass(values, (alphabet.size,))
-        msg = validate_mass(mass, alphabet.size)
-        if msg is not None:
-            raise InputError(f"invalid pmf over {alphabet.name!r}: {msg}")
-        return cls(alphabet, _normalize_once(mass))
+        return cls(alphabet, _checked_mass(values, (alphabet.size,),
+                                           f"invalid pmf over {alphabet.name!r}"))
 
     @classmethod
     def uniform(cls, alphabet: Alphabet) -> "Pmf":
         return cls.from_values(alphabet, [Fraction(1, alphabet.size)] * alphabet.size)
 
-    @property
-    def exact(self) -> bool:
-        return _is_exact(self.mass)
-
     def as_float(self) -> np.ndarray:
-        return np.asarray(self.mass, dtype=np.float64)
+        return self.mass
 
 
 def validate_pmf(p: Pmf) -> str | None:
@@ -204,11 +179,8 @@ class JointPmf:
             raise GuardError(f"joint over {cells} cells exceeds dense cap {CELL_CAP}")
         if mass.shape != tuple(a.size for a in axes):
             raise InputError("mass shape does not match axes")
-        if mass.flags.writeable:
-            mass = mass + 0.0 if not _is_exact(mass) else mass.copy()
-            mass.flags.writeable = False
         self.axes = axes
-        self.mass = mass
+        self.mass = _frozen(mass)
 
     @classmethod
     def from_values(cls, axes: Sequence[Alphabet], values) -> "JointPmf":
@@ -216,12 +188,7 @@ class JointPmf:
         cells = math.prod(a.size for a in axes)
         if cells > CELL_CAP:
             raise GuardError(f"joint over {cells} cells exceeds dense cap {CELL_CAP}")
-        flat = np.asarray(values, dtype=object).reshape(-1)
-        mass = _build_mass(list(flat), tuple(a.size for a in axes))
-        msg = validate_mass(mass, cells)
-        if msg is not None:
-            raise InputError(f"invalid joint pmf: {msg}")
-        return cls(axes, _normalize_once(mass))
+        return cls(axes, _checked_mass(values, tuple(a.size for a in axes), "invalid joint pmf"))
 
     @classmethod
     def uniform(cls, axes: Sequence[Alphabet]) -> "JointPmf":
@@ -231,10 +198,6 @@ class JointPmf:
             raise GuardError(f"joint over {cells} cells exceeds dense cap {CELL_CAP}")
         mass = np.full(tuple(a.size for a in axes), 1.0 / cells)
         return cls(axes, mass)
-
-    @property
-    def exact(self) -> bool:
-        return _is_exact(self.mass)
 
     @property
     def names(self) -> tuple:
@@ -258,7 +221,7 @@ class JointPmf:
         return idx
 
     def as_float(self) -> np.ndarray:
-        return np.asarray(self.mass, dtype=np.float64)
+        return self.mass
 
     def marginal(self, keep) -> "JointPmf":
         keep_idx = sorted(self.resolve_axes(keep))
@@ -266,7 +229,7 @@ class JointPmf:
             raise InputError("keep set must be nonempty")
         drop = tuple(i for i in range(len(self.axes)) if i not in keep_idx)
         mass = self.mass.sum(axis=drop) if drop else self.mass
-        return JointPmf(tuple(self.axes[i] for i in keep_idx), np.array(mass, dtype=self.mass.dtype))
+        return JointPmf(tuple(self.axes[i] for i in keep_idx), mass)
 
     def condition(self, given, values) -> "JointPmf":
         given_idx = self.resolve_axes(given)
@@ -276,11 +239,11 @@ class JointPmf:
         for i, v in zip(given_idx, values):
             index[i] = self.axes[i].index(v) if not isinstance(v, (int, np.integer)) else int(v)
         sliced = self.mass[tuple(index)]
-        total = sum(sliced.reshape(-1), Fraction(0)) if self.exact else float(sliced.sum())
-        if (self.exact and total == 0) or (not self.exact and total <= 0.0):
+        total = float(sliced.sum())
+        if total <= 0.0:
             raise InputError("conditioning event has zero mass")
         rest = tuple(a for i, a in enumerate(self.axes) if i not in given_idx)
-        return JointPmf(rest, np.array(sliced / total, dtype=self.mass.dtype))
+        return JointPmf(rest, sliced / total)
 
 
 def marginalize(j: JointPmf, keep) -> JointPmf:
@@ -306,10 +269,7 @@ class Channel:
         expected = (self.x.size, self.y1.size, self.y2.size)
         if self.kernel.shape != expected:
             raise InputError(f"kernel shape {self.kernel.shape} != {expected}")
-        if self.kernel.flags.writeable:
-            k = self.kernel + 0.0 if not _is_exact(self.kernel) else self.kernel.copy()
-            k.flags.writeable = False
-            object.__setattr__(self, "kernel", k)
+        object.__setattr__(self, "kernel", _frozen(self.kernel))
 
     @classmethod
     def from_rows(cls, rows, x_size: int, y1_size: int, y2_size: int) -> "Channel":
@@ -320,52 +280,26 @@ class Channel:
             raise GuardError(f"kernel over {cells} cells exceeds dense cap {CELL_CAP}")
         if len(rows) != x_size:
             raise InputError(f"kernel has {len(rows)} rows, expected {x_size}")
-        normalized = []
-        exact = True
-        for xi, row in enumerate(rows):
-            flat = np.asarray(row, dtype=object).reshape(-1)
-            mass = _build_mass(list(flat), (y1_size, y2_size))
-            msg = validate_mass(mass, y1_size * y2_size)
-            if msg is not None:
-                raise InputError(f"kernel row {xi}: {msg}")
-            normalized.append(_normalize_once(mass))
-            exact = exact and _is_exact(mass)
-        if exact:
-            kernel = np.empty((x_size, y1_size, y2_size), dtype=object)
-            for xi, m in enumerate(normalized):
-                kernel[xi] = m
-        else:
-            kernel = np.stack([np.asarray(m, dtype=np.float64) for m in normalized])
-        return cls(
-            Alphabet.indexed("X", x_size),
-            Alphabet.indexed("Y1", y1_size),
-            Alphabet.indexed("Y2", y2_size),
-            kernel,
-        )
-
-    @property
-    def exact(self) -> bool:
-        return _is_exact(self.kernel)
+        x = Alphabet.indexed("X", x_size)  # an empty kernel stops here, before the stack
+        kernel = np.stack([_checked_mass(row, (y1_size, y2_size), f"kernel row {xi}")
+                           for xi, row in enumerate(rows)])
+        return cls(x, Alphabet.indexed("Y1", y1_size), Alphabet.indexed("Y2", y2_size), kernel)
 
     @cached_property
-    def _floats(self) -> tuple:
-        """(kernel, p(y1 | x), p(y2 | x)) as read-only floats, made on first use."""
-        k = np.asarray(self.kernel, dtype=np.float64)
-        out = (k, k.sum(axis=2), k.sum(axis=1))
-        for a in out:
-            a.flags.writeable = False
-        return out
+    def _marginals(self) -> tuple:
+        """(p(y1 | x), p(y2 | x)), read-only, made on first use."""
+        return _frozen(self.kernel.sum(axis=2)), _frozen(self.kernel.sum(axis=1))
 
     def kernel_float(self) -> np.ndarray:
-        return self._floats[0]
+        return self.kernel
 
     def y1_given_x(self) -> np.ndarray:
-        """Marginal kernel p(y1 | x) as float."""
-        return self._floats[1]
+        """Marginal kernel p(y1 | x)."""
+        return self._marginals[0]
 
     def y2_given_x(self) -> np.ndarray:
-        """Marginal kernel p(y2 | x) as float."""
-        return self._floats[2]
+        """Marginal kernel p(y2 | x)."""
+        return self._marginals[1]
 
     def swap_receivers(self) -> "Channel":
         kernel = np.swapaxes(self.kernel, 1, 2).copy()
@@ -465,23 +399,11 @@ def induced_joint(scheme: AuxScheme, ch: Channel) -> JointPmf:
     """Joint over (U0, U1, U2, X, Y1, Y2) induced by drawing the auxiliaries,
     applying gamma, and passing the input through the channel."""
     scheme.check_against(ch)
-    aux = scheme.aux_joint.mass
-    exact = scheme.aux_joint.exact and ch.exact
-    onehot = np.zeros(scheme.sizes + (ch.x.size,), dtype=np.int64)
-    it = np.ndindex(*scheme.sizes)
-    for cell in it:
-        onehot[cell + (int(scheme.gamma[cell]),)] = 1
-    if exact:
-        kern = ch.kernel
-    else:
-        aux = np.asarray(aux, dtype=np.float64)
-        kern = ch.kernel_float()
-    mass = (aux[..., None, None, None]
+    onehot = scheme.gamma[..., None] == np.arange(ch.x.size)
+    mass = (scheme.aux_joint.mass[..., None, None, None]
             * onehot[..., :, None, None]
-            * kern[None, None, None, ...])
-    axes = tuple(scheme.aux_joint.axes) + (ch.x, ch.y1, ch.y2)
-    dtype = object if exact else np.float64
-    return JointPmf(axes, np.array(mass, dtype=dtype))
+            * ch.kernel[None, None, None, ...])
+    return JointPmf(tuple(scheme.aux_joint.axes) + (ch.x, ch.y1, ch.y2), mass)
 
 
 # --- file loaders -----------------------------------------------------------

@@ -272,7 +272,7 @@ def specialize_scheme(kind: str, base, ch: Channel) -> AuxScheme:
         px = base
         u0 = Alphabet("U0", px.alphabet.symbols)
         axes = (u0, _trivial_alphabet("U1"), _trivial_alphabet("U2"))
-        mass = np.array(px.mass, dtype=px.mass.dtype).reshape(px.alphabet.size, 1, 1)
+        mass = px.mass.reshape(px.alphabet.size, 1, 1)
         gamma = np.arange(px.alphabet.size, dtype=np.int64).reshape(-1, 1, 1)
         return AuxScheme(JointPmf(axes, mass), gamma)
 
@@ -281,7 +281,7 @@ def specialize_scheme(kind: str, base, ch: Channel) -> AuxScheme:
         u_size, x_size = p_ux.axes[0].size, p_ux.axes[1].size
         axes = (Alphabet.indexed("U0", u_size), Alphabet.indexed("U1", x_size),
                 _trivial_alphabet("U2"))
-        mass = np.array(p_ux.mass, dtype=p_ux.mass.dtype).reshape(u_size, x_size, 1)
+        mass = p_ux.mass.reshape(u_size, x_size, 1)
         gamma = np.tile(np.arange(x_size, dtype=np.int64).reshape(1, -1, 1), (u_size, 1, 1))
         return AuxScheme(JointPmf(axes, mass), gamma)
 
@@ -290,7 +290,7 @@ def specialize_scheme(kind: str, base, ch: Channel) -> AuxScheme:
         u_size, x_size = p_ux.axes[0].size, p_ux.axes[1].size
         axes = (Alphabet.indexed("U0", u_size), _trivial_alphabet("U1"),
                 Alphabet.indexed("U2", x_size))
-        mass = np.array(p_ux.mass, dtype=p_ux.mass.dtype).reshape(u_size, 1, x_size)
+        mass = p_ux.mass.reshape(u_size, 1, x_size)
         gamma = np.tile(np.arange(x_size, dtype=np.int64).reshape(1, 1, -1), (u_size, 1, 1))
         return AuxScheme(JointPmf(axes, mass), gamma)
 
@@ -303,10 +303,7 @@ def specialize_scheme(kind: str, base, ch: Channel) -> AuxScheme:
         phi2 = verdict.witness["phi2"]
         u_size = p_ux.axes[0].size
         m1, m2 = ch.y1.size, ch.y2.size
-        exact = p_ux.exact
-        mass = np.zeros((u_size, m1, m2), dtype=object if exact else np.float64)
-        if exact:
-            mass[:] = Fraction(0)
+        mass = np.zeros((u_size, m1, m2))
         gamma = np.zeros((u_size, m1, m2), dtype=np.int64)
         # gamma on a realized output pair: lowest-index consistent input
         for y1i in range(m1):
@@ -320,6 +317,6 @@ def specialize_scheme(kind: str, base, ch: Channel) -> AuxScheme:
                 mass[ui, phi1[xi], phi2[xi]] += p_ux.mass[ui, xi]
         axes = (Alphabet.indexed("U0", u_size), Alphabet.indexed("U1", m1),
                 Alphabet.indexed("U2", m2))
-        return AuxScheme(JointPmf(axes, np.array(mass)), gamma)
+        return AuxScheme(JointPmf(axes, mass), gamma)
 
     raise InputError(f"unknown specialization kind {kind!r}")

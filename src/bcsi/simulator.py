@@ -313,7 +313,7 @@ class _Tables:
 
     def __init__(self, scheme: AuxScheme, ch: Channel):
         scheme.check_against(ch)
-        aux = np.asarray(scheme.aux_joint.mass, dtype=np.float64)
+        aux = scheme.aux_joint.mass
         a0, a1, a2 = aux.shape
         self.sizes = (a0, a1, a2)
         self.codeword_dtype = np.uint8 if max(self.sizes) <= 256 else np.int64

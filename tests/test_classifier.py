@@ -6,6 +6,8 @@ from bcsi.classifier import (classify_all, is_degraded, is_deterministic,
 from bcsi.probability import (Channel, binary_symmetric_pair, blackwell_channel,
                               deterministic_channel, noiseless_channel,
                               product_channel)
+from conftest import random_channel
+from oracles import brute_mi
 
 def degraded_pair():
     return binary_symmetric_pair(0.1, 0.2)
@@ -98,9 +100,11 @@ class TestLessNoisy:
         ch = degraded_pair().swap_receivers()
         v = is_less_noisy_grid(ch, 2, 12)
         assert not v.holds
-        from bcsi.classifier import _uy_mi
         j = np.asarray(v.witness["joint_ux"])
-        gap = _uy_mi(j, ch.y1_given_x()) - _uy_mi(j, ch.y2_given_x())
+        p_uy1 = j @ ch.y1_given_x()
+        p_uy2 = j @ ch.y2_given_x()
+        gap = (brute_mi(p_uy1, p_uy1.shape, [0], [1])
+               - brute_mi(p_uy2, p_uy2.shape, [0], [1]))
         assert gap < -1e-9
 
     def test_constant_second_output_true(self):
@@ -128,20 +132,34 @@ class TestHierarchy:
             assert is_more_capable_grid(ch, 8).holds
 
 
-def test_uy_mi_batched_equals_single_calls_bitwise(rng):
-    from bcsi.classifier import _uy_mi
+def test_gap_batched_equals_single_calls_bitwise(rng):
+    from bcsi.classifier import _gap
     for _ in range(20):
-        u, x, y = (int(v) for v in rng.integers(1, 5, size=3))
-        kernel = rng.random((x, y))
-        kernel /= kernel.sum(axis=1, keepdims=True)
+        u, x, y1, y2 = (int(v) for v in rng.integers(1, 5, size=4))
+        ch = random_channel(rng, x, y1, y2)
         b = int(rng.integers(1, 70))
         joints = rng.random((b, u, x)) * (rng.random((b, u, x)) > 0.3)
         joints[:, 0, 0] += 1e-3
         joints /= joints.sum(axis=(1, 2), keepdims=True)
-        batched = _uy_mi(joints, kernel)
+        batched = _gap(joints, ch)
         assert batched.shape == (b,)
         for i in range(b):
-            assert batched[i] == _uy_mi(joints[i], kernel)
+            assert batched[i] == _gap(joints[i], ch)
+
+
+def test_gap_matches_brute_force_mutual_informations(rng):
+    """The stacked, zero-padded gap kernel against I(U;Y1) - I(U;Y2) by loops,
+    with receivers of different output sizes."""
+    from bcsi.classifier import _gap
+    for y1, y2 in ((2, 3), (3, 1), (4, 2)):
+        ch = random_channel(rng, 3, y1, y2)
+        joint = rng.random((2, 3))
+        joint /= joint.sum()
+        want = 0.0
+        for k, kernel in ((1, ch.y1_given_x()), (-1, ch.y2_given_x())):
+            p_uy = joint @ kernel
+            want += k * brute_mi(p_uy, p_uy.shape, [0], [1])
+        assert _gap(joint, ch) == pytest.approx(want, abs=1e-14)
 
 
 def test_large_input_alphabet_samples_instead_of_enumerating(rng, monkeypatch):

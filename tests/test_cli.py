@@ -72,6 +72,36 @@ class TestValidate:
         assert code == 1
 
 
+# Probability entries at the parse boundary: each is judged on its exact
+# value (or rejected as unparsable) in every loader, and ends in exit 1,
+# beside exact entries (channel) and beside a JSON float (aux, ux), where a
+# float of 1e400 would overflow.
+_BOUNDARY_ENTRIES = {"1e400": "1e400", "-1e-400": "-1e-400", "400 digits": 10 ** 399,
+                     "true": True, "1/0": "1/0"}
+_BOUNDARY_LOADERS = {
+    "channel": ({"x_size": 2, "y1_size": 2, "y2_size": 1, "kernel": [["{e}", "0"], ["0", "1"]]},
+                ["validate", "--channel", "{file}"]),
+    "aux": ({"u_sizes": [2, 1, 1], "joint": ["{e}", 0.5], "gamma": [0, 1]},
+            ["validate", "--channel", "{channel}", "--scheme", "{file}"]),
+    "ux": ({"u_size": 1, "x_size": 2, "joint": ["{e}", 0.5]},
+           ["region", "--theorem", "t2", "--channel", "{channel}", "--scheme", "{file}"]),
+}
+
+
+@pytest.mark.parametrize("entry", list(_BOUNDARY_ENTRIES.values()), ids=list(_BOUNDARY_ENTRIES))
+@pytest.mark.parametrize("loader", list(_BOUNDARY_LOADERS))
+def test_parse_boundary_entry_exit_1(files, capsys, loader, entry):
+    spec, argv = _BOUNDARY_LOADERS[loader]
+    text = json.dumps(spec).replace('"{e}"', json.dumps(entry))
+    target = files["tmp"] / f"boundary_{loader}.json"
+    target.write_text(text)
+    code, out, err = run_cli([a.format(file=target, **files) for a in argv], capsys)
+    assert code == 1
+    assert out == ""
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 class TestRegion:
     def test_t1_noiseless_region(self, files, capsys):
         code, out, _ = run_cli(["region", "--theorem", "t1",
@@ -107,6 +137,17 @@ class TestRawProject:
         data = json.loads(out)
         assert data["equal"] is True
         assert len(data["raw_system"]["inequalities"]) == 14  # 5 + 9 nonneg
+
+    def test_zero_covering_constant_prints_no_negative_zero(self, files, capsys):
+        """With trivial U1 and U2, I(U1;U2|U0) is an exact 0, and the covering
+        row -Rp1 - Rp2 <= -I(U1;U2|U0) states it as 0.0, not -0.0."""
+        code, out, _ = run_cli(["raw-project", "--channel", files["channel"],
+                                "--scheme", files["aux"]], capsys)
+        assert code == 0
+        assert "-0.0" not in out
+        covering = json.loads(out)["raw_system"]["inequalities"][0]
+        assert covering["coeffs"] == {"Rp1": "-1", "Rp2": "-1"}
+        assert covering["rhs"] == 0.0
 
 
 class TestCompare:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from bcsi.errors import GuardError, InputError
 from bcsi.probability import (Alphabet, AuxScheme, Channel, JointPmf, Pmf,
                               binary_symmetric_pair, condition, induced_joint,
-                              load_aux_scheme, load_channel, marginalize,
+                              load_aux_scheme, load_channel, load_ux_joint, marginalize,
                               noiseless_channel, validate_mass, validate_pmf)
 from conftest import random_joint, random_scheme
 from oracles import brute_marginal
@@ -58,19 +58,31 @@ class TestValidatePmf:
 
 
 class TestExactBacking:
-    def test_rational_strings_stay_exact(self):
+    """Entries are parsed exactly, checked, and stored as float64."""
+
+    def test_rational_strings_stored_as_float(self):
         p = Pmf.from_values(Alphabet.indexed("X", 3), ["1/3", "1/3", "1/3"])
-        assert p.exact
-        assert p.mass[0] == Fraction(1, 3)
-        assert sum(p.mass) == 1
+        assert p.mass.dtype == np.float64
+        assert p.mass.tolist() == [float(Fraction(1, 3))] * 3
 
     def test_exact_renormalization_is_exact(self):
         p = Pmf.from_values(Alphabet.indexed("X", 2), ["1/3", "2/3"])
         assert sum(p.mass) == Fraction(1)
 
-    def test_float_entry_demotes_to_float(self):
-        p = Pmf.from_values(Alphabet.indexed("X", 2), ["1/2", 0.5])
-        assert not p.exact
+    def test_loaded_masses_are_read_only_float64(self):
+        ch = load_channel({"x_size": 2, "y1_size": 2, "y2_size": 1,
+                           "kernel": [["1/2", 0.5], [1, "0"]]})
+        scheme = load_aux_scheme({"u_sizes": [2, 1, 1], "joint": ["1/4", 0.75],
+                                  "gamma": [0, 1]})
+        p_ux = load_ux_joint({"u_size": 1, "x_size": 2, "joint": [1, "0"]})
+        joint = induced_joint(scheme, ch)
+        for mass in (ch.kernel, ch.kernel_float(), ch.y1_given_x(), ch.y2_given_x(),
+                     scheme.aux_joint.mass, p_ux.mass, joint.mass,
+                     marginalize(joint, ["Y1"]).mass, condition(joint, ["U0"], (1,)).mass):
+            assert mass.dtype == np.float64
+            assert not mass.flags.writeable
+        assert ch.kernel_float() is ch.kernel
+        assert scheme.aux_joint.as_float() is scheme.aux_joint.mass
 
 
 class TestMarginalizeCondition:
@@ -192,7 +204,7 @@ class TestInducedJoint:
         for (a, b, c), v in back.items():
             assert abs(v - float(scheme.aux_joint.as_float()[a, b, c])) < 1e-12
 
-    def test_exact_inputs_reproduce_exactly(self):
+    def test_rational_inputs_reproduce_their_floats(self):
         axes = (Alphabet.indexed("U0", 2), Alphabet.indexed("U1", 1),
                 Alphabet.indexed("U2", 1))
         aux = JointPmf.from_values(axes, ["1/3", "2/3"])
@@ -200,10 +212,9 @@ class TestInducedJoint:
         ch = Channel.from_rows([[["1", "0"], ["0", "0"]],
                                 [["0", "0"], ["0", "1"]]], 2, 2, 2)
         j = induced_joint(scheme, ch)
-        assert j.exact
         m = marginalize(j, ["U0", "U1", "U2"])
-        assert m.mass[0, 0, 0] == Fraction(1, 3)
-        assert m.mass[1, 0, 0] == Fraction(2, 3)
+        assert m.mass[0, 0, 0] == float(Fraction(1, 3))
+        assert m.mass[1, 0, 0] == float(Fraction(2, 3))
 
     def test_gamma_out_of_range_rejected(self, rng):
         scheme = random_scheme(rng, (2, 1, 1), 4)
@@ -227,8 +238,7 @@ class TestLoaders:
                 "kernel": [["0.9", "0.1"], ["1/4", "3/4"]]}
         path.write_text(json.dumps(spec))
         ch = load_channel(str(path))
-        assert ch.exact
-        assert ch.kernel[1][0][0] == Fraction(1, 4)
+        assert ch.kernel.tolist() == [[[0.9], [0.1]], [[0.25], [0.75]]]
 
     def test_channel_bad_row_sum(self, tmp_path):
         path = tmp_path / "ch.json"

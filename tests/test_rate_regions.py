@@ -55,6 +55,15 @@ class TestMiConstants:
         assert c.i_u1_y1_given_u0 == 0.0
         assert c.i_u0u1_y1 == pytest.approx(1.0, abs=1e-12)
 
+    def test_trivial_u1_gives_exact_zeros(self, rng):
+        """A single-cell group carries no information: the conditionals on a
+        trivial U1 are exact zeros, not float noise from four entropies."""
+        for _ in range(10):
+            scheme = random_scheme(rng, (2, 1, 2), 3)
+            c = mi_constants(scheme, random_channel(rng, 3, 2, 3))
+            assert c.i_u1_y1_given_u0 == 0.0
+            assert c.i_u1_u2_given_u0 == 0.0
+
     def test_matches_brute_oracle(self, rng):
         scheme = random_scheme(rng, (2, 2, 2), 2)
         ch = random_channel(rng, 2, 2, 2)
