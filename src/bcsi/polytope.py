@@ -5,6 +5,12 @@ coefficients and a float right-hand side. Strict inequalities from the
 achievability analysis are represented closed throughout; regions are their
 closures. The LP layer is scipy's HiGHS, imported on the first solve; only
 the 1e-7 tolerance contract is normative, not the method.
+
+Redundancy, containment and feasibility are first tried without an LP: a row
+holds when a sum of at most two rows of the system bounds it over the box,
+and a system is feasible when the box's lower corner satisfies it. These are
+exact proofs, so HiGHS, called only when they fail, makes the same decision
+at the same 1e-7 tolerance wherever they succeed.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import GuardError, InputError
+from .probability import exact_number
 
 REDUNDANCY_TOL = 1e-7
 MEMBER_TOL = 1e-9
@@ -200,13 +207,26 @@ def linprog(*args, **kwargs):
     return highs_linprog(*args, **kwargs)
 
 
-def _box_bounds(sys: LinearSystem, box) -> list:
+def _box_bounds(variables, box) -> list:
+    """One (lo, hi) float pair per variable; None is unbounded, as in scipy."""
     if box is None:
         box = DEFAULT_BOX
-    if isinstance(box, dict):
-        return [tuple(box[v]) for v in sys.variables]
-    lo, hi = box
-    return [(float(lo), float(hi))] * len(sys.variables)
+    pairs = [box[v] for v in variables] if isinstance(box, dict) else [box] * len(variables)
+    return [(-inf if lo is None else float(lo), inf if hi is None else float(hi))
+            for lo, hi in pairs]
+
+
+def _matrix(rows, variables) -> tuple:
+    """The rows as a float coefficient matrix over the variables, and their
+    right-hand sides."""
+    var_index = {v: i for i, v in enumerate(variables)}
+    a = np.zeros((len(rows), len(variables)))
+    b = np.zeros(len(rows))
+    for i, r in enumerate(rows):
+        for v, c in r.coeffs.items():
+            a[i, var_index[v]] = float(c)
+        b[i] = r.rhs
+    return a, b
 
 
 def maximize(sys: LinearSystem, objective: Mapping[str, float], box=None):
@@ -215,23 +235,16 @@ def maximize(sys: LinearSystem, objective: Mapping[str, float], box=None):
     Returns (status, value, point) with status one of "optimal" or
     "infeasible". The box bounds every variable, so unbounded cannot occur.
     """
-    var_index = {v: i for i, v in enumerate(sys.variables)}
-    n = len(sys.variables)
     rows = [r for r in sys.inequalities if not r.is_vacuous()]
     for r in sys.inequalities:
         if r.is_vacuous() and r.rhs < -MEMBER_TOL:
             return "infeasible", None, None
-    a_ub = np.zeros((len(rows), n))
-    b_ub = np.zeros(len(rows))
-    for i, r in enumerate(rows):
-        for v, c in r.coeffs.items():
-            a_ub[i, var_index[v]] = float(c)
-        b_ub[i] = r.rhs
-    c = np.zeros(n)
+    a_ub, b_ub = _matrix(rows, sys.variables)
+    c = np.zeros(len(sys.variables))
     for v, w in objective.items():
-        c[var_index[v]] = -float(w)
+        c[sys.variables.index(v)] = -float(w)
     res = linprog(c, A_ub=a_ub if len(rows) else None, b_ub=b_ub if len(rows) else None,
-                  bounds=_box_bounds(sys, box), method="highs")
+                  bounds=_box_bounds(sys.variables, box), method="highs")
     if res.status == 2:
         return "infeasible", None, None
     if not res.success:
@@ -240,8 +253,60 @@ def maximize(sys: LinearSystem, objective: Mapping[str, float], box=None):
 
 
 def is_feasible(sys: LinearSystem, box=None) -> bool:
+    """True without an LP when the box's lower corner satisfies every row."""
+    lo = np.array(_box_bounds(sys.variables, box)).reshape(-1, 2)[:, 0]
+    a, b = _matrix(sys.inequalities, sys.variables)
+    if np.isfinite(lo).all() and (a @ lo <= b).all():
+        return True
     status, _, _ = maximize(sys, {}, box)
     return status == "optimal"
+
+
+def _lp_holds(sys: LinearSystem, row: LinearInequality, box) -> bool:
+    """The LP decision: row's left side cannot exceed its rhs + 1e-7 over
+    the system within the box (and the system is feasible)."""
+    status, value, _ = maximize(sys, {v: float(c) for v, c in row.coeffs.items()}, box)
+    return status == "optimal" and value <= row.rhs + REDUNDANCY_TOL
+
+
+class _RowSums:
+    """Sums of zero, one or two rows of a system, for LP-free proofs that a
+    row holds on the box intersected with the system.
+
+    If s is such a sum, every point x of the region has a.x = s.x + (a-s).x
+    <= rhs_s + max over the box of (a-s).x, so a row a.x <= rhs holds when
+    that bound is at most rhs. The bound is a proof, stronger than the LP's
+    rhs + 1e-7, so whatever it decides the LP decides the same way. The sums
+    are built once; pairs are used only while there are at most PAIR_CAP of
+    them, so that a failed proof costs well under one LP.
+    """
+
+    PAIR_CAP = 1 << 14
+
+    def __init__(self, rows, variables, box):
+        self.variables = variables
+        n = len(rows)
+        i, j = np.triu_indices(n, 1) if n * (n - 1) // 2 <= self.PAIR_CAP else ((), ())
+        # sum k adds rows first[k] and second[k]; row n is zero and always usable
+        self.first = np.concatenate([[n], np.arange(n), i]).astype(int)
+        self.second = np.concatenate([[n], np.full(n, n), j]).astype(int)
+        a, b = _matrix(rows, variables)
+        a, b = np.vstack([a, np.zeros(len(variables))]), np.append(b, 0.0)
+        self.coeffs = a[self.first] + a[self.second]
+        self.rhs = b[self.first] + b[self.second]
+        self.lo, self.hi = np.array(_box_bounds(variables, box)).reshape(-1, 2).T
+
+    def holds(self, row: LinearInequality, usable=None) -> bool:
+        """True if some sum of usable rows (a bool mask, default all) proves
+        row. False means only that no such sum does."""
+        d = _matrix([row], self.variables)[0][0] - self.coeffs
+        with np.errstate(invalid="ignore"):  # 0 * inf, in branches where masks drop it
+            spread = np.where(d > 0, d * self.hi, np.where(d < 0, d * self.lo, 0.0))
+        proved = self.rhs + spread.sum(axis=1) <= row.rhs
+        if usable is not None:
+            ok = np.append(usable, True)
+            proved &= ok[self.first] & ok[self.second]
+        return bool(proved.any())
 
 
 def _empty_system(variables) -> LinearSystem:
@@ -264,21 +329,17 @@ def remove_redundant(sys: LinearSystem, box=None) -> LinearSystem:
             continue  # vacuously true
         rows.append(r)
     rows = _dedup(rows)
-    work = LinearSystem(sys.variables, rows)
-    if not is_feasible(work, box):
+    if not is_feasible(LinearSystem(sys.variables, rows), box):
         return _empty_system(sys.variables)
-    kept = list(rows)
-    i = 0
-    while i < len(kept):
-        candidate = kept[i]
-        rest = kept[:i] + kept[i + 1:]
-        status, value, _ = maximize(LinearSystem(sys.variables, rest),
-                                    {v: float(c) for v, c in candidate.coeffs.items()}, box)
-        if status == "optimal" and value <= candidate.rhs + REDUNDANCY_TOL:
-            kept.pop(i)
-        else:
-            i += 1
-    return LinearSystem(sys.variables, kept)
+    sums = _RowSums(rows, sys.variables, box)
+    kept = np.ones(len(rows), dtype=bool)
+    for i, candidate in enumerate(rows):
+        kept[i] = False
+        if sums.holds(candidate, kept):
+            continue
+        rest = [r for r, k in zip(rows, kept) if k]
+        kept[i] = not _lp_holds(LinearSystem(sys.variables, rest), candidate, box)
+    return LinearSystem(sys.variables, [r for r, k in zip(rows, kept) if k])
 
 
 def fix_variables(sys: LinearSystem, assignment: Mapping[str, float]) -> LinearSystem:
@@ -342,7 +403,7 @@ def _read_row(item: dict) -> LinearInequality:
     canonical form whose scale fits a float."""
     if not isinstance(item["coeffs"], dict):
         raise TypeError("coeffs must map rate names to numbers")
-    row = LinearInequality({v: Fraction(c) for v, c in item["coeffs"].items()},
+    row = LinearInequality({v: exact_number(c) for v, c in item["coeffs"].items()},
                            float(item["rhs"]))
     if not (isfinite(row.rhs) and all(isfinite(float(c)) for c in row.coeffs.values())):
         raise ValueError("coefficients and rhs must be finite")
@@ -366,22 +427,14 @@ def contains(region: RateRegion, point) -> bool:
 
 def _rows_hold(a: RateRegion, b: RateRegion, box) -> bool:
     """True iff every row of b holds over a (1e-7 LP tolerance); both regions
-    must be feasible. A row that a states with the same canonical
-    coefficients and an rhs no larger needs no LP: the maximum over a is at
-    most that rhs."""
-    stated = {}
-    for ineq in a.system.inequalities:
-        row = ineq.canonical()
-        stated[row.key()] = min(row.rhs, stated.get(row.key(), inf))
+    must be feasible. A row that a sum of at most two canonical rows of a
+    proves needs no LP."""
+    sums = _RowSums([r.canonical() for r in a.system.inequalities if not r.is_vacuous()],
+                    a.system.variables, box)
     for ineq in b.system.inequalities:
-        if ineq.is_vacuous():
+        if ineq.is_vacuous() or sums.holds(ineq.canonical()):
             continue
-        row = ineq.canonical()
-        if stated.get(row.key(), inf) <= row.rhs:
-            continue
-        status, value, _ = maximize(a.system,
-                                    {v: float(c) for v, c in ineq.coeffs.items()}, box)
-        if status != "optimal" or value > ineq.rhs + REDUNDANCY_TOL:
+        if not _lp_holds(a.system, ineq, box):
             return False
     return True
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -33,6 +34,7 @@ import numpy as np
 from .errors import GuardError, InputError
 
 SUM_TOL = 1e-9          # accepted deficit on input mass sums; renormalized once at load
+EXPONENT_CAP = 400      # 10**-400 is 0.0 as a float and 10**400 overflows one
 CELL_CAP = 10_000_000   # dense storage cap on the product of axis sizes
 
 
@@ -64,12 +66,32 @@ class Alphabet:
         return Alphabet(name, tuple(range(size)))
 
 
+_EXPONENT = re.compile(r"(\s*[-+]?(?:\d+\.?\d*|\.\d+))[eE]([-+]?\d+)\s*")
+
+
+def exact_number(value) -> Fraction:
+    """Fraction(value), at a cost bounded by the length of a string value.
+
+    Fraction expands a decimal exponent into a full integer, so "1e-9999999"
+    alone takes seconds. An exponent that puts every digit of the mantissa
+    beyond 10**EXPONENT_CAP (or below 10**-EXPONENT_CAP) is clamped to
+    EXPONENT_CAP plus the mantissa's length. The value keeps its sign and
+    stays beyond the cap, where it is 0.0 or overflows as a float either
+    way, so every check of it ends as it would on the exact value."""
+    if isinstance(value, str):
+        m = _EXPONENT.fullmatch(value)
+        if m and abs(int(m[2])) > EXPONENT_CAP + len(m[1]):
+            sign = "-" if m[2].startswith("-") else ""
+            value = f"{m[1]}e{sign}{EXPONENT_CAP + len(m[1])}"
+    return Fraction(value)
+
+
 def parse_probability(value):
     """Parse one probability entry. Strings and ints are exact Fractions,
     floats stay floats."""
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return exact_number(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse probability {value!r}") from exc
     if isinstance(value, bool):

@@ -114,6 +114,65 @@ def plain_fme(rows, var_indices):
     return rows
 
 
+def plain_feasible(sys, box=None):
+    """Feasibility by one LP, whatever the box's lower corner does."""
+    from bcsi.polytope import maximize
+
+    return maximize(sys, {}, box)[0] == "optimal"
+
+
+def plain_remove_redundant(sys, box=None):
+    """Redundancy removal with one LP per row and no LP-free proof: a row
+    goes when its left side cannot exceed rhs + 1e-7 over the rows still
+    kept, tried in order."""
+    from bcsi.polytope import (MEMBER_TOL, REDUNDANCY_TOL, LinearSystem, _dedup,
+                               _empty_system, maximize)
+
+    rows = []
+    for r in sys.inequalities:
+        r = r.canonical()
+        if r.is_vacuous():
+            if r.rhs < -MEMBER_TOL:
+                return _empty_system(sys.variables)
+            continue
+        rows.append(r)
+    rows = _dedup(rows)
+    if not plain_feasible(LinearSystem(sys.variables, rows), box):
+        return _empty_system(sys.variables)
+    kept = list(rows)
+    i = 0
+    while i < len(kept):
+        candidate = kept[i]
+        rest = kept[:i] + kept[i + 1:]
+        status, value, _ = maximize(LinearSystem(sys.variables, rest),
+                                    {v: float(c) for v, c in candidate.coeffs.items()}, box)
+        if status == "optimal" and value <= candidate.rhs + REDUNDANCY_TOL:
+            kept.pop(i)
+        else:
+            i += 1
+    return LinearSystem(sys.variables, kept)
+
+
+def plain_rows_hold(a, b, box=None):
+    """Every row of region b holds over region a, by one LP per row."""
+    from bcsi.polytope import REDUNDANCY_TOL, maximize
+
+    for ineq in b.system.inequalities:
+        if ineq.is_vacuous():
+            continue
+        status, value, _ = maximize(a.system,
+                                    {v: float(c) for v, c in ineq.coeffs.items()}, box)
+        if status != "optimal" or value > ineq.rhs + REDUNDANCY_TOL:
+            return False
+    return True
+
+
+def plain_region_subset(a, b, box=None):
+    if not plain_feasible(a.system, box):
+        return True
+    return plain_feasible(b.system, box) and plain_rows_hold(a, b, box)
+
+
 def plain_lattice_points(parts, resolution):
     """Every composition of `resolution` into `parts` nonnegative parts, by
     recursion, first part slowest, as pmfs."""

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -99,6 +100,36 @@ def test_parse_boundary_entry_exit_1(files, capsys, loader, entry):
     assert code == 1
     assert out == ""
     assert "error:" in err
+    assert "Traceback" not in err
+
+
+# Entries whose decimal exponent Fraction would expand into a ten-million-
+# digit integer: each ends in well under a second with the verdict of its
+# exact value, in the channel, scheme and region-file loaders.
+_FAR_EXPONENTS = {"1e-9999999": (0, 0, 1), "-1e-9999999": (1, 1, 1), "1e9999999": (1, 1, 1)}
+_FAR_EXPONENT_LOADERS = {
+    "channel": ("channel", ["kernel", 0], ["{e}", "0", "0", "1"],
+                ["validate", "--channel", "{file}"]),
+    "scheme": ("aux", ["joint"], ["{e}", "1"],
+               ["validate", "--channel", "{channel}", "--scheme", "{file}"]),
+    "region": ("region", ["inequalities", 0, "coeffs"], {"R1": "{e}", "R2": "1"},
+               ["compare", "{file}", "{file}"]),
+}
+
+
+@pytest.mark.parametrize("entry", list(_FAR_EXPONENTS))
+@pytest.mark.parametrize("loader", list(_FAR_EXPONENT_LOADERS))
+def test_far_exponent_entry_parses_in_bounded_time(files, capsys, loader, entry):
+    kind, path, value, argv = _FAR_EXPONENT_LOADERS[loader]
+    specs = {"channel": NOISELESS, "aux": AUX_COMPLEMENTARY,
+             "region": json.loads(Path(files["region"]).read_text())}
+    value = json.loads(json.dumps(value).replace("{e}", entry))
+    target = files["tmp"] / f"far_{kind}.json"
+    target.write_text(json.dumps(_mutated(specs[kind], path, value)))
+    start = time.perf_counter()
+    code, _, err = run_cli([a.format(file=target, **files) for a in argv], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == _FAR_EXPONENTS[entry][list(_FAR_EXPONENT_LOADERS).index(loader)]
     assert "Traceback" not in err
 
 

@@ -12,7 +12,9 @@ from bcsi.polytope import (LinearInequality, LinearSystem, RATE_VARS, RateRegion
                            contains, fix_variables, fme_eliminate, is_feasible,
                            maximize, regions_equal, region_subset,
                            remove_redundant)
-from oracles import lift_exists_interval, plain_fme
+from bcsi.rate_regions import MiConstants, project_raw_system, raw_coding_system
+from oracles import (lift_exists_interval, plain_feasible, plain_fme, plain_region_subset,
+                     plain_remove_redundant)
 
 
 def ineq(coeffs, rhs):
@@ -201,8 +203,125 @@ class TestRemoveRedundant:
             assert before == after
 
 
+@st.composite
+def derived_system(draw):
+    """A system over 2-5 rate variables with small integer coefficients,
+    plus rows that are sums, multiples or repeated directions of its rows,
+    in shuffled order, and a box: the default, one with a negative lower
+    bound, or a per-variable dict."""
+    n_vars = draw(st.integers(2, 5))
+    names = RATE_VARS[:n_vars]
+    coeffs = st.lists(st.integers(-2, 3), min_size=n_vars, max_size=n_vars).filter(any)
+    rows = draw(st.lists(st.tuples(coeffs, st.integers(-2, 16).map(lambda k: k / 2)),
+                         min_size=1, max_size=6))
+    for kind, i, j, k in draw(st.lists(st.tuples(
+            st.sampled_from(["sum", "multiple", "direction"]), st.integers(0, 99),
+            st.integers(0, 99), st.integers(0, 2)), max_size=6)):
+        (ca, ba), (cb, bb) = rows[i % len(rows)], rows[j % len(rows)]
+        if kind == "sum":
+            c, rhs = [x + y for x, y in zip(ca, cb)], ba + bb + k / 2
+        elif kind == "multiple":
+            c, rhs = [(k + 2) * x for x in ca], (k + 2) * ba
+        else:
+            c, rhs = ca, ba + k - 1
+        if any(c):
+            rows.append((c, rhs))
+    rows = [rows[i] for i in draw(st.permutations(range(len(rows))))]
+    system = LinearSystem(names, [LinearInequality(dict(zip(names, c)), rhs)
+                                  for c, rhs in rows])
+    kind = draw(st.sampled_from(["default", "negative", "dict"]))
+    if kind == "default":
+        box = None
+    elif kind == "negative":
+        box = (draw(st.integers(-3, -1)), draw(st.integers(2, 10)))
+    else:
+        box = {}
+        for v in RATE_VARS:
+            lo = draw(st.integers(-2, 1))
+            box[v] = (lo, lo + draw(st.integers(1, 8)))
+    return system, box
+
+
 def rate_region(rows):
     return RateRegion(LinearSystem(RATE_VARS, rows))
+
+
+def pinned(system):
+    return [(r.key(), r.rhs) for r in system.inequalities]
+
+
+class TestLpFreeProofs:
+    """Row-sum proofs decide before any LP; every decision stays the one
+    the LP-only oracles make."""
+
+    @given(derived_system())
+    @settings(max_examples=80, deadline=None)
+    def test_remove_redundant_matches_lp_only_oracle(self, drawn):
+        system, box = drawn
+        assert pinned(remove_redundant(system, box)) == \
+            pinned(plain_remove_redundant(system, box))
+
+    @given(derived_system(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_region_tests_match_lp_only_oracle(self, drawn, data):
+        system, box = drawn
+        rows = system.inequalities
+        picked = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=len(rows)))
+        a = RateRegion(system)
+        b = RateRegion(LinearSystem(system.variables, [rows[i] for i in picked]))
+        regions = (a, b, RateRegion(remove_redundant(system, box)))
+        subset = {(i, j): plain_region_subset(x, y, box)
+                  for i, x in enumerate(regions) for j, y in enumerate(regions)}
+        for i, x in enumerate(regions):
+            assert is_feasible(x.system, box) == plain_feasible(x.system, box)
+            for j, y in enumerate(regions):
+                assert region_subset(x, y, box) == subset[i, j]
+                assert regions_equal(x, y, box) == (subset[i, j] and subset[j, i])
+
+    @given(derived_system(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_a_proved_row_holds_by_lp(self, drawn, data):
+        system, box = drawn
+        rows = [r.canonical() for r in system.inequalities]
+        usable = np.array(data.draw(st.lists(st.booleans(), min_size=len(rows),
+                                             max_size=len(rows))))
+        sums = polytope._RowSums(rows, system.variables, box)
+        live = LinearSystem(system.variables, [r for r, u in zip(rows, usable) if u])
+        for target in rows + [ineq({v: 1}, 2.5) for v in system.variables]:
+            if not sums.holds(target, usable):
+                continue
+            status, value, _ = maximize(live, {v: float(c) for v, c in target.coeffs.items()},
+                                        box)
+            assert status == "infeasible" or value <= target.rhs + polytope.REDUNDANCY_TOL
+
+    def test_a_row_beyond_rhs_within_lp_tolerance_is_left_to_the_lp(self):
+        # a proof is exact: R1 <= 1 + 5e-7 does not prove R1 <= 1, the LP
+        # decides (5e-7 is above its 1e-7 tolerance)
+        loose = rate_region([ineq({"R1": 1}, 1.0 + 5e-7)])
+        tight = rate_region([ineq({"R1": 1}, 1.0)])
+        assert not polytope._RowSums(loose.system.inequalities, RATE_VARS, None).holds(
+            tight.system.inequalities[0])
+        assert not region_subset(loose, tight)
+        assert region_subset(tight, loose)
+
+    def test_zero_difference_on_an_infinite_bound_is_zero(self):
+        rows = [ineq({"x": 1}, 2.0)]
+        sums = polytope._RowSums(rows, ("x", "y"), {"x": (0, None), "y": (None, None)})
+        assert sums.holds(ineq({"x": 1}, 2.0))
+        assert not sums.holds(ineq({"x": 1, "y": 1}, 2.0))
+
+    def test_work_counts(self, monkeypatch):
+        # one LP per kept facet of the projection, none for a region in
+        # itself (hand count)
+        solves = []
+        solve = polytope.linprog
+        monkeypatch.setattr(polytope, "linprog", lambda *a, **k: solves.append(1) or solve(*a, **k))
+        region = project_raw_system(raw_coding_system(MiConstants(1.0, 0.9, 0.6, 0.5, 0.3)))
+        assert len(region.system.inequalities) == 5
+        assert len(solves) == 5
+        solves.clear()
+        assert region_subset(region, region)
+        assert solves == []
 
 
 class TestRegions:
@@ -258,10 +377,11 @@ class TestRegions:
         r = self.region()
         calls = self.count_lps(monkeypatch)
         assert region_subset(r, r)
-        assert calls == [{}, {}]  # the two feasibility checks
-        calls.clear()
+        # r contains its box's lower corner, the origin, so neither
+        # feasibility check solves an LP
+        assert calls == []
         assert regions_equal(r, r)
-        assert calls == [{}, {}]
+        assert calls == []
 
     def test_compare_solves_each_feasibility_lp_once(self, monkeypatch, tmp_path):
         r = self.region()
@@ -273,9 +393,23 @@ class TestRegions:
             paths[-1].write_text(json.dumps(region.to_jsonable()))
         calls = self.count_lps(monkeypatch)
         assert cli.main(["compare", *map(str, paths), "--out", str(tmp_path / "c.json")]) == 0
-        assert [c for c in calls if not c] == [{}, {}]
+        # both regions contain the origin: no feasibility LP at all; the one
+        # LP is the row of b that no row sum of a proves
+        assert calls == [{"R1": 1.0, "R2": 1.0, "R4": 1.0}]
         assert json.loads((tmp_path / "c.json").read_text()) == \
             {"equal": False, "a_subset_b": False, "b_subset_a": True}
+        # with R1 >= 1/4 neither region holds the origin: one feasibility LP each
+        for path, region in zip(paths, (r, smaller)):
+            shifted = rate_region(list(region.system.inequalities) + [ineq({"R1": -1}, -0.25)])
+            path.write_text(json.dumps(shifted.to_jsonable()))
+        calls.clear()
+        assert cli.main(["compare", *map(str, paths), "--out", str(tmp_path / "c.json")]) == 0
+        assert [c for c in calls if not c] == [{}, {}]
+
+    def test_empty_region_feasibility_solves_one_lp(self, monkeypatch):
+        calls = self.count_lps(monkeypatch)
+        assert not is_feasible(rate_region([ineq({"R1": 1}, -1.0)]).system)
+        assert calls == [{}]
 
     def test_row_stated_with_larger_rhs_still_solved(self, monkeypatch):
         r = self.region()
@@ -283,10 +417,10 @@ class TestRegions:
         tighter = rate_region([ineq({"R1": 2, "R2": 2, "R4": 2}, 1.0)] + rows[1:])
         calls = self.count_lps(monkeypatch)
         assert not region_subset(r, tighter)
-        assert calls == [{}, {}, {"R1": 2.0, "R2": 2.0, "R4": 2.0}]
+        assert calls == [{"R1": 2.0, "R2": 2.0, "R4": 2.0}]
         calls.clear()
         assert region_subset(tighter, r)
-        assert calls == [{}, {}]  # tighter states R1 + R2 + R4 <= 0.5 in canonical form
+        assert calls == []  # tighter states R1 + R2 + R4 <= 0.5 in canonical form
 
     def test_two_empty_regions_equal(self):
         empty1 = rate_region([ineq({"R1": 1}, -1.0)])

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from bcsi.errors import GuardError, InputError
 from bcsi.probability import (Alphabet, AuxScheme, Channel, JointPmf, Pmf,
-                              binary_symmetric_pair, condition, induced_joint,
+                              EXPONENT_CAP, binary_symmetric_pair, condition, exact_number,
+                              induced_joint,
                               load_aux_scheme, load_channel, load_ux_joint, marginalize,
                               noiseless_channel, validate_mass, validate_pmf)
 from conftest import random_joint, random_scheme
@@ -83,6 +84,32 @@ class TestExactBacking:
             assert not mass.flags.writeable
         assert ch.kernel_float() is ch.kernel
         assert scheme.aux_joint.as_float() is scheme.aux_joint.mass
+
+
+class TestExactNumber:
+    @given(st.sampled_from(["", "-", "+", " "]), st.integers(0, 10 ** 6),
+           st.sampled_from(["", ".", ".25", ".000"]), st.sampled_from(["e", "E"]),
+           st.integers(-EXPONENT_CAP - 1, EXPONENT_CAP + 1))
+    @settings(max_examples=200, deadline=None)
+    def test_ordinary_exponents_parse_exactly(self, sign, digits, point, e, exponent):
+        text = f"{sign}{digits}{point}{e}{exponent}"
+        assert exact_number(text) == Fraction(text)
+
+    def test_far_exponents_keep_sign_and_side_of_every_float(self):
+        tiny, huge = Fraction(1, 10 ** EXPONENT_CAP), 10 ** EXPONENT_CAP
+        for text, sign, far in (("1e-9999999", 1, "tiny"), ("-1e-9999999", -1, "tiny"),
+                                ("123.5e-99999999999", 1, "tiny"), ("1e9999999", 1, "huge"),
+                                ("-0.001e99999999", -1, "huge"), ("0e99999999", 0, "tiny")):
+            value = exact_number(text)
+            assert (value > 0) - (value < 0) == sign
+            assert abs(value) < tiny if far == "tiny" else abs(value) > huge
+
+    def test_other_inputs_are_fractions_of_themselves(self):
+        assert exact_number("1/3") == Fraction(1, 3)
+        assert exact_number(7) == 7
+        assert exact_number(0.1) == Fraction(0.1)
+        with pytest.raises(ValueError):
+            exact_number("1e")
 
 
 class TestMarginalizeCondition:
