@@ -18,7 +18,7 @@ from .errors import GuardError, InputError
 from .info_measures import _entropy_rows
 from .polytope import linprog
 from .probability import Channel
-from .simplex_search import GOLDEN_ITERS, in_chunks, lattice_or_sample, refine_on_simplex
+from .simplex_search import in_chunks, lattice_or_sample, refine_on_simplex
 
 POINT_MASS_TOL = 1e-9
 DEGRADED_TOL = 1e-9
@@ -109,8 +109,9 @@ def is_degraded(ch: Channel) -> ClassVerdict:
 
 
 def _sweep_budget(sweeps: int, cells: int) -> int:
-    """Refinement budget worth `sweeps` full pair sweeps over `cells` cells."""
-    return sweeps * math.comb(cells, 2) * (GOLDEN_ITERS + 1)
+    """Refinement budget, in line searches, worth `sweeps` full pair sweeps
+    over `cells` cells."""
+    return sweeps * math.comb(cells, 2)
 
 
 def _gap(joint_ux: np.ndarray, ch: Channel) -> np.ndarray:

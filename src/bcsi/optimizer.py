@@ -1,15 +1,15 @@
 """Search over auxiliary distributions to approximate the union regions.
 
 The reported unions are inner approximations: a multistart search over a
-coarse simplex lattice followed by golden-section refinement on pairwise
-mass transfers. To make "more resolution never hurts" hold exactly, the
-sweep is cumulative: a search at resolution r walks the lattices of every
-level 2..r, with oversized levels subsampled through a per-level seeded
-stream, so the candidate set at r is a superset of the one at r-1 for the
-same seed. Refinement starts (each level's best point plus the seeded
-restart points) each get their own budget and advance together through one
-batched refiner, ending where refining each alone would, which keeps them
-nested across resolutions too.
+coarse simplex lattice followed by refinement on pairwise mass transfers,
+each line search a staged grid scored in batched calls. To make "more
+resolution never hurts" hold exactly, the sweep is cumulative: a search at
+resolution r walks the lattices of every level 2..r, with oversized levels
+subsampled through a per-level seeded stream, so the candidate set at r is
+a superset of the one at r-1 for the same seed. Refinement starts (each
+level's best point plus the seeded restart points) each get their own
+budget and advance together through one batched refiner, ending where
+refining each alone would, which keeps them nested across resolutions too.
 
 Candidates are scored in batched calls of at most CHUNK rows. Ties between
 candidates resolve to the earliest point in sweep order, which is a fixed
@@ -41,7 +41,7 @@ from .simplex_search import CHUNK, in_chunks, lattice_or_sample, refine_on_simpl
 
 THEOREMS = ("t1", "t2", "t3")
 PER_LEVEL_CAP = 1200
-REFINE_BUDGET = 2500  # refinement evaluations per start
+REFINE_BUDGET = 120  # refinement line searches per start
 GAMMA_CELL_CAP = 2 ** 16  # t1 maps x joint cells scored exhaustively; greedy above
 BOX_HI = 64.0
 WEIGHT_CAP = 1e300  # keeps every support value finite

@@ -115,18 +115,26 @@ def _frozen(mass) -> np.ndarray:
     return out
 
 
+def _as_written(value) -> str:
+    """An entry as written, cut to at most 40 characters for a message (an
+    exact value may have hundreds of digits)."""
+    text = value if isinstance(value, str) else repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def _checked_mass(values, shape, what: str) -> np.ndarray:
     """A pmf of the given shape from raw entries, renormalized once. Entries
     are parsed exactly, so a negative or above-1 entry is judged on its exact
     value; then they are stored as floats and checked by validate_mass. A
     failed check is an InputError prefixed by what."""
-    parsed = [parse_probability(v) for v in np.asarray(values, dtype=object).reshape(-1)]
+    raw = np.asarray(values, dtype=object).reshape(-1)
+    parsed = [parse_probability(v) for v in raw]
     cells = math.prod(shape)
     if len(parsed) != cells:
         raise InputError(f"expected {cells} mass entries, got {len(parsed)}")
     for i, v in enumerate(parsed):
         if isinstance(v, Fraction) and v < 0:
-            raise InputError(f"{what}: mass[{i}] = {v} is negative")
+            raise InputError(f"{what}: mass[{i}] = {_as_written(raw[i])} is negative")
         if isinstance(v, Fraction) and v > 1 + SUM_TOL:  # a float of it could overflow
             raise InputError(f"{what}: mass[{i}] is above 1")
     mass = np.array([float(v) for v in parsed])

@@ -140,18 +140,28 @@ def receiver_joints(aux: np.ndarray, gamma: np.ndarray, k1: np.ndarray,
 def _t1_rows(aux: np.ndarray, gamma: np.ndarray, k1: np.ndarray, k2: np.ndarray):
     """Right-hand sides (..., 5) of the five-inequality bound for float (joint, gamma)
     pairs, and keys (..., 4) = (I(U0U1;Y1), I(U1;Y1|U0), I(U0U2;Y2), I(U2;Y2|U0)).
-    Contractions are einsums, so each row is bitwise independent of its batch."""
+    Contractions are einsums, so each row is bitwise independent of its batch.
+    As in mi_constants, an information term whose first or second group spans
+    a single cell is exactly 0, decided by shape."""
+    u0, u1, u2 = aux.shape[-3:]
+    y1, y2 = k1.shape[-1], k2.shape[-1]
     p01y, p02y = receiver_joints(aux, gamma, k1, k2)
+    zero = np.zeros(p01y.shape[:-3])
     h0 = _entropy_rows(aux.sum(axis=(-2, -1)), 1)
     h01 = _entropy_rows(aux.sum(axis=-1), 2)
     h02 = _entropy_rows(np.einsum("...abc->...ac", aux), 2)
-    a_c = np.maximum(h01 + h02 - h0 - _entropy_rows(aux, 3), 0.0)
+    a_c = (zero if 1 in (u1, u2)
+           else np.maximum(h01 + h02 - h0 - _entropy_rows(aux, 3), 0.0))
     h_01y = _entropy_rows(p01y, 3)
-    big1 = np.maximum(h01 + _entropy_rows(np.einsum("...aby->...y", p01y), 1) - h_01y, 0.0)
-    b1 = np.maximum(h01 + _entropy_rows(np.einsum("...aby->...ay", p01y), 2) - h0 - h_01y, 0.0)
+    big1 = (zero if 1 in (u0 * u1, y1) else
+            np.maximum(h01 + _entropy_rows(np.einsum("...aby->...y", p01y), 1) - h_01y, 0.0))
+    b1 = (zero if 1 in (u1, y1) else
+          np.maximum(h01 + _entropy_rows(np.einsum("...aby->...ay", p01y), 2) - h0 - h_01y, 0.0))
     h_02y = _entropy_rows(p02y, 3)
-    big2 = np.maximum(h02 + _entropy_rows(np.einsum("...acy->...y", p02y), 1) - h_02y, 0.0)
-    b2 = np.maximum(h02 + _entropy_rows(np.einsum("...acy->...ay", p02y), 2) - h0 - h_02y, 0.0)
+    big2 = (zero if 1 in (u0 * u2, y2) else
+            np.maximum(h02 + _entropy_rows(np.einsum("...acy->...y", p02y), 1) - h_02y, 0.0))
+    b2 = (zero if 1 in (u2, y2) else
+          np.maximum(h02 + _entropy_rows(np.einsum("...acy->...ay", p02y), 2) - h0 - h_02y, 0.0))
     return _marton_rhs(big1, big2, b1, b2, a_c), np.stack([big1, b1, big2, b2], axis=-1)
 
 

@@ -3,7 +3,8 @@
 Shared between the classifier (grid + descent over input distributions) and
 the optimizer (grid + refinement over auxiliary joints): both sweep a
 lattice and then polish its best points with the one budgeted pairwise
-golden-section refiner, refine_on_simplex.
+refiner, refine_on_simplex, whose line searches score a grid of transfers
+per call and shrink it in stages.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-GOLDEN_ITERS = 20
+GRID_POINTS = 16  # transfers scored per line-search stage, both ends included
+GRID_STAGES = 5  # stages per line search: a final bracket of span * (2/15)**5
 MAX_SWEEPS = 8
 CHUNK = 64  # candidates scored per batched call
 
@@ -64,40 +65,46 @@ def in_chunks(score: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> 
     return np.concatenate([score(points[s:s + CHUNK]) for s in range(0, len(points), CHUNK)])
 
 
-def golden_max_1d(f: Callable[[np.ndarray], np.ndarray], lo, hi,
-                  iters: int = GOLDEN_ITERS) -> tuple:
-    """Golden-section maximization of f on [lo, hi], elementwise over arrays
-    of intervals: f maps an array of abscissae to the values, one per
-    interval."""
-    a, b = np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        left = fc >= fd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        probe = np.where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
-        fp = f(probe)
-        c, d = np.where(left, probe, d), np.where(left, c, probe)
-        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
-    x = (a + b) / 2.0
-    return x, f(x)
+def grid_max_1d(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
+                hi: np.ndarray) -> tuple:
+    """Staged grid maximization of f on [lo, hi], elementwise over arrays of
+    intervals: f maps abscissae (m, GRID_POINTS) to their values. Each of
+    GRID_STAGES stages scores GRID_POINTS evenly spaced points of every
+    bracket, both ends included, in one call of f; the best point so far
+    moves only to a strictly better one (so the first maximum wins ties),
+    and the bracket shrinks to it plus and minus one step, within [lo, hi].
+    Returns the best points scored and their values."""
+    a, b = lo, hi
+    w = np.arange(GRID_POINTS) / (GRID_POINTS - 1)
+    at = np.arange(len(lo))
+    x, best = lo, np.full(len(lo), -np.inf)
+    for _ in range(GRID_STAGES):
+        t = a[:, None] * (1.0 - w) + b[:, None] * w  # exact ends: a and b
+        vals = f(t)
+        top = np.argmax(vals, axis=1)
+        up = vals[at, top] > best
+        x, best = np.where(up, t[at, top], x), np.where(up, vals[at, top], best)
+        step = (b - a) / (GRID_POINTS - 1)
+        a, b = np.maximum(x - step, lo), np.minimum(x + step, hi)
+    return x, best
 
 
 def refine_on_simplex(objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
                       starts: np.ndarray, budget: int) -> tuple:
-    """Coordinate-pair local ascent from each row of starts (k, n), within an
-    evaluation budget per start: golden-section on mass transfers between
-    every pair of cells (the shifted point clipped at zero and renormalized),
-    at most MAX_SWEEPS sweeps, stopping early after a sweep without
-    improvement. Each line search costs GOLDEN_ITERS + 1 evaluations of the
-    budget. objective(points, which) values each row of points on its own;
-    which[r] is the start that row belongs to.
+    """Coordinate-pair local ascent from each row of starts (k, n), within a
+    budget of line searches per start: a staged grid search (grid_max_1d) on
+    mass transfers t in [-x_j, x_i] between every pair of cells (the shifted
+    point clipped at zero and renormalized), at most MAX_SWEEPS sweeps,
+    stopping early after a sweep without improvement. objective(points,
+    which) values each row of points on its own; which[r] is the start that
+    row belongs to.
 
     The starts advance together: each keeps its own cursor over (sweep,
-    pair), and every round runs one line search for every live start, so
-    each start ends where refining it alone would. Returns (points, values).
-    Deterministic given (starts, budget).
+    pair), and every round runs one line search for every live start, which
+    is GRID_STAGES objective calls, so each start ends where refining it
+    alone would. An accepted point is the grid point already scored, so its
+    value is the grid value. Returns (points, values). Deterministic given
+    (starts, budget).
     """
     x = np.array(starts, dtype=np.float64)
     k, n = x.shape
@@ -120,7 +127,7 @@ def refine_on_simplex(objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
                 i, j = pairs[pos[r]]
                 pos[r] += 1
                 if x[r, i] - (-x[r, j]) >= 1e-12:  # the span of t in [-x_j, x_i]
-                    remaining[r] -= GOLDEN_ITERS + 1
+                    remaining[r] -= 1
                     rows.append(r)
                     pair.append((i, j))
                     break
@@ -129,16 +136,18 @@ def refine_on_simplex(objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
         live = rows
         rows = np.asarray(rows)
         i, j = np.asarray(pair).T
-        at = np.arange(len(rows))
+        which = np.repeat(rows, GRID_POINTS)
+        at = np.arange(len(which))
+        cell_i, cell_j = np.repeat(i, GRID_POINTS), np.repeat(j, GRID_POINTS)
 
         def shifted(t):
-            y = x[rows]
-            y[at, i] -= t
-            y[at, j] += t
+            y = x[which]
+            y[at, cell_i] -= t.ravel()
+            y[at, cell_j] += t.ravel()
             np.clip(y, 0.0, None, out=y)
-            return objective(y / y.sum(axis=1)[:, None], rows)
+            return objective(y / y.sum(axis=1)[:, None], which).reshape(t.shape)
 
-        t, val = golden_max_1d(shifted, -x[rows, j], x[rows, i])
+        t, val = grid_max_1d(shifted, -x[rows, j], x[rows, i])
         up = val > best[rows] + 1e-12
         r = rows[up]
         if len(r):
@@ -146,5 +155,5 @@ def refine_on_simplex(objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
             x[r, j[up]] += t[up]
             y = np.clip(x[r], 0.0, None)
             x[r] = y / y.sum(axis=1)[:, None]
-            best[r] = objective(x[r], r)
+            best[r] = val[up]
             improved[r] = True

@@ -186,32 +186,30 @@ def plain_lattice_points(parts, resolution):
     return [np.asarray(c, dtype=np.float64) / resolution for c in rec([], resolution, parts)]
 
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def plain_golden(f, lo, hi, iters=20):
-    """Scalar golden-section maximization of f on [lo, hi]."""
+def plain_staged_grid(f, lo, hi, points=16, stages=5):
+    """Scalar staged grid maximization of f on [lo, hi], one point per call:
+    each stage tries `points` evenly spaced points of the bracket (both ends
+    included), moves the best point so far only to a strictly better one and
+    narrows the bracket to it plus and minus one step, clipped to [lo, hi]."""
     a, b = lo, hi
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = f(d)
-    x = (a + b) / 2.0
-    return x, f(x)
+    best_t, best_v = lo, -math.inf
+    for _ in range(stages):
+        for k in range(points):
+            w = k / (points - 1)
+            t = a * (1.0 - w) + b * w
+            v = f(t)
+            if v > best_v:
+                best_t, best_v = t, v
+        step = (b - a) / (points - 1)
+        a, b = max(best_t - step, lo), min(best_t + step, hi)
+    return best_t, best_v
 
 
-def plain_refine(objective, start, budget, sweeps=8, iters=20):
-    """One start at a time: pairwise golden-section ascent on mass transfers
-    (clipped at zero, renormalized), each line search charged iters + 1
-    evaluations, stopping after a sweep without improvement."""
+def plain_refine(objective, start, budget, sweeps=8):
+    """One start at a time: pairwise staged-grid ascent on mass transfers
+    (clipped at zero, renormalized), each line search charged one unit of
+    the budget, stopping after a sweep without improvement. An accepted
+    point is valued afresh."""
     x = np.array(start, dtype=np.float64)
     best = objective(x)
     n = len(x)
@@ -236,8 +234,8 @@ def plain_refine(objective, start, budget, sweeps=8, iters=20):
                         return -math.inf
                     return objective(y / s)
 
-                remaining -= iters + 1
-                t, val = plain_golden(shifted, lo, hi, iters)
+                remaining -= 1
+                t, val = plain_staged_grid(shifted, lo, hi)
                 if val > best + 1e-12:
                     x[i] -= t
                     x[j] += t

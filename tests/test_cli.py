@@ -133,6 +133,19 @@ def test_far_exponent_entry_parses_in_bounded_time(files, capsys, loader, entry)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("entry", ["-1e-400", "-1e-9999999"])
+def test_negative_entry_message_is_one_bounded_line(files, capsys, entry):
+    """A tiny negative entry is named as written, not as its exact value
+    with a denominator of hundreds of digits."""
+    target = files["tmp"] / "negative.json"
+    target.write_text(json.dumps(_mutated(NOISELESS, ["kernel", 0], [entry, "0", "0", "1"])))
+    code, out, err = run_cli(["validate", "--channel", str(target)], capsys)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and len(err) < 200
+    assert entry in err
+
+
 class TestRegion:
     def test_t1_noiseless_region(self, files, capsys):
         code, out, _ = run_cli(["region", "--theorem", "t1",

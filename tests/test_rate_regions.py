@@ -324,6 +324,35 @@ class TestTheoremRows:
                 checked += 1
         assert checked >= 100
 
+    def test_t1_rows_trivial_groups_give_exact_zeros(self, rng):
+        """A single-cell group zeroes its information term by shape, as in
+        mi_constants, so the two definitions agree on every such term exactly
+        and on the right-hand sides up to float noise (bitwise when every
+        term is trivial)."""
+        for sizes in itertools.product((1, 2, 3), repeat=3):
+            if 1 not in sizes:
+                continue
+            for _ in range(6):
+                x = int(rng.integers(2, 4))
+                ch = random_channel(rng, x, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+                scheme = random_scheme(rng, sizes, x)
+                rhs, key = _t1_rows(scheme.aux_joint.as_float(), np.asarray(scheme.gamma),
+                                    ch.y1_given_x(), ch.y2_given_x())
+                c = mi_constants(scheme, ch)
+                direct = [i.rhs for i in marton_region(scheme, ch).system.inequalities]
+                u0, u1, u2 = sizes
+                y1, y2 = ch.y1.size, ch.y2.size
+                for trivial, ours, theirs in (
+                        (1 in (u0 * u1, y1), key[0], c.i_u0u1_y1),
+                        (1 in (u1, y1), key[1], c.i_u1_y1_given_u0),
+                        (1 in (u0 * u2, y2), key[2], c.i_u0u2_y2),
+                        (1 in (u2, y2), key[3], c.i_u2_y2_given_u0)):
+                    if trivial:
+                        assert ours == theirs == 0.0
+                np.testing.assert_allclose(rhs, direct, rtol=0.0, atol=1e-12)
+                if sizes == (1, 1, 1):
+                    assert np.array_equal(rhs, direct)
+
     @staticmethod
     def _ux_joint(rng, ch):
         """Random p(u, x) with some zero cells, and the joint over

@@ -50,3 +50,34 @@ def test_classify_channels(capsys):
         "blackwell maps": [True, False, False, False],
         "y2 constant": [False, True, True, True],
     }
+
+
+def _run_line(workload, seed, side, wall, setup=0.1, rss=80.0, trace=False, failed=0):
+    metrics = {"setup_s": setup, "wall_s": wall, "peak_rss_mb": rss}
+    return {"workload": workload, "seed": seed, "side": side, "trace": trace,
+            "run_in_pair": 1, "command": "",
+            "result": {"correct": failed == 0, "attempted": 10, "failed": failed,
+                       "metrics": {k: {"value": v, "unit": "s"} for k, v in metrics.items()}}}
+
+
+def test_bench_pairs_summary():
+    """Medians, wins per pair and inclusive quartile distances of synthetic
+    run lines; traced runs and unpaired runs are left out."""
+    parent = [1.0, 2.0, 3.0, 4.0, 5.0]
+    change = [0.5, 2.5, 2.0, 3.0, 6.0]
+    runs = []
+    for seed, (p, c) in enumerate(zip(parent, change)):
+        runs += [_run_line("analyze", seed, "parent", p),
+                 _run_line("analyze", seed, "change", c, failed=int(seed == 4))]
+    runs += [_run_line("analyze", 3, "parent", 99.0, trace=True),
+             _run_line("analyze", 9, "parent", 99.0)]
+    summary = _load("bench_pairs").summarize(runs)
+    wall = summary["analyze"]["wall_s"]
+    assert summary["analyze"]["pairs"] == 5
+    assert summary["analyze"]["failed"] == 1 and not summary["analyze"]["all_correct"]
+    assert wall["parent_median"] == 3.0 and wall["change_median"] == 2.5
+    assert wall["parent_quartile_distance"] == 2.0  # 4.0 - 2.0
+    assert wall["change_quartile_distance"] == 1.0  # 3.0 - 2.0
+    assert wall["change_lower_in_pairs"] == 3
+    assert wall["relative_change_of_median"] == 2.5 / 3.0 - 1.0
+    assert summary["analyze"]["setup_s"]["change_lower_in_pairs"] == 0  # ties are not wins
