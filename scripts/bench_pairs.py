@@ -9,8 +9,10 @@ into a temporary directory. The workloads and the run length come from
 BENCHMARK.json; workload w runs seeds SEED_BASE + 20w + 1 onwards. For each
 of PAIRS pair indices and each workload, the two sides run one after the
 other, the parent first in even-indexed pairs, and pairs of the workloads
-interleave. One traced pair per workload at seed 3 gives the per-layer
-metrics. The result is BENCH_<parent-sha>.json in the repository root:
+interleave. TRACED_PAIRS traced pairs per workload at seed 3 (alternating
+which side runs first) give the per-layer metrics, each side's median over
+its traced runs: one traced pair swings by tens of percent on unchanged
+code. The result is BENCH_<parent-sha>.json in the repository root:
 parent_commit, change, machine, method, summary, notes, traced_seed_3 and
 runs, one entry per run with its final JSON line.
 """
@@ -30,6 +32,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = 10
+TRACED_PAIRS = 3
 SEED_BASE = 500
 METRICS = ("setup_s", "wall_s", "peak_rss_mb")
 
@@ -76,13 +79,17 @@ def summarize(runs: list) -> dict:
     return out
 
 
-def _traced(runs: list) -> dict:
-    out = {}
+def traced_medians(runs: list) -> dict:
+    """Per workload and side, the median of each metric over the traced
+    runs."""
+    values = {}
     for r in runs:
         if r["trace"]:
-            metrics = {k: v["value"] for k, v in r["result"]["metrics"].items()}
-            out.setdefault(r["workload"], {})[r["side"]] = metrics
-    return out
+            side = values.setdefault(r["workload"], {}).setdefault(r["side"], {})
+            for k, v in r["result"]["metrics"].items():
+                side.setdefault(k, []).append(v["value"])
+    return {w: {s: {k: statistics.median(v) for k, v in metrics.items()}
+                for s, metrics in sides.items()} for w, sides in values.items()}
 
 
 def _run(tree: str, workload: str, seed: int, seconds: float, trace: int) -> tuple:
@@ -140,7 +147,7 @@ def main(argv=None) -> int:
         if archive.wait():
             raise RuntimeError(f"git archive {parent} failed")
         plan = [(p, w, seeds[w] + p, 0) for p in range(PAIRS) for w in workloads]
-        plan += [(0, w, 3, 1) for w in workloads]
+        plan += [(p, w, 3, 1) for p in range(TRACED_PAIRS) for w in workloads]
         for p, workload, seed, trace in plan:
             order = ("parent", "change") if p % 2 == 0 else ("change", "parent")
             for k, side in enumerate(order, start=1):
@@ -164,11 +171,12 @@ def main(argv=None) -> int:
                    f"one run after the other on the same machine, pairs of the workloads "
                    f"interleaved ({seed_text}); each line is the final JSON line of "
                    f"perfbench/run.py --seconds {seconds:g} --trace 0; the trace: true runs "
-                   f"(seed 3: one pair per workload, in the order above) give the per-layer "
-                   f"metrics and are not part of the pairs; written by scripts/bench_pairs.py"),
+                   f"(seed 3: {TRACED_PAIRS} pairs per workload, in the order above) give the "
+                   f"per-layer metrics, traced_seed_3 holds each side's median over them, and "
+                   f"they are not part of the pairs; written by scripts/bench_pairs.py"),
         "summary": summarize(runs),
         "notes": args.notes,
-        "traced_seed_3": _traced(runs),
+        "traced_seed_3": traced_medians(runs),
         "runs": runs,
     }
     with open(out, "w") as fh:

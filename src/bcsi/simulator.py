@@ -11,26 +11,31 @@ sequences are tested against the conditional law given the empirical type of
 the part already fixed (the cloud word at the encoder, the candidate
 codeword pair at the decoders). The test depends on a candidate only through
 its joint type, so it runs once per distinct type rather than once per
-candidate. A type is keyed by an integer summed over packed words: each
-group of positions forms one uint16 word of cell indices, looked up in a
-cached table of partial keys, and codewords are packed once per call rather
-than gathered position by position. The standalone is_jointly_typical keeps
-the plain multiplicative form. Receiver errors are counted as
-decoded-message mismatches; a failed search still yields a deterministic
-default guess, so a rate-zero configuration never errors.
+candidate. A type is keyed by an integer summed over groups of positions.
+Each book is packed once, in its own alphabet, into one word per group, and
+the side of a test that does not vary (a decoder's received word, the
+encoder's cloud word) is folded into a small per-trial table of partial keys
+over every possible candidate word pair, so a candidate costs one table
+lookup per group. The standalone is_jointly_typical keeps the plain
+multiplicative form. Receiver errors are counted as decoded-message
+mismatches; a failed search still yields a deterministic default guess, so a
+rate-zero configuration never errors.
 
-Per-trial randomness comes from counter-style derived generators
-(master seed, trial index), so reports are bit-identical given the config.
-Trials run in blocks: every trial of a block makes its draws first, each
-from its own generator, then the codebook mapping, the encoder, the channel
-and both decoders each run once over the whole block.
+Per-trial randomness comes from counter-style derived generators: trial t
+draws from the stream of default_rng((seed, 0, t)), so reports are
+bit-identical given the config. Those generators are not built one by one:
+their seeding (SeedSequence's fixed hash, then PCG64's two LCG steps) runs
+vectorized over many trials, and one generator takes each trial's state in
+turn. Trials run in blocks: every trial of a block makes its draws first,
+then the codebook mapping, the encoder, the channel and both decoders each
+run once over the whole block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -42,7 +47,7 @@ DESK_CAP = 1_000_000  # product of all message-set and bin sizes
 _CHUNK_CELLS = 4_000_000
 _TABLE_KEYS = 2 ** 16  # type-key spaces up to this size get a pass/fail table
 _KEY_LIMIT = 2 ** 63   # type keys below this fit int64
-_WORD_KEYS = 2 ** 16  # packed words of cell indices below this fit uint16
+_SEED_CHUNK = 256      # trials seeded together (their Python-int states are held at once)
 # Codeword symbols, bin pairs and channel draws a block of trials holds (a
 # block has at least one trial): what one trial of 65,536 cloud words of
 # length 8 draws
@@ -210,101 +215,154 @@ def _band_ok(counts: np.ndarray, table: np.ndarray, eps: float) -> np.ndarray:
     return ~(zero_viol | band_viol)
 
 
-def _group_size(cells: int, n: int) -> int:
-    """Positions per packed word: the most with cells**g <= _WORD_KEYS, at
-    most n."""
+def _group_size(n: int, tests) -> int:
+    """Positions per packed word: the most, at most n and at least 1, such
+    that no per-trial table has more entries than the lookups it serves.
+    tests holds, per typicality test, the candidate cells of one position
+    (a table over g positions has cells**g entries) and the lookups one
+    trial makes into each of its tables."""
     g = 1
-    while g < n and cells ** (g + 1) <= _WORD_KEYS:
+    while g < n and all(cells ** (g + 1) <= lookups for cells, lookups in tests):
         g += 1
     return g
 
 
-@lru_cache(maxsize=16)
-def _partial_keys(base: int, cells: int, size: int) -> np.ndarray:
-    """Partial type key sum_j base**d_j of every word sum_j d_j * cells**j of
-    size digits d_j < cells, indexed by the word, in the smallest unsigned
-    dtype that holds every full key (below base**cells)."""
-    digit = (base ** np.arange(cells, dtype=np.int64)).astype(
-        np.min_scalar_type(base ** cells - 1))
-    keys = digit
-    for _ in range(size - 1):  # word = d_0 + cells * (word of the other digits)
-        keys = (keys[:, None] + digit).reshape(-1)
-    keys.flags.writeable = False
-    return keys
-
-
-def _pack(idx: np.ndarray, cells: int, g: int) -> list:
-    """uint16 words sum_j idx[..., s + j] * cells**j, one per group of g
-    positions starting at s (the last group may be shorter), by Horner's
-    rule over the positions of the group."""
-    n = idx.shape[-1]
-    words = []
-    for s in range(0, n, g):
+def _pack(book: np.ndarray, a: int, g: int) -> np.ndarray:
+    """Words sum_j book[..., s + j] * a**j of the groups of g positions
+    starting at s = 0, g, 2g, ... (the last group may be shorter), on a last
+    axis of groups, in the smallest unsigned dtype that holds a**g - 1. The
+    positions are copied to the front first, so that Horner's rule runs over
+    contiguous rows."""
+    dtype = np.min_scalar_type(a ** g - 1)
+    digits = np.ascontiguousarray(np.moveaxis(book, -1, 0))
+    n = len(digits)
+    words = np.empty((-(-n // g),) + book.shape[:-1], dtype)
+    for word, s in zip(words, range(0, n, g)):
         top = min(s + g, n) - 1
-        word = idx[..., top].astype(np.uint16)
+        word[...] = digits[top]
         for t in range(top - 1, s - 1, -1):
-            word *= np.uint16(cells)
-            np.add(word, idx[..., t], out=word, casting="unsafe")
-        words.append(word)
-    return words
+            word *= dtype.type(a)
+            np.add(word, digits[t], out=word, casting="unsafe")
+    return np.moveaxis(words, 0, -1)
 
 
-def _typical_flags(known: np.ndarray, new: np.ndarray, table: np.ndarray, eps: float,
+def _trial_tables(part: np.ndarray, a_major: int, a_minor: int, g: int) -> np.ndarray:
+    """Per trial and group, the partial key of every candidate word pair.
+
+    part is (T, G * g, a_major * a_minor): the key term of each candidate
+    cell u_major * a_minor + u_minor at each position (0 past the last
+    position). Entry w_major * a_minor**g + w_minor of row [t, s] of the
+    result is the sum over the group's positions s * g + j of the term of
+    digit j of both words, built by Horner's rule, one digit per step. The
+    steps run with the trial axis innermost, where it is long and the digit
+    axes are short."""
+    trials, groups = part.shape[0], part.shape[1] // g
+    part = np.ascontiguousarray(np.moveaxis(part.reshape(trials, groups, g, a_major, a_minor),
+                                            0, -1))
+    keys = part[:, g - 1]
+    for j in range(g - 2, -1, -1):
+        keys = (keys[:, :, None, :, None] + part[:, j, None, :, None]).reshape(
+            groups, keys.shape[1] * a_major, keys.shape[2] * a_minor, trials)
+    return np.moveaxis(keys.reshape(groups, -1, trials), -1, 0)
+
+
+def _typical_flags(table: np.ndarray, eps: float, fixed: np.ndarray, fixed_known: bool,
+                   major: tuple, minor: tuple, g: int,
                    pass_tables: dict | None = None) -> np.ndarray:
-    """Vectorized conditional typicality over candidates.
+    """Vectorized conditional typicality of candidates against the fixed
+    sequence of their trial.
 
-    known and new hold per-position cell indices into table = p(new | known)
-    and broadcast against each other to one (..., n) array of candidates;
-    the flags have the leading shape. The test depends on a candidate only
-    through its count vector, which the key sum_t (n+1)**c_t, c_t = known_t
-    * new_cells + new_t, spells out in base n + 1. The sum does not depend
-    on the order of the positions, so it is taken over groups of g
-    positions, g the most with cells**g <= _WORD_KEYS: each group's cells
-    form one uint16 word sum_j c_{s+j} * cells**j, whose partial key is
-    looked up in a cached table (_partial_keys). The word is linear in c,
-    so known and new are packed on their own shapes and only the words
-    broadcast. The band test runs on every possible key when there are at
-    most _TABLE_KEYS of them (the pass/fail table is kept in pass_tables
-    under (n, eps)), else on each distinct key, and per candidate only where
+    fixed is (T, ..., n) with 1 on every candidate axis: per trial the
+    sequence that does not vary (a decoder's received word, the encoder's
+    cloud word), on the known side of table = p(new | known) if fixed_known,
+    else on the new side. On the other side, a candidate's cell at a
+    position is u_major * a_minor + u_minor. major and minor are (words, a):
+    the _pack words of the candidates' symbols over an alphabet of size a
+    (trial axis first, groups last, broadcasting against fixed to the
+    candidate shape), or None when a is 1. The flags have the broadcast
+    shape.
+
+    The test depends on a candidate only through its count vector, which
+    the key sum_t (n+1)**c_t (c_t the table cell at position t) spells in
+    base n + 1. The sum is taken over groups of g positions: per trial and
+    group the partial key of every possible word pair is tabulated
+    (_trial_tables), and a candidate's partial key in group s is one flat
+    np.take at ((t * G + s) * a_major**g + major word) * a_minor**g + minor
+    word. The band test runs on every possible key when there are at most
+    _TABLE_KEYS of them (the pass/fail table is kept in pass_tables under
+    (n, eps); with one group it is applied to the per-trial tables), else on
+    each distinct key, and per candidate, on the unpacked words, only where
     a key would overflow int64.
     """
-    known, new = np.asarray(known), np.asarray(new)
-    new_cells = table.shape[1]
-    cells = table.size
-    shape = np.broadcast_shapes(known.shape, new.shape)
-    n = shape[-1]
+    (w_major, a_major), (w_minor, a_minor) = major, minor
+    trials, n = len(fixed), fixed.shape[-1]
+    groups = -(-n // g)
+    shape = np.broadcast_shapes(fixed.shape[:-1], *(w.shape[:-1] for w in (w_major, w_minor)
+                                                    if w is not None))
     base = n + 1
+    cells = table.size
     if base ** cells > _KEY_LIMIT:
-        comp = np.broadcast_to(known.astype(np.int64) * new_cells + new, shape).reshape(-1, n)
-        flags = np.empty(len(comp), dtype=bool)
-        chunk = max(1, _CHUNK_CELLS // cells)
-        for start in range(0, len(comp), chunk):
-            part = comp[start:start + chunk]
-            m = part.shape[0]
-            offsets = np.arange(m, dtype=np.int64)[:, None] * cells
-            counts = np.bincount((offsets + part).ravel(), minlength=m * cells)
-            flags[start:start + m] = _band_ok(counts.reshape(m, cells), table, eps)
-        return flags.reshape(shape[:-1])
-    g = _group_size(cells, n)
-    keys = 0
-    for s, known_word, new_word in zip(range(0, n, g), _pack(known, cells, g),
-                                       _pack(new, cells, g)):
-        known_word *= np.uint16(new_cells)
-        # np.take gathers by a uint16 index about 3x faster than indexing
-        keys = keys + np.take(_partial_keys(base, cells, min(g, n - s)),
-                              known_word + new_word)
+        return _bincount_flags(table, eps, fixed, fixed_known, major, minor, g, shape)
     weights = base ** np.arange(cells, dtype=np.int64)
-    if base ** cells <= _TABLE_KEYS:
+    terms = weights.astype(np.min_scalar_type(base ** cells - 1)).reshape(table.shape)
+    if not fixed_known:
+        terms = terms.T
+    part = np.zeros((trials, groups * g, a_major * a_minor), terms.dtype)
+    part[:, :n] = terms[fixed.reshape(trials, n)]
+    keys = _trial_tables(part, a_major, a_minor, g)
+    on_table = base ** cells <= _TABLE_KEYS
+    if on_table:
         pass_tables = {} if pass_tables is None else pass_tables
         ok = pass_tables.get((n, eps))
         if ok is None:
             every = np.arange(base ** cells, dtype=np.int64)
             ok = pass_tables[(n, eps)] = _band_ok(every[:, None] // weights % base,
                                                   table, eps)
-        return np.take(ok, keys)
-    uniq, inverse = np.unique(keys.reshape(-1), return_inverse=True)
+        if groups == 1:
+            keys = np.take(ok, keys)
+    flat = keys.reshape(-1)
+    first = np.arange(trials).reshape((trials,) + (1,) * (len(shape) - 1)) * groups
+    found = None
+    for s in range(groups):
+        index = (first + s) * a_major ** g
+        if w_major is not None:
+            index = index + w_major[..., s]
+        if w_minor is not None:
+            index = index * a_minor ** g + w_minor[..., s]
+        hit = np.take(flat, index)
+        found = hit if found is None else np.add(found, hit, out=found)
+    if on_table:
+        return found if groups == 1 else np.take(ok, found)
+    uniq, inverse = np.unique(found.reshape(-1), return_inverse=True)
     return _band_ok(uniq.astype(np.int64)[:, None] // weights % base,
-                    table, eps)[inverse].reshape(keys.shape)
+                    table, eps)[inverse].reshape(found.shape)
+
+
+def _bincount_flags(table, eps, fixed, fixed_known, major, minor, g, shape) -> np.ndarray:
+    """_typical_flags for keys that would overflow int64: the words are
+    unpacked and each candidate's cells are counted, a chunk at a time."""
+    n = fixed.shape[-1]
+
+    def symbols(words, a):
+        if words is None:
+            return 0
+        digits = words[..., None] // a ** np.arange(g, dtype=np.int64) % a
+        return digits.reshape(words.shape[:-1] + (-1,))[..., :n]
+
+    (w_major, a_major), (w_minor, a_minor) = major, minor
+    other = symbols(w_major, a_major) * a_minor + symbols(w_minor, a_minor)
+    fixed = fixed.astype(np.int64)
+    cells = fixed * table.shape[1] + other if fixed_known else other * table.shape[1] + fixed
+    comp = np.broadcast_to(cells, shape + (n,)).reshape(-1, n)
+    flags = np.empty(len(comp), dtype=bool)
+    chunk = max(1, _CHUNK_CELLS // table.size)
+    for start in range(0, len(comp), chunk):
+        part = comp[start:start + chunk]
+        m = part.shape[0]
+        offsets = np.arange(m, dtype=np.int64)[:, None] * table.size
+        counts = np.bincount((offsets + part).ravel(), minlength=m * table.size)
+        flags[start:start + m] = _band_ok(counts.reshape(m, table.size), table, eps)
+    return flags.reshape(shape)
 
 
 class _Tables:
@@ -345,10 +403,15 @@ def _need_tables(tables, cfg: SchemeConfig, ch, what: str) -> _Tables:
 def _inverse_cdf(r: np.ndarray, columns, dtype=np.int64) -> np.ndarray:
     """Index drawn by each uniform in r: the number of cdf columns below it
     (each column broadcasts against r). Callers leave out the last column,
-    which can only push the count past the last index."""
+    which can only push the count past the last index. The first comparison
+    is written straight into the result: on a codebook's uniforms, a bool
+    temporary of r's size costs more than the comparison itself."""
     idx = np.zeros(r.shape, dtype=dtype)
-    for col in columns:
-        idx += col < r
+    for k, col in enumerate(columns):
+        if k:
+            idx += col < r
+        else:
+            np.less(col, r, out=idx, casting="unsafe")
     return idx
 
 
@@ -397,19 +460,48 @@ def generate_codebooks(cfg: SchemeConfig, ch: Channel) -> Codebooks:
     return _draw_books(cfg, _Tables(cfg.scheme, ch), np.random.default_rng((cfg.seed, 1)))
 
 
-def _per_trial(cb: Codebooks, trials: int) -> Codebooks:
-    """cb with a leading trial axis; books without one are shared by every
-    trial (a zero-stride view)."""
+@dataclass
+class _Packed(Codebooks):
+    """Books with the words of their groups of g positions (_pack, in each
+    book's own alphabet), one entry of words per book, None for a trivial
+    alphabet."""
+
+    g: int
+    words: tuple
+
+
+def _pack_books(cb: Codebooks, cfg: SchemeConfig, tables: _Tables) -> _Packed:
+    """cb with every nontrivial book packed once for the encoder and both
+    decoders. g is the _group_size of their three tests: cell pairs
+    (u0, u1), (u0, u2) and (u1, u2), each against the candidate words it
+    looks up per trial (one word per trivial alphabet). A _Packed cb is
+    returned as it is."""
+    if isinstance(cb, _Packed):
+        return cb
+    sz = cfg._sizes
+    a0, a1, a2 = tables.sizes
+    cloud = sz["m1"] * sz["m21"] * sz["m31"]
+    own1 = sz["m22"] * sz["l1"] if a1 > 1 else 1
+    own2 = sz["m32"] * sz["l2"] if a2 > 1 else 1
+    tests = [(a0 * a1, cloud * sz["m4"] * own1), (a0 * a2, cloud * sz["m5"] * own2),
+             (a1 * a2, (sz["l1"] if a1 > 1 else 1) * (sz["l2"] if a2 > 1 else 1))]
+    g = _group_size(cfg.n, tests)
+    books = (cb.cb0, cb.cb1, cb.cb2)
+    return _Packed(*books, g, tuple(_pack(b, a, g) if a > 1 else None
+                                    for b, a in zip(books, tables.sizes)))
+
+
+def _per_trial(cb: _Packed, trials: int) -> _Packed:
+    """cb with a leading trial axis; books and words without one are shared
+    by every trial (a zero-stride view)."""
     if cb.cb0.ndim == 7:
         return cb
-    return Codebooks(*(np.broadcast_to(b, (trials,) + b.shape)
-                       for b in (cb.cb0, cb.cb1, cb.cb2)))
 
+    def grow(a):
+        return None if a is None else np.broadcast_to(a, (trials,) + a.shape)
 
-def _cell_index(major: np.ndarray, minor_size: int, minor: np.ndarray) -> np.ndarray:
-    """major * minor_size + minor in a dtype that holds every such cell:
-    uint8 codewords (alphabets of at most 256 symbols) widen to uint16."""
-    return major.astype(np.promote_types(major.dtype, np.uint16)) * minor_size + minor
+    return _Packed(grow(cb.cb0), grow(cb.cb1), grow(cb.cb2), cb.g,
+                   tuple(grow(w) for w in cb.words))
 
 
 def encode(cb: Codebooks, msg: Msg, cfg: SchemeConfig,
@@ -420,22 +512,26 @@ def encode(cb: Codebooks, msg: Msg, cfg: SchemeConfig,
 
     Batched form: msg holds one index array per message with a leading
     trial axis, and cb either has that axis too or is shared by every
-    trial; then every output gains the trial axis."""
+    trial; then every output gains the trial axis. cb may come packed
+    (_pack_books)."""
     tables = _need_tables(tables, cfg, ch, "encode")
     single = np.ndim(msg.m1) == 0
     m = [np.atleast_1d(getattr(msg, k)) for k in _MSG_NAMES]
     trials = np.arange(len(m[0]))
-    cb = _per_trial(cb, len(trials))
+    cb = _per_trial(_pack_books(cb, cfg, tables), len(trials))
     cloud = (trials, *m[:5])
     u0 = cb.cb0[cloud]                       # (T, n)
-    u1 = cb.cb1[cloud + (m[5],)]             # (T, L1, n)
-    u2 = cb.cb2[cloud + (m[6],)]             # (T, L2, n)
-    pairs = _cell_index(u1[:, :, None, :], tables.sizes[2], u2[:, None, :, :])
-    flags = _typical_flags(u0[:, None, None, :], pairs, tables.t_pair, cfg.eps_prime,
-                           tables.pass_tables["encode"]).reshape(len(trials), -1)
+    _, w1, w2 = cb.words
+    _, a1, a2 = tables.sizes
+    major = (None if w1 is None else w1[cloud + (m[5],)][:, :, None, :], a1)  # (T, L1, 1, G)
+    minor = (None if w2 is None else w2[cloud + (m[6],)][:, None, :, :], a2)  # (T, 1, L2, G)
+    pairs = (len(trials), cb.cb1.shape[-2], cb.cb2.shape[-2])
+    flags = _typical_flags(tables.t_pair, cfg.eps_prime, u0[:, None, None, :], True, major,
+                           minor, cb.g, tables.pass_tables["encode"])
+    flags = np.broadcast_to(flags, pairs).reshape(len(trials), -1)
     # argmax is 0, i.e. the fallback pair (0, 0), when nothing passes
-    l1, l2 = np.divmod(flags.argmax(axis=1), u2.shape[1])
-    x = tables.gamma[u0, u1[trials, l1], u2[trials, l2]]
+    l1, l2 = np.divmod(flags.argmax(axis=1), pairs[2])
+    x = tables.gamma[u0, cb.cb1[cloud + (m[5], l1)], cb.cb2[cloud + (m[6], l2)]]
     fallback = ~flags.any(axis=1)
     if single:
         return x[0], (int(l1[0]), int(l2[0])), bool(fallback[0])
@@ -460,17 +556,17 @@ def _decode(rx: int, cb: Codebooks, y: np.ndarray, known, cfg: SchemeConfig,
     known = np.atleast_1d(known)
     y = np.asarray(y).reshape(len(known), 1, 1, 1, 1, 1, 1, -1)
     trials = np.arange(len(known))
-    cb = _per_trial(cb, len(trials))
+    cb = _per_trial(_pack_books(cb, cfg, tables), len(trials))
     pick = (trials,) + (slice(None),) * (known_axis - 1) + (known,)
-    u0 = cb.cb0[pick][:, :, :, :, :, None, None, :]  # (T, M1, M4 or M5, M21, M31, 1, 1, n)
     sat = getattr(cb, book)
     # the candidate axes (T, ..., M22 or M32, L1 or L2) of sat[pick]
     candidates = (len(trials),) + sat.shape[1:known_axis] + sat.shape[known_axis + 1:-1]
-    # cells (u0, u_rx); over a trivial satellite alphabet the cell is u0, and
-    # the zero-stride book is not copied by a pick
-    a = tables.sizes[rx]
-    known_cells = _cell_index(u0, a, sat[pick]) if a > 1 else u0
-    flags = _typical_flags(known_cells, y, tables.t_y[rx], getattr(cfg, eps),
+    # (T, M1, M4 or M5, M21, M31, 1, 1, G) cloud words, (T, ..., M22 or M32,
+    # L1 or L2, G) satellite words; a trivial alphabet has none
+    w0, w_sat = cb.words[0], cb.words[rx]
+    major = (None if w0 is None else w0[pick][:, :, :, :, :, None, None, :], tables.sizes[0])
+    minor = (None if w_sat is None else w_sat[pick], tables.sizes[rx])
+    flags = _typical_flags(tables.t_y[rx], getattr(cfg, eps), y, False, major, minor, cb.g,
                            tables.pass_tables[rx])
     result = _resolve(np.broadcast_to(flags, candidates).any(axis=hidden), names)
     if single:
@@ -539,25 +635,116 @@ def _wilson_half_width(pe: float, trials: int) -> float:
     return max(center + spread - pe, pe - (center - spread))
 
 
-def _draw_block(cfg: SchemeConfig, tables: _Tables, first: int, count: int,
-                fresh: bool):
-    """Every draw of trials first .. first + count - 1, each from its own
-    generator in the order cloud and satellite uniforms (fresh books only),
-    messages, channel uniforms. Returns (book uniforms, Msg of index arrays,
-    channel uniforms), each with a leading trial axis."""
-    uniforms = [np.empty((count,) + s) for s in _drawn_shapes(cfg, tables)] if fresh else []
-    channel = np.empty((count, cfg.n))
+# SeedSequence's hash constants (NEP 19 fixes them for reproducibility) and
+# PCG64's 128-bit LCG multiplier
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_HASH_A = (0x43B0D7E5, 0x931E8875)  # (initial value, multiplier) of the entropy hash
+_HASH_B = (0x8B51F9DD, 0x58F38DED)  # (initial value, multiplier) of the state output
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uint32_words(value: int) -> list:
+    """The uint32 words SeedSequence takes from a nonnegative int, least
+    significant first."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix, on uint32 arrays; the running constant
+    advances with every call, the same for every column."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> np.uint32(16)
+    return hashmix
+
+
+def _seed_state(entropy: list) -> list:
+    """SeedSequence(column).generate_state(4, np.uint64) for every column of
+    entropy (a list of equal-length uint32 arrays, one per entropy word), as
+    four uint64 arrays."""
+    hashmix = _hasher(*_HASH_A)
+
+    def mix(x, y):
+        r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+        return r ^ r >> np.uint32(16)
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hashmix = _hasher(*_HASH_B)
+    out = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    return [out[2 * k] | out[2 * k + 1] << np.uint64(32) for k in range(4)]
+
+
+def _pcg_states(seed: int, trials: np.ndarray) -> list:
+    """(state, inc) of the PCG64 that default_rng((seed, 0, t)) builds, for
+    each t in trials (nonnegative int64): the entropy words of (seed, 0, t)
+    hashed by SeedSequence, vectorized over the trials that have as many
+    words, then PCG64's seeding, two steps of its 128-bit LCG."""
+    trials = np.asarray(trials, dtype=np.int64).astype(np.uint64)
+    states = [None] * len(trials)
+    wide = trials > _MASK32  # such a t is two entropy words
+    for two in (False, True):
+        which = np.flatnonzero(wide == two)
+        if not len(which):
+            continue
+        t = trials[which]
+        entropy = [np.full(len(t), w, np.uint32) for w in _uint32_words(seed) + [0]]
+        entropy.append((t & np.uint64(_MASK32)).astype(np.uint32))
+        if two:
+            entropy.append((t >> np.uint64(32)).astype(np.uint32))
+        words = np.stack(_seed_state(entropy), axis=1).tolist()
+        for k, (s_hi, s_lo, i_hi, i_lo) in zip(which, words):
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            states[k] = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128, inc
+    return states
+
+
+def _trial_streams(seed: int, trials: int):
+    """Yield, for t = 0 .. trials - 1, one reused Generator set to the state
+    default_rng((seed, 0, t)) starts from; the states are computed
+    _SEED_CHUNK trials at a time."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    bits = rng.bit_generator
+    for start in range(0, trials, _SEED_CHUNK):
+        for state, inc in _pcg_states(seed, np.arange(start, min(start + _SEED_CHUNK, trials))):
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            yield rng
+
+
+def _draw_block(cfg: SchemeConfig, tables: _Tables, streams, uniforms: list,
+                channel: np.ndarray, count: int) -> Msg:
+    """Every draw of the next count trials, each from its own generator
+    (streams yields them in trial order) in the order cloud and satellite
+    uniforms (fresh books only; none in uniforms for fixed books), messages,
+    channel uniforms. The uniforms go to the first count rows of the
+    buffers, which every block reuses; returns the Msg of index arrays."""
     msgs = np.zeros((len(_MSG_NAMES), count), dtype=np.int64)
     # a message set of size 1 is index 0 and takes nothing from the stream
     drawn = [(i, cfg._sizes[k]) for i, k in enumerate(_MSG_NAMES) if cfg._sizes[k] > 1]
-    for t in range(count):
-        rng = np.random.default_rng((cfg.seed, 0, first + t))
+    for t, rng in zip(range(count), streams):
         for u in uniforms:
             rng.random(out=u[t])
         for i, high in drawn:
             msgs[i, t] = rng.integers(high)
         rng.random(out=channel[t])
-    return uniforms, Msg(*msgs), channel
+    return Msg(*msgs)
 
 
 def estimate_error(ch: Channel, cfg: SchemeConfig, trials: int,
@@ -567,31 +754,40 @@ def estimate_error(ch: Channel, cfg: SchemeConfig, trials: int,
     contribute through their default guess. Fresh codebooks per trial by
     default (the random-coding average).
 
-    Trials run in blocks: each trial still draws from its own generator,
-    then the encoder, the channel and both decoders run once per block."""
+    Trials run in blocks: each trial still draws from its own generator's
+    stream (into uniform buffers every block reuses), each block's books are
+    packed once, then the encoder, the channel and both decoders run once
+    per block."""
     if trials < 1:
         raise InputError("need at least one trial")
     tables = _Tables(cfg.scheme, ch)
     sz = cfg.sizes()
     fixed_books = None
     if not cfg.fresh_codebooks:
-        fixed_books = _draw_books(cfg, tables, np.random.default_rng((cfg.seed, 1)))
+        fixed_books = _pack_books(_draw_books(cfg, tables, np.random.default_rng((cfg.seed, 1))),
+                                  cfg, tables)
     # codeword symbols, bin pairs and channel draws of one trial
     per_trial = (sum(math.prod(s) for s in _book_shapes(cfg))
                  + cfg.n * (sz["l1"] * sz["l2"] + 1))
-    block = max(1, _BLOCK_CELLS // per_trial)
+    block = min(trials, max(1, _BLOCK_CELLS // per_trial))
+    # one set of uniform buffers for every block
+    uniforms = [] if fixed_books is not None else \
+        [np.empty((block,) + s) for s in _drawn_shapes(cfg, tables)]
+    channel = np.empty((block, cfg.n))
     cdf_columns = range(tables.channel_cdf.shape[1] - 1)
     fallbacks = 0
     errors = {1: 0, 2: 0}
     any_errors = 0
     buckets = {rx: dict.fromkeys(_EVENTS, 0) for rx in (1, 2)}
+    streams = _trial_streams(cfg.seed, trials)
     for first in range(0, trials, block):
         count = min(block, trials - first)
-        uniforms, msg, draws = _draw_block(cfg, tables, first, count, fixed_books is None)
-        books = fixed_books if fixed_books is not None else _codebooks(cfg, tables, uniforms)
+        msg = _draw_block(cfg, tables, streams, uniforms, channel, count)
+        books = fixed_books if fixed_books is not None else \
+            _pack_books(_codebooks(cfg, tables, [u[:count] for u in uniforms]), cfg, tables)
         x, _, fb = encode(books, msg, cfg, tables)
         fallbacks += int(fb.sum())
-        flat = _inverse_cdf(draws, (tables.channel_cdf[x, k] for k in cdf_columns))
+        flat = _inverse_cdf(channel[:count], (tables.channel_cdf[x, k] for k in cdf_columns))
         results = {1: decode_rx1(books, flat // ch.y2.size, msg.m5, cfg, tables),
                    2: decode_rx2(books, flat % ch.y2.size, msg.m4, cfg, tables)}
         failed = np.zeros(count, dtype=bool)

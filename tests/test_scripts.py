@@ -81,3 +81,16 @@ def test_bench_pairs_summary():
     assert wall["change_lower_in_pairs"] == 3
     assert wall["relative_change_of_median"] == 2.5 / 3.0 - 1.0
     assert summary["analyze"]["setup_s"]["change_lower_in_pairs"] == 0  # ties are not wins
+
+
+def test_bench_pairs_traced_medians():
+    """Per-layer metrics are each side's median over its traced runs;
+    untraced runs are left out."""
+    runs = [_run_line("simulate", 3, side, wall, trace=True)
+            for side, wall in (("parent", 3.0), ("change", 5.0), ("change", 1.0),
+                               ("parent", 1.0), ("parent", 2.5), ("change", 2.0))]
+    runs.append(_run_line("simulate", 3, "parent", 99.0))
+    traced = _load("bench_pairs").traced_medians(runs)
+    assert traced == {"simulate": {
+        "parent": {"setup_s": 0.1, "wall_s": 2.5, "peak_rss_mb": 80.0},
+        "change": {"setup_s": 0.1, "wall_s": 2.0, "peak_rss_mb": 80.0}}}

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -58,55 +59,128 @@ class TestJointTypicality:
             is_jointly_typical((np.array([0, 1]), np.array([0])), self.joint(), 0.1)
 
 
-def typicality_case(rng, n, known_cells, new_cells, count=400):
-    """A conditional table with off-support cells, and candidates drawn from
-    it (many pass), uniformly (most fail) and as repeats of earlier ones."""
-    table = rng.random((known_cells, new_cells)) * (rng.random((known_cells, new_cells)) > 0.2)
+def kernel_case(rng, n, a_major, a_minor, fixed_cells, fixed_known, layout, trials=30,
+                rows=24, cols=4):
+    """A conditional table with off-support cells, per trial a fixed
+    sequence, and candidate symbols: the first half of the rows paired with
+    column 0 near-typical for the fixed sequence (drawn from the table given
+    it, or the sequence closest to the table given them), everything else
+    uniform (most fail). In the decoder layout the minor symbols vary along
+    both candidate axes, in the encoder layout only along the second."""
+    cells = a_major * a_minor
+    shape = (fixed_cells, cells) if fixed_known else (cells, fixed_cells)
+    table = (rng.random(shape) + 0.2) * (rng.random(shape) > 0.2)
     table[:, 0] += 0.1
     table /= table.sum(axis=1, keepdims=True)
-    known = rng.integers(0, known_cells, size=(count, n))
-    cdf = np.cumsum(table, axis=1)
-    drawn = (cdf[known] < rng.random((count, n))[..., None]).sum(axis=-1)
-    new = np.where(np.arange(count)[:, None] < count // 2, np.minimum(drawn, new_cells - 1),
-                   rng.integers(0, new_cells, size=(count, n)))
-    repeat = rng.integers(0, count, size=count // 4)
-    return table, np.concatenate([known, known[repeat]]), np.concatenate([new, new[repeat]])
+
+    def draw(p):  # one index per row of the last axis, by inverse cdf
+        cdf = np.cumsum(p, axis=-1)
+        u = rng.random(p.shape[:-1])[..., None] * cdf[..., -1:]
+        return np.minimum((cdf < u).sum(axis=-1), p.shape[-1] - 1)
+
+    half = rows // 2
+    sat_rows = half if layout == "decoder" else 1
+    if fixed_known:
+        fixed = rng.integers(0, fixed_cells, size=(trials, n))
+        joint = table[fixed].reshape(trials, 1, n, a_major, a_minor)
+        minor0 = draw(np.broadcast_to(joint.sum(axis=3), (trials, sat_rows, n, a_minor)))
+        given = np.take_along_axis(joint, minor0[..., None, None], axis=4)[..., 0]
+        major0 = draw(np.broadcast_to(given, (trials, half, n, a_major)))
+    else:  # per trial a true candidate, and the fixed sequence closest to its type
+        major0 = np.repeat(rng.integers(0, a_major, size=(trials, 1, n)), half, axis=1)
+        minor0 = np.repeat(rng.integers(0, a_minor, size=(trials, 1, n)), sat_rows, axis=1)
+        fixed = np.empty((trials, n), dtype=np.int64)
+        for t, truth in enumerate(major0[:, 0] * a_minor + minor0[:, 0]):
+            for c in np.unique(truth):
+                at = np.flatnonzero(truth == c)
+                share = len(at) * table[c]
+                counts = np.floor(share).astype(np.int64)
+                counts[np.argsort(counts - share)[:len(at) - counts.sum()]] += 1
+                fixed[t, at] = rng.permutation(np.repeat(np.arange(fixed_cells), counts))
+    major = rng.integers(0, a_major, size=(trials, rows, 1, n))
+    major[:, :half, 0] = major0
+    minor = rng.integers(0, a_minor, size=(trials, rows if layout == "decoder" else 1, cols, n))
+    minor[:, :sat_rows, 0] = minor0
+    return table, fixed, major, minor
+
+
+def packed_flags(table, eps, fixed, fixed_known, major, minor, sizes, g, dtype, memo=None):
+    """The kernel on the symbols packed by _pack (None for a trivial
+    alphabet), the fixed sequence shaped to broadcast."""
+    words = [(simulator._pack(s.astype(dtype), a, g) if a > 1 else None, a)
+             for s, a in zip((major, minor), sizes)]
+    fixed = fixed.astype(dtype).reshape(len(fixed), 1, 1, -1)
+    return simulator._typical_flags(table, eps, fixed, fixed_known, *words, g, memo)
+
+
+def brute_flags(table, eps, fixed, fixed_known, major, minor, a_minor):
+    cand = np.broadcast_arrays(major * a_minor + minor, minor)[0]
+    out = np.zeros(cand.shape[:-1], dtype=bool)
+    for idx in np.ndindex(out.shape):
+        seq = cand[idx]
+        pair = (fixed[idx[0]], seq) if fixed_known else (seq, fixed[idx[0]])
+        out[idx] = brute_conditionally_typical(*pair, table, eps)
+    return out
 
 
 class TestTypicalFlags:
+    @staticmethod
+    def roles(known_cells, new_cells, fixed_known):
+        """(candidate alphabets, fixed cells) for a table of known_cells x
+        new_cells: the candidate cells split into a major and a minor
+        alphabet, the minor one of size 2 where the cell count is even."""
+        cand, fixed = (new_cells, known_cells) if fixed_known else (known_cells, new_cells)
+        minor = 2 if cand % 2 == 0 else 1
+        return (cand // minor, minor), fixed
+
     @pytest.mark.parametrize("n, known_cells, new_cells, eps, path", [
         (8, 2, 2, 0.3, "table"),      # 9**4 keys
         (8, 2, 4, 1.0, "unique"),     # 9**8 keys
         (12, 3, 6, 1.5, "bincount"),  # 13**18 keys overflow int64
     ])
     def test_matches_per_candidate_reference(self, rng, n, known_cells, new_cells, eps, path):
+        """The decoder layout (the fixed sequence on the new side of the
+        table) and the encoder layout (on the known side), with uint8 and
+        int64 symbols, in groups of _group_size over the 96 candidates of a
+        trial (several groups in every case)."""
         keys = (n + 1) ** (known_cells * new_cells)
         assert path == ("table" if keys <= simulator._TABLE_KEYS else
                         "unique" if keys <= simulator._KEY_LIMIT else "bincount")
-        table, known, new = typicality_case(rng, n, known_cells, new_cells)
-        memo = {}
-        flags = simulator._typical_flags(known, new, table, eps, memo)
-        expected = [brute_conditionally_typical(k, w, table, eps) for k, w in zip(known, new)]
-        assert flags.tolist() == expected
-        assert 0 < sum(expected) < len(expected)
-        assert list(memo) == ([(n, eps)] if path == "table" else [])
-        # a second call reuses the kept pass/fail table
-        assert (simulator._typical_flags(known, new, table, eps, memo) == flags).all()
+        for (fixed_known, layout), dtype in itertools.product(
+                ((False, "decoder"), (True, "encoder")), (np.uint8, np.int64)):
+            sizes, fixed_cells = self.roles(known_cells, new_cells, fixed_known)
+            g = simulator._group_size(n, [(sizes[0] * sizes[1], 24 * 4)])
+            assert g < n
+            table, fixed, major, minor = kernel_case(rng, n, *sizes, fixed_cells, fixed_known,
+                                                     layout)
+            assert table.shape == (known_cells, new_cells)
+            memo = {}
+            flags = packed_flags(table, eps, fixed, fixed_known, major, minor, sizes, g, dtype,
+                                 memo)
+            expected = brute_flags(table, eps, fixed, fixed_known, major, minor, sizes[1])
+            # a trivial alphabet has no words: its candidate axis broadcasts
+            assert (np.broadcast_to(flags, expected.shape) == expected).all()
+            assert 0 < expected.sum() < expected.size
+            assert list(memo) == ([(n, eps)] if path == "table" else [])
+            # a second call reuses the kept pass/fail table
+            again = packed_flags(table, eps, fixed, fixed_known, major, minor, sizes, g, dtype,
+                                 memo)
+            assert (again == flags).all()
 
     @pytest.mark.parametrize("new_cells, eps", [(2, 0.5), (4, 1.0)])
     def test_broadcast_layouts(self, rng, new_cells, eps):
-        """Decoder layout (one output sequence against many codeword pairs)
-        and encoder layout (one cloud word against many satellite pairs)."""
-        table, known, new = typicality_case(rng, 8, 2, new_cells)
-        y, u0 = new[0], known[0]
-        dec = simulator._typical_flags(known.reshape(5, -1, 8), y, table, eps)
-        enc = simulator._typical_flags(u0, new.reshape(5, -1, 8), table, eps)
-        assert dec.shape == enc.shape == (5, len(known) // 5)
-        assert dec.reshape(-1).tolist() == [brute_conditionally_typical(k, y, table, eps)
-                                            for k in known]
-        assert enc.reshape(-1).tolist() == [brute_conditionally_typical(u0, w, table, eps)
-                                            for w in new]
-        assert dec.any() and enc.any()
+        """Decoder layout (per trial one output sequence against cloud words
+        times satellite words) and encoder layout (per trial one cloud word
+        against satellite pairs); new_cells is the output alphabet of the
+        decoder and the cloud alphabet of the encoder."""
+        for fixed_known, layout in ((False, "decoder"), (True, "encoder")):
+            table, fixed, major, minor = kernel_case(rng, 16, 2, 2, new_cells, fixed_known,
+                                                     layout)
+            flags = packed_flags(table, eps, fixed, fixed_known, major, minor, (2, 2), 3,
+                                 np.uint8)
+            assert flags.shape == (30, 24, 4)
+            expected = brute_flags(table, eps, fixed, fixed_known, major, minor, 2)
+            assert (flags == expected).all() and flags.any()
 
     @pytest.mark.parametrize("n, known_cells, new_cells, groups", [
         (12, 2, 2, [8, 4]),  # a group boundary inside n, table path
@@ -117,26 +191,65 @@ class TestTypicalFlags:
     @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
     def test_packed_words(self, rng, n, known_cells, new_cells, groups, dtype):
         """Keys summed over packed words of g positions, g the most with
-        cells**g <= 2**16, on codeword-dtype operands in the flat, decoder
-        and encoder layouts."""
-        g = simulator._group_size(known_cells * new_cells, n)
+        cells**g no more than the lookups per trial, on codeword-dtype
+        operands in the flat (one trial per pair of candidates), decoder and
+        encoder layouts."""
+        lookups = known_cells ** groups[0]
+        g = simulator._group_size(n, [(known_cells, lookups)])
         assert [min(g, n - s) for s in range(0, n, g)] == groups
-        table, known, new = typicality_case(rng, n, known_cells, new_cells)
-        known, new = known.astype(dtype), new.astype(dtype)
         eps = 0.5
-        memo = {}
-        flags = simulator._typical_flags(known, new, table, eps, memo)
-        assert flags.tolist() == [brute_conditionally_typical(k, w, table, eps)
-                                  for k, w in zip(known, new)]
         on_table = (n + 1) ** (known_cells * new_cells) <= simulator._TABLE_KEYS
-        assert list(memo) == ([(n, eps)] if on_table else [])
-        y, u0 = new[0], known[0]
-        dec = simulator._typical_flags(known.reshape(5, -1, n), y, table, eps, memo)
-        enc = simulator._typical_flags(u0, new.reshape(5, -1, n), table, eps, memo)
-        assert dec.reshape(-1).tolist() == [brute_conditionally_typical(k, y, table, eps)
-                                            for k in known]
-        assert enc.reshape(-1).tolist() == [brute_conditionally_typical(u0, w, table, eps)
-                                            for w in new]
+        cols = max(1, lookups // 4)
+        for layout, trials, rows, cols in (("decoder", 60, 2, 1), ("decoder", 3, 4, cols),
+                                           ("encoder", 3, 4, cols)):
+            fixed_known = layout == "encoder"
+            sizes, fixed_cells = self.roles(known_cells, new_cells, fixed_known)
+            table, fixed, major, minor = kernel_case(rng, n, *sizes, fixed_cells, fixed_known,
+                                                     layout, trials, rows, cols)
+            memo = {}  # a pass/fail table belongs to one conditional table
+            flags = packed_flags(table, eps, fixed, fixed_known, major, minor, sizes, g, dtype,
+                                 memo)
+            expected = brute_flags(table, eps, fixed, fixed_known, major, minor, sizes[1])
+            assert (np.broadcast_to(flags, expected.shape) == expected).all()
+            assert list(memo) == ([(n, eps)] if on_table else [])
+
+    def test_trivial_candidates_key_the_fixed_sequence(self, rng):
+        """Both candidate alphabets trivial (the encoder of a cloud-only
+        scheme): one flag per trial, nothing packed."""
+        table, fixed, _, _ = kernel_case(rng, 8, 1, 1, 3, True, "encoder", trials=6)
+        flags = simulator._typical_flags(table, 0.4, fixed.reshape(6, 1, 1, 8), True,
+                                         (None, 1), (None, 1), 3)
+        assert flags.shape == (6, 1, 1)
+        assert flags.reshape(-1).tolist() == [
+            brute_conditionally_typical(f, np.zeros(8, int), table, 0.4) for f in fixed]
+
+    @pytest.mark.parametrize("n, tests, g", [
+        (12, [(2, 64)], 6),               # the in-region cloud point: 64 words, 64 entries
+        (8, [(2, 65536)], 8),             # the overloaded point: one group covers n
+        (1, [(2, 65536)], 1),
+        (8, [(2, 32), (2, 32), (4, 64)], 3),  # the binning point: the bin scan binds
+        (8, [(4, 1)], 1),                 # a table outgrows one lookup even at g = 1
+        (5, [(1, 1), (1, 7)], 5),         # trivial cells never bind
+    ])
+    def test_group_size(self, n, tests, g):
+        assert simulator._group_size(n, tests) == g
+        assert all(cells ** g <= lookups or g == 1 for cells, lookups in tests)
+
+    @pytest.mark.parametrize("n, a, g, groups", [(12, 2, 5, [5, 5, 2]), (8, 2, 8, [8]),
+                                                  (7, 3, 2, [2, 2, 2, 1]), (1, 2, 1, [1])])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_pack(self, rng, n, a, g, groups, dtype):
+        """One word per group of g positions, digit j of a word at position
+        s + j, a last group that may be shorter, the smallest unsigned dtype
+        that holds a**g - 1."""
+        book = rng.integers(0, a, size=(3, 5, n)).astype(dtype)
+        words = simulator._pack(book, a, g)
+        assert words.shape == (3, 5, len(groups))
+        assert words.dtype == np.min_scalar_type(a ** g - 1)
+        starts = np.cumsum([0] + groups[:-1])
+        for k, (s, size) in enumerate(zip(starts, groups)):
+            digits = book[..., s:s + size].astype(np.int64)
+            assert (words[..., k] == (digits * a ** np.arange(size)).sum(axis=-1)).all()
 
 
 class TestSchemeConfig:
@@ -564,6 +677,135 @@ class TestBatchAxis:
                 assert (res.passing == both.passing[t]).all()
                 kinds.add(res.kind)
         assert None in kinds and len(kinds) > 1
+
+
+def brute_passing(rx, books, y, known, cfg, tables):
+    """Receiver rx's passing array one candidate at a time: it passes when
+    some value of its existential axes (the other receiver's private cloud
+    part and the bin) makes cloud word, satellite word and y conditionally
+    typical."""
+    sz = cfg.sizes()
+    a = tables.sizes[rx]
+    eps = cfg.eps1 if rx == 1 else cfg.eps2
+    if rx == 1:
+        axes, hidden = ("m1", "m4", "m21", "m22"), ("m31", "l1")
+    else:
+        axes, hidden = ("m1", "m5", "m31", "m32"), ("m21", "l2")
+    passing = np.zeros([sz[k] for k in axes], dtype=bool)
+    for idx in np.ndindex(passing.shape):
+        for h in np.ndindex(*(sz[k] for k in hidden)):
+            m = dict(zip(axes + hidden, idx + h), **{"m5" if rx == 1 else "m4": known})
+            cloud = (m["m1"], m["m4"], m["m5"], m["m21"], m["m31"])
+            sat = books.cb1[cloud + (m["m22"], m["l1"])] if rx == 1 else \
+                books.cb2[cloud + (m["m32"], m["l2"])]
+            cells = books.cb0[cloud].astype(np.int64) * a + sat
+            if brute_conditionally_typical(cells, y, tables.t_y[rx], eps):
+                passing[idx] = True
+                break
+    return passing
+
+
+class TestPackedBooks:
+    @pytest.mark.parametrize("n, rx1_path", [(7, "unique"), (12, "bincount")])
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_decoders_and_encoder_match_brute_force(self, n, rx1_path, wide):
+        """Nontrivial satellites on both receivers, |Y1| = 3 != |Y2| = 2,
+        g = 2 < n (so several groups, and at n = 7 a shorter last one), uint8
+        and int64 books; at n = 12 receiver 1's 18 cells overflow int64 keys."""
+        rng = np.random.default_rng(n)
+        ch = random_channel(rng, 2, 3, 2)
+        scheme = random_scheme(rng, (3, 2, 2), 2)
+        one, two = 1.0 / n, 2.0 / n
+        rates = SplitRates(r1=one, r21=2 * one, r31=2 * one, r4=one, r5=one, r22=one, r32=one,
+                           rp1=two, rp2=two)
+        cfg = SchemeConfig(scheme=scheme, n=n, rates=rates, eps_prime=1.0, eps1=2.0, eps2=2.0,
+                           seed=n)
+        tables = simulator._Tables(scheme, ch)
+        assert tables.t_y[1].shape == (6, 3) and tables.t_y[2].shape == (6, 2)
+        assert ((n + 1) ** 18 > simulator._KEY_LIMIT) == (rx1_path == "bincount")
+        books = generate_codebooks(cfg, ch)
+        if wide:
+            books = wide_books(books)
+        assert simulator._pack_books(books, cfg, tables).g == 2
+        passing = []
+        for seed in range(3):
+            draw = np.random.default_rng(seed)
+            m4, m5 = (int(draw.integers(2)) for _ in range(2))
+            x, pair, fallback = encode(books, Msg(0, m4, m5, 0, 0, 0, 0), cfg, tables)
+            u0 = books.cb0[0, m4, m5, 0, 0]
+            u1, u2 = books.cb1[0, m4, m5, 0, 0, 0], books.cb2[0, m4, m5, 0, 0, 0]
+            scan = [(l1, l2) for l1 in range(len(u1)) for l2 in range(len(u2))
+                    if brute_conditionally_typical(u0, u1[l1].astype(np.int64) * 2 + u2[l2],
+                                                   tables.t_pair, cfg.eps_prime)]
+            assert (pair, fallback) == ((scan[0], False) if scan else ((0, 0), True))
+            flat = (tables.channel_cdf[x] < draw.random((n, 1))).sum(axis=1)
+            for rx, y, known in ((1, flat // 2, m5), (2, flat % 2, m4)):
+                res = (decode_rx1 if rx == 1 else decode_rx2)(books, y, known, cfg, tables)
+                expected = brute_passing(rx, books, y, known, cfg, tables)
+                assert (res.passing == expected).all()
+                passing.append(expected)
+        assert 0 < np.mean(np.concatenate([p.reshape(-1) for p in passing])) < 1
+
+    def test_tables_no_larger_than_their_lookups(self, monkeypatch):
+        """At n = 12 and M1 = 64 (the in-region cloud point) g = 6: each
+        per-trial table has 2**6 = 64 entries for the 64 cloud words it
+        serves, where one group of 12 positions would tabulate 4,096."""
+        entries = []
+        build = simulator._trial_tables
+
+        def recorded(part, *args):
+            keys = build(part, *args)
+            entries.append(keys.shape[-1])
+            return keys
+
+        monkeypatch.setattr(simulator, "_trial_tables", recorded)
+        ch = noiseless_channel(2)
+        cfg = SchemeConfig(scheme=complementary_scheme(ch), n=12, rates=SplitRates(r1=0.5),
+                           seed=3)
+        report = estimate_error(ch, cfg, 40)
+        assert cfg.sizes()["m1"] == 64
+        assert max(entries) == 64
+        monkeypatch.undo()
+        assert report.to_jsonable() == plain_estimate_error(ch, cfg, 40).to_jsonable()
+
+
+class TestTrialStreams:
+    SEEDS = [0, 7, 2 ** 31 - 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3]
+    # the last trial index takes two entropy words
+    TRIALS = [0, 1, 13, 4095, 2 ** 32 - 1, 2 ** 32 + 5]
+
+    @staticmethod
+    def draws(rng):
+        """random, and integers with a power-of-two and another bound, as
+        scalars (the message draws) and as arrays."""
+        return (rng.random(5).tolist(), int(rng.integers(8)), int(rng.integers(1000)),
+                rng.integers(64, size=6).tolist(), rng.integers(100, size=6).tolist(),
+                rng.random(3).tolist())
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_states_give_the_streams_of_default_rng(self, seed):
+        rng = np.random.Generator(np.random.PCG64(0))
+        states = simulator._pcg_states(seed, np.array(self.TRIALS))
+        for t, (state, inc) in zip(self.TRIALS, states):
+            rng.bit_generator.state = {"bit_generator": "PCG64",
+                                       "state": {"state": state, "inc": inc},
+                                       "has_uint32": 0, "uinteger": 0}
+            assert self.draws(rng) == self.draws(np.random.default_rng((seed, 0, t)))
+
+    def test_streams_across_chunks(self, monkeypatch):
+        """The reused generator takes each trial's state in turn, also across
+        the chunks the states are hashed in."""
+        monkeypatch.setattr(simulator, "_SEED_CHUNK", 3)
+        seen = [self.draws(rng) for rng in simulator._trial_streams(2 ** 40, 8)]
+        assert seen == [self.draws(np.random.default_rng((2 ** 40, 0, t))) for t in range(8)]
+
+    def test_estimate_at_a_multi_word_seed(self):
+        ch = binary_symmetric_pair(0.05, 0.1)
+        cfg = SchemeConfig(scheme=complementary_scheme(ch), n=6,
+                           rates=SplitRates(r1=0.4, r4=0.2, r5=0.2), seed=2 ** 40)
+        report = estimate_error(ch, cfg, 150)
+        assert report.to_jsonable() == plain_estimate_error(ch, cfg, 150).to_jsonable()
+        assert 0 < report.rx1_errors < 150
 
 
 class TestPlanSplitRates:
