@@ -79,24 +79,15 @@ def is_degraded(ch: Channel) -> ClassVerdict:
     c = np.zeros(nw + 1)
     c[-1] = 1.0
     a_eq = np.zeros((m1, nw + 1))
-    for i in range(m1):
-        a_eq[i, i * m2:(i + 1) * m2] = 1.0
+    a_eq[:, :nw] = np.kron(np.eye(m1), np.ones(m2))
     b_eq = np.ones(m1)
-    rows = []
-    rhs = []
-    for xi in range(ch.x.size):
-        for y2i in range(m2):
-            coeff = np.zeros(nw + 1)
-            for y1i in range(m1):
-                coeff[y1i * m2 + y2i] = p1[xi, y1i]
-            coeff[-1] = -1.0
-            rows.append(coeff.copy())
-            rhs.append(p2[xi, y2i])
-            coeff2 = -coeff
-            coeff2[-1] = -1.0
-            rows.append(coeff2)
-            rhs.append(-p2[xi, y2i])
-    res = linprog(c, A_ub=np.asarray(rows), b_ub=np.asarray(rhs),
+    # per (x, y2), the pair +-(sum_y1 p(y1|x) W(y2|y1) - p(y2|x)) <= t
+    coeff = np.zeros((ch.x.size, m2, 2, nw + 1))
+    coeff[:, :, 0, :nw] = np.einsum("xa,bc->xbac", p1, np.eye(m2)).reshape(-1, m2, nw)
+    coeff[:, :, 1] = -coeff[:, :, 0]
+    coeff[:, :, :, -1] = -1.0
+    rhs = np.stack([p2, -p2], axis=-1)
+    res = linprog(c, A_ub=coeff.reshape(-1, nw + 1), b_ub=rhs.reshape(-1),
                   A_eq=a_eq, b_eq=b_eq,
                   bounds=[(0.0, 1.0)] * nw + [(0.0, None)], method="highs")
     if not res.success:

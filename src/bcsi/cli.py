@@ -25,7 +25,7 @@ from . import __version__
 from .classifier import classify_all
 from .errors import ConsistencyError, GuardError, InputError
 from .optimizer import SearchConfig, maximize_weighted_rate, region_for, union_slice_2d
-from .polytope import RateRegion, is_feasible, regions_equal, region_subset
+from .polytope import RateRegion, regions_equal, region_subset
 from .probability import load_aux_scheme, load_channel, load_json, load_ux_joint
 from .rate_regions import (SplitRates, marton_region, mi_constants,
                            project_raw_system, raw_coding_system)
@@ -252,9 +252,8 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     a = RateRegion.from_jsonable(load_json(args.region_a))
     b = RateRegion.from_jsonable(load_json(args.region_b))
-    fa, fb = is_feasible(a.system), is_feasible(b.system)
-    a_in_b = region_subset(a, b, feasible=(fa, fb))
-    b_in_a = region_subset(b, a, feasible=(fb, fa))
+    a_in_b = region_subset(a, b)
+    b_in_a = region_subset(b, a)
     emit({
         "equal": bool(a_in_b and b_in_a),
         "a_subset_b": bool(a_in_b),

@@ -33,7 +33,7 @@ import numpy as np
 
 from .classifier import is_deterministic
 from .errors import InputError
-from .polytope import RATE_VARS, RateRegion
+from .polytope import BOX_HI, RATE_VARS, RateRegion
 from .probability import Alphabet, AuxScheme, Channel, JointPmf
 from .rate_regions import (_LHS3, _LHS5, _t1_rows, _t2_rows, _t3_rows, deterministic_region,
                            marton_region, more_capable_region, specialize_scheme)
@@ -43,7 +43,6 @@ THEOREMS = ("t1", "t2", "t3")
 PER_LEVEL_CAP = 1200
 REFINE_BUDGET = 120  # refinement line searches per start
 GAMMA_CELL_CAP = 2 ** 16  # t1 maps x joint cells scored exhaustively; greedy above
-BOX_HI = 64.0
 WEIGHT_CAP = 1e300  # keeps every support value finite
 
 @dataclass(frozen=True)

@@ -6,18 +6,21 @@ achievability analysis are represented closed throughout; regions are their
 closures. The LP layer is scipy's HiGHS, imported on the first solve; only
 the 1e-7 tolerance contract is normative, not the method.
 
-Redundancy, containment and feasibility are first tried without an LP: a row
-holds when a sum of at most two rows of the system bounds it over the box,
-and a system is feasible when the box's lower corner satisfies it. These are
-exact proofs, so HiGHS, called only when they fail, makes the same decision
-at the same 1e-7 tolerance wherever they succeed.
+Every variable lives in the rate box [0, BOX_HI]. Redundancy, containment
+and feasibility are first tried without an LP: a row holds when a sum of at
+most two rows of the system bounds it over the box; a system is feasible when
+the origin satisfies it (every rhs >= 0) and infeasible when some row's
+minimum over the box exceeds its rhs by more than 1e-7. These are exact
+proofs, so HiGHS, called only when they fail, makes the same decision at the
+same 1e-7 tolerance wherever they succeed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
-from math import gcd, inf, isfinite
+from math import gcd, isfinite
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -28,7 +31,7 @@ from .probability import exact_number
 REDUNDANCY_TOL = 1e-7
 MEMBER_TOL = 1e-9
 FME_ROW_CAP = 100_000
-DEFAULT_BOX = (0.0, 64.0)
+BOX_HI = 64.0  # every variable lies in [0, BOX_HI]
 RATE_VARS = ("R1", "R2", "R3", "R4", "R5")
 
 
@@ -207,15 +210,6 @@ def linprog(*args, **kwargs):
     return highs_linprog(*args, **kwargs)
 
 
-def _box_bounds(variables, box) -> list:
-    """One (lo, hi) float pair per variable; None is unbounded, as in scipy."""
-    if box is None:
-        box = DEFAULT_BOX
-    pairs = [box[v] for v in variables] if isinstance(box, dict) else [box] * len(variables)
-    return [(-inf if lo is None else float(lo), inf if hi is None else float(hi))
-            for lo, hi in pairs]
-
-
 def _matrix(rows, variables) -> tuple:
     """The rows as a float coefficient matrix over the variables, and their
     right-hand sides."""
@@ -229,7 +223,7 @@ def _matrix(rows, variables) -> tuple:
     return a, b
 
 
-def maximize(sys: LinearSystem, objective: Mapping[str, float], box=None):
+def maximize(sys: LinearSystem, objective: Mapping[str, float]):
     """Maximize sum(objective[v] * v) subject to the system within the box.
 
     Returns (status, value, point) with status one of "optimal" or
@@ -244,7 +238,7 @@ def maximize(sys: LinearSystem, objective: Mapping[str, float], box=None):
     for v, w in objective.items():
         c[sys.variables.index(v)] = -float(w)
     res = linprog(c, A_ub=a_ub if len(rows) else None, b_ub=b_ub if len(rows) else None,
-                  bounds=_box_bounds(sys.variables, box), method="highs")
+                  bounds=[(0.0, BOX_HI)] * len(sys.variables), method="highs")
     if res.status == 2:
         return "infeasible", None, None
     if not res.success:
@@ -252,20 +246,23 @@ def maximize(sys: LinearSystem, objective: Mapping[str, float], box=None):
     return "optimal", float(-res.fun), np.asarray(res.x)
 
 
-def is_feasible(sys: LinearSystem, box=None) -> bool:
-    """True without an LP when the box's lower corner satisfies every row."""
-    lo = np.array(_box_bounds(sys.variables, box)).reshape(-1, 2)[:, 0]
+def is_feasible(sys: LinearSystem) -> bool:
+    """Decided without an LP when the origin satisfies every row (True) or
+    some row's minimum over the box exceeds its rhs by more than 1e-7
+    (False: the LP's tolerance cannot absorb that)."""
     a, b = _matrix(sys.inequalities, sys.variables)
-    if np.isfinite(lo).all() and (a @ lo <= b).all():
+    if (b >= 0).all():
         return True
-    status, _, _ = maximize(sys, {}, box)
+    if (BOX_HI * np.minimum(a, 0.0).sum(axis=1) > b + REDUNDANCY_TOL).any():
+        return False
+    status, _, _ = maximize(sys, {})
     return status == "optimal"
 
 
-def _lp_holds(sys: LinearSystem, row: LinearInequality, box) -> bool:
+def _lp_holds(sys: LinearSystem, row: LinearInequality) -> bool:
     """The LP decision: row's left side cannot exceed its rhs + 1e-7 over
     the system within the box (and the system is feasible)."""
-    status, value, _ = maximize(sys, {v: float(c) for v, c in row.coeffs.items()}, box)
+    status, value, _ = maximize(sys, {v: float(c) for v, c in row.coeffs.items()})
     return status == "optimal" and value <= row.rhs + REDUNDANCY_TOL
 
 
@@ -283,7 +280,7 @@ class _RowSums:
 
     PAIR_CAP = 1 << 14
 
-    def __init__(self, rows, variables, box):
+    def __init__(self, rows, variables):
         self.variables = variables
         n = len(rows)
         i, j = np.triu_indices(n, 1) if n * (n - 1) // 2 <= self.PAIR_CAP else ((), ())
@@ -294,15 +291,12 @@ class _RowSums:
         a, b = np.vstack([a, np.zeros(len(variables))]), np.append(b, 0.0)
         self.coeffs = a[self.first] + a[self.second]
         self.rhs = b[self.first] + b[self.second]
-        self.lo, self.hi = np.array(_box_bounds(variables, box)).reshape(-1, 2).T
 
     def holds(self, row: LinearInequality, usable=None) -> bool:
         """True if some sum of usable rows (a bool mask, default all) proves
         row. False means only that no such sum does."""
         d = _matrix([row], self.variables)[0][0] - self.coeffs
-        with np.errstate(invalid="ignore"):  # 0 * inf, in branches where masks drop it
-            spread = np.where(d > 0, d * self.hi, np.where(d < 0, d * self.lo, 0.0))
-        proved = self.rhs + spread.sum(axis=1) <= row.rhs
+        proved = self.rhs + BOX_HI * np.maximum(d, 0.0).sum(axis=1) <= row.rhs
         if usable is not None:
             ok = np.append(usable, True)
             proved &= ok[self.first] & ok[self.second]
@@ -316,7 +310,7 @@ def _empty_system(variables) -> LinearSystem:
     return LinearSystem(tuple(variables), [row])
 
 
-def remove_redundant(sys: LinearSystem, box=None) -> LinearSystem:
+def remove_redundant(sys: LinearSystem) -> LinearSystem:
     """Drop every inequality whose left side cannot exceed rhs + 1e-7 over
     the remaining system within the box. An infeasible input is reported as
     the canonical empty region."""
@@ -329,16 +323,16 @@ def remove_redundant(sys: LinearSystem, box=None) -> LinearSystem:
             continue  # vacuously true
         rows.append(r)
     rows = _dedup(rows)
-    if not is_feasible(LinearSystem(sys.variables, rows), box):
+    if not is_feasible(LinearSystem(sys.variables, rows)):
         return _empty_system(sys.variables)
-    sums = _RowSums(rows, sys.variables, box)
+    sums = _RowSums(rows, sys.variables)
     kept = np.ones(len(rows), dtype=bool)
     for i, candidate in enumerate(rows):
         kept[i] = False
         if sums.holds(candidate, kept):
             continue
         rest = [r for r, k in zip(rows, kept) if k]
-        kept[i] = not _lp_holds(LinearSystem(sys.variables, rest), candidate, box)
+        kept[i] = not _lp_holds(LinearSystem(sys.variables, rest), candidate)
     return LinearSystem(sys.variables, [r for r, k in zip(rows, kept) if k])
 
 
@@ -362,7 +356,7 @@ class RateRegion:
     """A polyhedral rate region over (R1..R5) with implicit nonnegativity.
 
     The nonnegativity constraints are not stored; every LP and membership
-    query uses a box with lower bound 0, which encodes them.
+    query uses the box [0, BOX_HI]^5, whose lower bound 0 encodes them.
     """
 
     system: LinearSystem
@@ -375,6 +369,11 @@ class RateRegion:
             if extra:
                 raise InputError(f"rate region may only use {RATE_VARS}, got {extra}")
             self.system = LinearSystem(RATE_VARS, self.system.inequalities)
+
+    @cached_property
+    def feasible(self) -> bool:
+        """Whether the region is nonempty, decided once per region."""
+        return is_feasible(self.system)
 
     def to_jsonable(self) -> dict:
         out = {
@@ -425,40 +424,26 @@ def contains(region: RateRegion, point) -> bool:
     return True
 
 
-def _rows_hold(a: RateRegion, b: RateRegion, box) -> bool:
+def _rows_hold(a: RateRegion, b: RateRegion) -> bool:
     """True iff every row of b holds over a (1e-7 LP tolerance); both regions
     must be feasible. A row that a sum of at most two canonical rows of a
     proves needs no LP."""
     sums = _RowSums([r.canonical() for r in a.system.inequalities if not r.is_vacuous()],
-                    a.system.variables, box)
+                    a.system.variables)
     for ineq in b.system.inequalities:
         if ineq.is_vacuous() or sums.holds(ineq.canonical()):
             continue
-        if not _lp_holds(a.system, ineq, box):
+        if not _lp_holds(a.system, ineq):
             return False
     return True
 
 
-def region_subset(a: RateRegion, b: RateRegion, box=None, feasible=None) -> bool:
-    """True iff a is contained in b (within the box, 1e-7 LP tolerance).
-    feasible, when given, is the pair (is_feasible(a), is_feasible(b)), so
-    that a caller testing both directions solves each feasibility LP once."""
-    fa, fb = feasible if feasible is not None else (is_feasible(a.system, box), None)
-    if not fa:
-        return True
-    if fb is None:
-        fb = is_feasible(b.system, box)
-    if not fb:
-        return False
-    return _rows_hold(a, b, box)
+def region_subset(a: RateRegion, b: RateRegion) -> bool:
+    """True iff a is contained in b (within the box, 1e-7 LP tolerance). An
+    empty region lies in every region."""
+    return not a.feasible or b.feasible and _rows_hold(a, b)
 
 
-def regions_equal(a: RateRegion, b: RateRegion, box=None) -> bool:
-    """Mutual containment via LP. Two empty regions are equal."""
-    fa = is_feasible(a.system, box)
-    fb = is_feasible(b.system, box)
-    if fa != fb:
-        return False
-    if not fa:
-        return True
-    return _rows_hold(a, b, box) and _rows_hold(b, a, box)
+def regions_equal(a: RateRegion, b: RateRegion) -> bool:
+    """Mutual containment. Two empty regions are equal."""
+    return region_subset(a, b) and region_subset(b, a)

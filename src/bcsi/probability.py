@@ -105,6 +105,15 @@ def parse_probability(value):
     raise InputError(f"cannot parse probability {value!r}")
 
 
+def _capped_cells(sizes, what: str = "joint") -> int:
+    """The number of cells of a dense table of the given axis sizes, checked
+    against CELL_CAP before the table is allocated."""
+    cells = math.prod(sizes)
+    if cells > CELL_CAP:
+        raise GuardError(f"{what} over {cells} cells exceeds dense cap {CELL_CAP}")
+    return cells
+
+
 def _frozen(mass) -> np.ndarray:
     """mass as a read-only float64 array with negative zeros scrubbed; a
     read-only float64 array is kept as it is."""
@@ -204,9 +213,7 @@ class JointPmf:
         names = [a.name for a in axes]
         if len(set(names)) != len(names):
             raise InputError(f"joint axes must have distinct names, got {names}")
-        cells = math.prod(a.size for a in axes)
-        if cells > CELL_CAP:
-            raise GuardError(f"joint over {cells} cells exceeds dense cap {CELL_CAP}")
+        _capped_cells(a.size for a in axes)
         if mass.shape != tuple(a.size for a in axes):
             raise InputError("mass shape does not match axes")
         self.axes = axes
@@ -215,17 +222,13 @@ class JointPmf:
     @classmethod
     def from_values(cls, axes: Sequence[Alphabet], values) -> "JointPmf":
         axes = tuple(axes)
-        cells = math.prod(a.size for a in axes)
-        if cells > CELL_CAP:
-            raise GuardError(f"joint over {cells} cells exceeds dense cap {CELL_CAP}")
+        _capped_cells(a.size for a in axes)
         return cls(axes, _checked_mass(values, tuple(a.size for a in axes), "invalid joint pmf"))
 
     @classmethod
     def uniform(cls, axes: Sequence[Alphabet]) -> "JointPmf":
         axes = tuple(axes)
-        cells = math.prod(a.size for a in axes)
-        if cells > CELL_CAP:
-            raise GuardError(f"joint over {cells} cells exceeds dense cap {CELL_CAP}")
+        cells = _capped_cells(a.size for a in axes)
         mass = np.full(tuple(a.size for a in axes), 1.0 / cells)
         return cls(axes, mass)
 
@@ -305,9 +308,7 @@ class Channel:
     def from_rows(cls, rows, x_size: int, y1_size: int, y2_size: int) -> "Channel":
         """Build from per-x row-major tables of p(y1, y2 | x), validating and
         renormalizing each row once."""
-        cells = x_size * y1_size * y2_size
-        if cells > CELL_CAP:
-            raise GuardError(f"kernel over {cells} cells exceeds dense cap {CELL_CAP}")
+        _capped_cells((x_size, y1_size, y2_size), "kernel")
         if len(rows) != x_size:
             raise InputError(f"kernel has {len(rows)} rows, expected {x_size}")
         x = Alphabet.indexed("X", x_size)  # an empty kernel stops here, before the stack
@@ -464,9 +465,7 @@ def _indexed_axes(names, sizes) -> tuple:
     """Indexed alphabets of a file's sizes, checked before any is built."""
     if any(s < 1 for s in sizes):
         raise InputError(f"alphabet sizes must be positive, got {list(sizes)}")
-    cells = math.prod(sizes)
-    if cells > CELL_CAP:
-        raise GuardError(f"joint over {cells} cells exceeds dense cap {CELL_CAP}")
+    _capped_cells(sizes)
     return tuple(Alphabet.indexed(n, s) for n, s in zip(names, sizes))
 
 

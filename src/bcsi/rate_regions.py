@@ -223,10 +223,10 @@ def raw_coding_system(consts: MiConstants, u2_trivial: bool = False) -> LinearSy
     return LinearSystem(SPLIT_VARS, rows)
 
 
-def project_raw_system(sys: LinearSystem, box=None) -> RateRegion:
+def project_raw_system(sys: LinearSystem) -> RateRegion:
     """Substitute R2 = R21 + R22 and R3 = R31 + R32 (as opposing inequality
     pairs), eliminate the six auxiliary rate variables, and redundancy-clean
-    the projection over the default rate box."""
+    the projection over the rate box."""
     variables = tuple(sys.variables) + ("R2", "R3")
     rows = list(sys.inequalities)
     rows.append(_ineq({"R21": 1, "R22": 1, "R2": -1}, 0.0))
@@ -236,7 +236,7 @@ def project_raw_system(sys: LinearSystem, box=None) -> RateRegion:
     work = LinearSystem(variables, rows)
     for var in ELIMINATION_ORDER:
         work = fme_eliminate(work, var)
-    reduced = remove_redundant(LinearSystem(RATE_VARS, work.inequalities), box)
+    reduced = remove_redundant(LinearSystem(RATE_VARS, work.inequalities))
     return RateRegion(reduced, provenance={"kind": "t1-projection"})
 
 
@@ -266,10 +266,6 @@ def more_capable_region(p_ux: JointPmf, ch: Channel) -> RateRegion:
     return RateRegion(_system(_LHS3, rows), provenance={"kind": "t3"})
 
 
-def _trivial_alphabet(name: str) -> Alphabet:
-    return Alphabet.indexed(name, 1)
-
-
 def specialize_scheme(kind: str, base, ch: Channel) -> AuxScheme:
     """Build the auxiliary scheme matching a known specialization.
 
@@ -281,50 +277,37 @@ def specialize_scheme(kind: str, base, ch: Channel) -> AuxScheme:
     if kind == "complementary":
         px = base
         u0 = Alphabet("U0", px.alphabet.symbols)
-        axes = (u0, _trivial_alphabet("U1"), _trivial_alphabet("U2"))
+        axes = (u0, Alphabet.indexed("U1", 1), Alphabet.indexed("U2", 1))
         mass = px.mass.reshape(px.alphabet.size, 1, 1)
         gamma = np.arange(px.alphabet.size, dtype=np.int64).reshape(-1, 1, 1)
         return AuxScheme(JointPmf(axes, mass), gamma)
 
-    if kind in ("degraded_rx1", "more_capable"):
+    if kind in ("degraded_rx1", "more_capable", "degraded_rx2"):
         p_ux = base
         u_size, x_size = p_ux.axes[0].size, p_ux.axes[1].size
-        axes = (Alphabet.indexed("U0", u_size), Alphabet.indexed("U1", x_size),
-                _trivial_alphabet("U2"))
-        mass = p_ux.mass.reshape(u_size, x_size, 1)
-        gamma = np.tile(np.arange(x_size, dtype=np.int64).reshape(1, -1, 1), (u_size, 1, 1))
-        return AuxScheme(JointPmf(axes, mass), gamma)
-
-    if kind == "degraded_rx2":
-        p_ux = base
-        u_size, x_size = p_ux.axes[0].size, p_ux.axes[1].size
-        axes = (Alphabet.indexed("U0", u_size), _trivial_alphabet("U1"),
-                Alphabet.indexed("U2", x_size))
-        mass = p_ux.mass.reshape(u_size, 1, x_size)
-        gamma = np.tile(np.arange(x_size, dtype=np.int64).reshape(1, 1, -1), (u_size, 1, 1))
-        return AuxScheme(JointPmf(axes, mass), gamma)
+        # the satellite that carries X: U1 (receiver 1 stronger) or U2
+        sizes = (u_size, 1, x_size) if kind == "degraded_rx2" else (u_size, x_size, 1)
+        axes = tuple(Alphabet.indexed(n, k) for n, k in zip(("U0", "U1", "U2"), sizes))
+        gamma = np.tile(np.arange(x_size, dtype=np.int64).reshape(1, *sizes[1:]), (u_size, 1, 1))
+        return AuxScheme(JointPmf(axes, p_ux.mass.reshape(sizes)), gamma)
 
     if kind == "deterministic":
         p_ux = base
         verdict = is_deterministic(ch)
         if not verdict.holds:
             raise InputError("deterministic specialization needs a deterministic channel")
-        phi1 = verdict.witness["phi1"]
-        phi2 = verdict.witness["phi2"]
+        phi1 = np.asarray(verdict.witness["phi1"])
+        phi2 = np.asarray(verdict.witness["phi2"])
         u_size = p_ux.axes[0].size
         m1, m2 = ch.y1.size, ch.y2.size
-        mass = np.zeros((u_size, m1, m2))
-        gamma = np.zeros((u_size, m1, m2), dtype=np.int64)
         # gamma on a realized output pair: lowest-index consistent input
-        for y1i in range(m1):
-            for y2i in range(m2):
-                for xi in range(ch.x.size):
-                    if phi1[xi] == y1i and phi2[xi] == y2i:
-                        gamma[:, y1i, y2i] = xi
-                        break
-        for ui in range(u_size):
-            for xi in range(ch.x.size):
-                mass[ui, phi1[xi], phi2[xi]] += p_ux.mass[ui, xi]
+        pairs, lowest = np.unique(phi1 * m2 + phi2, return_index=True)
+        gamma = np.zeros(m1 * m2, dtype=np.int64)
+        gamma[pairs] = lowest
+        gamma = np.tile(gamma.reshape(1, m1, m2), (u_size, 1, 1))
+        # masses summed over the inputs of each output pair, in input order
+        mass = np.zeros((u_size, m1, m2))
+        np.add.at(mass, (np.arange(u_size)[:, None], phi1, phi2), p_ux.mass)
         axes = (Alphabet.indexed("U0", u_size), Alphabet.indexed("U1", m1),
                 Alphabet.indexed("U2", m2))
         return AuxScheme(JointPmf(axes, mass), gamma)

@@ -114,14 +114,14 @@ def plain_fme(rows, var_indices):
     return rows
 
 
-def plain_feasible(sys, box=None):
-    """Feasibility by one LP, whatever the box's lower corner does."""
+def plain_feasible(sys):
+    """Feasibility by one LP, whatever the rows' signs prove."""
     from bcsi.polytope import maximize
 
-    return maximize(sys, {}, box)[0] == "optimal"
+    return maximize(sys, {})[0] == "optimal"
 
 
-def plain_remove_redundant(sys, box=None):
+def plain_remove_redundant(sys):
     """Redundancy removal with one LP per row and no LP-free proof: a row
     goes when its left side cannot exceed rhs + 1e-7 over the rows still
     kept, tried in order."""
@@ -137,7 +137,7 @@ def plain_remove_redundant(sys, box=None):
             continue
         rows.append(r)
     rows = _dedup(rows)
-    if not plain_feasible(LinearSystem(sys.variables, rows), box):
+    if not plain_feasible(LinearSystem(sys.variables, rows)):
         return _empty_system(sys.variables)
     kept = list(rows)
     i = 0
@@ -145,7 +145,7 @@ def plain_remove_redundant(sys, box=None):
         candidate = kept[i]
         rest = kept[:i] + kept[i + 1:]
         status, value, _ = maximize(LinearSystem(sys.variables, rest),
-                                    {v: float(c) for v, c in candidate.coeffs.items()}, box)
+                                    {v: float(c) for v, c in candidate.coeffs.items()})
         if status == "optimal" and value <= candidate.rhs + REDUNDANCY_TOL:
             kept.pop(i)
         else:
@@ -153,7 +153,7 @@ def plain_remove_redundant(sys, box=None):
     return LinearSystem(sys.variables, kept)
 
 
-def plain_rows_hold(a, b, box=None):
+def plain_rows_hold(a, b):
     """Every row of region b holds over region a, by one LP per row."""
     from bcsi.polytope import REDUNDANCY_TOL, maximize
 
@@ -161,16 +161,16 @@ def plain_rows_hold(a, b, box=None):
         if ineq.is_vacuous():
             continue
         status, value, _ = maximize(a.system,
-                                    {v: float(c) for v, c in ineq.coeffs.items()}, box)
+                                    {v: float(c) for v, c in ineq.coeffs.items()})
         if status != "optimal" or value > ineq.rhs + REDUNDANCY_TOL:
             return False
     return True
 
 
-def plain_region_subset(a, b, box=None):
-    if not plain_feasible(a.system, box):
+def plain_region_subset(a, b):
+    if not plain_feasible(a.system):
         return True
-    return plain_feasible(b.system, box) and plain_rows_hold(a, b, box)
+    return plain_feasible(b.system) and plain_rows_hold(a, b)
 
 
 def plain_lattice_points(parts, resolution):

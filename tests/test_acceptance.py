@@ -111,7 +111,7 @@ def test_4_complementary_collapse():
         scheme = specialize_scheme("complementary", px, ch)
         region = marton_region(scheme, ch)
         sliced = fix_variables(region.system, {"R2": 0.0, "R3": 0.0})
-        cleaned = remove_redundant(sliced, (0.0, 64.0))
+        cleaned = remove_redundant(sliced)
         j = induced_joint(scheme, ch)
         i1 = mutual_information(j, ("X",), ("Y1",))
         i2 = mutual_information(j, ("X",), ("Y2",))

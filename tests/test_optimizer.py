@@ -255,8 +255,7 @@ class TestMaximizeWeightedRate:
         cfg = SearchConfig(aux_sizes=(3, 1, 1), grid_resolution=4, restarts=1, seed=5)
         res = maximize_weighted_rate(ch, (0, 1, 1, 0, 0), "t2", cfg)
         region = region_for(ch, "t2", p_ux=res.p_ux)
-        status, value, _ = maximize(region.system,
-                                    {"R2": 1.0, "R3": 1.0}, (0.0, 64.0))
+        status, value, _ = maximize(region.system, {"R2": 1.0, "R3": 1.0})
         assert status == "optimal"
         assert value == pytest.approx(res.value, abs=1e-9)
 

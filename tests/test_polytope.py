@@ -171,18 +171,18 @@ class TestFmeSoundness:
 class TestRemoveRedundant:
     def test_dominated_row_dropped(self):
         sys = LinearSystem(("x",), [ineq({"x": 1}, 5.0), ineq({"x": 1}, 3.0)])
-        out = remove_redundant(sys, (0.0, 64.0))
+        out = remove_redundant(sys)
         assert [str(i) for i in out.inequalities] == ["x <= 3"]
 
     def test_vacuous_true_dropped(self):
         sys = LinearSystem(("x",), [LinearInequality({}, 2.0), ineq({"x": 1}, 3.0)])
-        out = remove_redundant(sys, (0.0, 64.0))
+        out = remove_redundant(sys)
         assert [str(i) for i in out.inequalities] == ["x <= 3"]
 
     def test_infeasible_reported_as_empty_region(self):
         sys = LinearSystem(("x",), [ineq({"x": 1}, -2.0)])
-        out = remove_redundant(sys, (0.0, 64.0))
-        assert not is_feasible(out, (0.0, 64.0))
+        out = remove_redundant(sys)
+        assert not is_feasible(out)
 
     def test_membership_preserved_on_samples(self, rng):
         rows = [
@@ -193,7 +193,7 @@ class TestRemoveRedundant:
             ineq({"y": 1}, 5.0),
         ]
         sys = LinearSystem(("x", "y"), rows)
-        out = remove_redundant(sys, (0.0, 64.0))
+        out = remove_redundant(sys)
         assert len(out.inequalities) < len(rows)
         pts = rng.random((1000, 2)) * 8.0
         for x, y in pts:
@@ -207,8 +207,7 @@ class TestRemoveRedundant:
 def derived_system(draw):
     """A system over 2-5 rate variables with small integer coefficients,
     plus rows that are sums, multiples or repeated directions of its rows,
-    in shuffled order, and a box: the default, one with a negative lower
-    bound, or a per-variable dict."""
+    in shuffled order."""
     n_vars = draw(st.integers(2, 5))
     names = RATE_VARS[:n_vars]
     coeffs = st.lists(st.integers(-2, 3), min_size=n_vars, max_size=n_vars).filter(any)
@@ -227,19 +226,26 @@ def derived_system(draw):
         if any(c):
             rows.append((c, rhs))
     rows = [rows[i] for i in draw(st.permutations(range(len(rows))))]
-    system = LinearSystem(names, [LinearInequality(dict(zip(names, c)), rhs)
-                                  for c, rhs in rows])
-    kind = draw(st.sampled_from(["default", "negative", "dict"]))
-    if kind == "default":
-        box = None
-    elif kind == "negative":
-        box = (draw(st.integers(-3, -1)), draw(st.integers(2, 10)))
-    else:
-        box = {}
-        for v in RATE_VARS:
-            lo = draw(st.integers(-2, 1))
-            box[v] = (lo, lo + draw(st.integers(1, 8)))
-    return system, box
+    return LinearSystem(names, [LinearInequality(dict(zip(names, c)), rhs)
+                                for c, rhs in rows])
+
+
+@st.composite
+def near_empty_system(draw):
+    """A system whose tightest row asks for 0 to 1e-6 less than that row's
+    minimum over the box; every other row leaves at least 1/2 of room."""
+    n_vars = draw(st.integers(2, 5))
+    names = RATE_VARS[:n_vars]
+    coeffs = st.lists(st.integers(-2, 3), min_size=n_vars, max_size=n_vars).filter(any)
+    rows = []
+    for c in draw(st.lists(coeffs, min_size=1, max_size=5)):
+        low = polytope.BOX_HI * sum(min(x, 0) for x in c)
+        rows.append(LinearInequality(dict(zip(names, c)), low + draw(st.integers(1, 40)) / 2))
+    c = draw(coeffs)
+    low = polytope.BOX_HI * sum(min(x, 0) for x in c)
+    rows.insert(draw(st.integers(0, len(rows))), LinearInequality(
+        dict(zip(names, c)), low - draw(st.floats(0.0, 1e-6))))
+    return LinearSystem(names, rows)
 
 
 def rate_region(rows):
@@ -256,59 +262,53 @@ class TestLpFreeProofs:
 
     @given(derived_system())
     @settings(max_examples=80, deadline=None)
-    def test_remove_redundant_matches_lp_only_oracle(self, drawn):
-        system, box = drawn
-        assert pinned(remove_redundant(system, box)) == \
-            pinned(plain_remove_redundant(system, box))
+    def test_remove_redundant_matches_lp_only_oracle(self, system):
+        assert pinned(remove_redundant(system)) == pinned(plain_remove_redundant(system))
 
     @given(derived_system(), st.data())
     @settings(max_examples=40, deadline=None)
-    def test_region_tests_match_lp_only_oracle(self, drawn, data):
-        system, box = drawn
+    def test_region_tests_match_lp_only_oracle(self, system, data):
         rows = system.inequalities
         picked = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=len(rows)))
         a = RateRegion(system)
         b = RateRegion(LinearSystem(system.variables, [rows[i] for i in picked]))
-        regions = (a, b, RateRegion(remove_redundant(system, box)))
-        subset = {(i, j): plain_region_subset(x, y, box)
+        regions = (a, b, RateRegion(remove_redundant(system)))
+        subset = {(i, j): plain_region_subset(x, y)
                   for i, x in enumerate(regions) for j, y in enumerate(regions)}
         for i, x in enumerate(regions):
-            assert is_feasible(x.system, box) == plain_feasible(x.system, box)
+            assert is_feasible(x.system) == plain_feasible(x.system)
             for j, y in enumerate(regions):
-                assert region_subset(x, y, box) == subset[i, j]
-                assert regions_equal(x, y, box) == (subset[i, j] and subset[j, i])
+                assert region_subset(x, y) == subset[i, j]
+                assert regions_equal(x, y) == (subset[i, j] and subset[j, i])
 
     @given(derived_system(), st.data())
     @settings(max_examples=80, deadline=None)
-    def test_a_proved_row_holds_by_lp(self, drawn, data):
-        system, box = drawn
+    def test_a_proved_row_holds_by_lp(self, system, data):
         rows = [r.canonical() for r in system.inequalities]
         usable = np.array(data.draw(st.lists(st.booleans(), min_size=len(rows),
                                              max_size=len(rows))))
-        sums = polytope._RowSums(rows, system.variables, box)
+        sums = polytope._RowSums(rows, system.variables)
         live = LinearSystem(system.variables, [r for r, u in zip(rows, usable) if u])
         for target in rows + [ineq({v: 1}, 2.5) for v in system.variables]:
             if not sums.holds(target, usable):
                 continue
-            status, value, _ = maximize(live, {v: float(c) for v, c in target.coeffs.items()},
-                                        box)
+            status, value, _ = maximize(live, {v: float(c) for v, c in target.coeffs.items()})
             assert status == "infeasible" or value <= target.rhs + polytope.REDUNDANCY_TOL
+
+    @given(near_empty_system())
+    @settings(max_examples=200, deadline=None)
+    def test_feasibility_near_a_box_minimum_matches_lp_only_oracle(self, system):
+        assert is_feasible(system) == plain_feasible(system)
 
     def test_a_row_beyond_rhs_within_lp_tolerance_is_left_to_the_lp(self):
         # a proof is exact: R1 <= 1 + 5e-7 does not prove R1 <= 1, the LP
         # decides (5e-7 is above its 1e-7 tolerance)
         loose = rate_region([ineq({"R1": 1}, 1.0 + 5e-7)])
         tight = rate_region([ineq({"R1": 1}, 1.0)])
-        assert not polytope._RowSums(loose.system.inequalities, RATE_VARS, None).holds(
+        assert not polytope._RowSums(loose.system.inequalities, RATE_VARS).holds(
             tight.system.inequalities[0])
         assert not region_subset(loose, tight)
         assert region_subset(tight, loose)
-
-    def test_zero_difference_on_an_infinite_bound_is_zero(self):
-        rows = [ineq({"x": 1}, 2.0)]
-        sums = polytope._RowSums(rows, ("x", "y"), {"x": (0, None), "y": (None, None)})
-        assert sums.holds(ineq({"x": 1}, 2.0))
-        assert not sums.holds(ineq({"x": 1, "y": 1}, 2.0))
 
     def test_work_counts(self, monkeypatch):
         # one LP per kept facet of the projection, none for a region in
@@ -321,6 +321,37 @@ class TestLpFreeProofs:
         assert len(solves) == 5
         solves.clear()
         assert region_subset(region, region)
+        assert solves == []
+
+    def test_empty_instance_projects_and_compares_without_lp(self, monkeypatch, tmp_path):
+        # a benchmark-style empty instance, aux sizes (1, 2, 2): the covering
+        # penalty empties both regions, and each emptiness is proved by a row
+        # whose rhs lies below its minimum over the box
+        rng = np.random.default_rng(4)
+        kernel = rng.random((3, 4)) + 0.05
+        joint = rng.random(4) + 0.02
+        specs = {"channel": {"x_size": 3, "y1_size": 2, "y2_size": 2,
+                             "kernel": (kernel / kernel.sum(axis=1, keepdims=True)).tolist()},
+                 "scheme": {"u_sizes": [1, 2, 2], "joint": (joint / joint.sum()).tolist(),
+                            "gamma": rng.integers(0, 3, size=4).tolist()}}
+        for name, spec in specs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(spec))
+        solves = []
+        solve = polytope.linprog
+        monkeypatch.setattr(polytope, "linprog", lambda *a, **k: solves.append(1) or solve(*a, **k))
+        assert cli.main(["raw-project", "--channel", str(tmp_path / "channel.json"),
+                         "--scheme", str(tmp_path / "scheme.json"),
+                         "--out", str(tmp_path / "raw.json")]) == 0
+        raw = json.loads((tmp_path / "raw.json").read_text())
+        assert raw["equal"]
+        assert min(row["rhs"] for row in raw["direct"]["inequalities"]) < 0
+        for key in ("direct", "projection"):
+            (tmp_path / f"{key}.json").write_text(json.dumps(raw[key]))
+        assert cli.main(["compare", str(tmp_path / "direct.json"),
+                         str(tmp_path / "projection.json"),
+                         "--out", str(tmp_path / "c.json")]) == 0
+        assert json.loads((tmp_path / "c.json").read_text()) == \
+            {"equal": True, "a_subset_b": True, "b_subset_a": True}
         assert solves == []
 
 
@@ -406,10 +437,13 @@ class TestRegions:
         assert cli.main(["compare", *map(str, paths), "--out", str(tmp_path / "c.json")]) == 0
         assert [c for c in calls if not c] == [{}, {}]
 
-    def test_empty_region_feasibility_solves_one_lp(self, monkeypatch):
+    def test_empty_region_feasibility_solves_no_lp(self, monkeypatch):
         calls = self.count_lps(monkeypatch)
+        # R1 <= -1 asks for 1 below the row's minimum over the box, 0
         assert not is_feasible(rate_region([ineq({"R1": 1}, -1.0)]).system)
-        assert calls == [{}]
+        # -R1 - R2 <= -128.5 asks for 1/2 below its minimum, -128
+        assert not is_feasible(rate_region([ineq({"R1": -1, "R2": -1}, -128.5)]).system)
+        assert calls == []
 
     def test_row_stated_with_larger_rhs_still_solved(self, monkeypatch):
         r = self.region()
@@ -476,11 +510,11 @@ class TestFixVariables:
 class TestMaximize:
     def test_simple_lp(self):
         sys = LinearSystem(("x", "y"), [ineq({"x": 1, "y": 1}, 2.0)])
-        status, value, point = maximize(sys, {"x": 1.0}, (0.0, 64.0))
+        status, value, point = maximize(sys, {"x": 1.0})
         assert status == "optimal"
         assert value == pytest.approx(2.0, abs=1e-9)
 
     def test_infeasible_detected(self):
         sys = LinearSystem(("x",), [ineq({"x": 1}, -1.0)])
-        status, _, _ = maximize(sys, {"x": 1.0}, (0.0, 64.0))
+        status, _, _ = maximize(sys, {"x": 1.0})
         assert status == "infeasible"

@@ -257,6 +257,17 @@ class TestGuards:
         with pytest.raises(GuardError):
             JointPmf.uniform(axes)
 
+    @pytest.mark.parametrize("build", [
+        lambda axes: JointPmf(axes, np.zeros(1)),
+        lambda axes: JointPmf.from_values(axes, []),
+        lambda axes: load_aux_scheme({"u_sizes": [4000, 4000, 1], "joint": [], "gamma": []}),
+    ], ids=["init", "from_values", "scheme_file"])
+    def test_joint_cap_checked_before_the_mass(self, build):
+        # each mass is malformed too: the cap is checked first
+        axes = (Alphabet.indexed("A", 4000), Alphabet.indexed("B", 4000))
+        with pytest.raises(GuardError, match="^joint over 16000000 cells exceeds dense cap"):
+            build(axes)
+
 
 class TestLoaders:
     def test_channel_roundtrip(self, tmp_path):

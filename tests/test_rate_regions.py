@@ -133,8 +133,7 @@ class TestMartonRegion:
 class TestRawSystem:
     def test_zero_constants_force_origin(self):
         sys = raw_coding_system(MiConstants(0, 0, 0, 0, 0))
-        status, value, _ = maximize(
-            sys, {v: 1.0 for v in sys.variables}, (0.0, 64.0))
+        status, value, _ = maximize(sys, {v: 1.0 for v in sys.variables})
         assert status == "optimal"
         assert value == pytest.approx(0.0, abs=1e-9)
 
@@ -174,9 +173,9 @@ class TestRawSystem:
             inputs.append((sys, var))
             return fme_eliminate(sys, var)
 
-        def record_rr(sys, box=None):
+        def record_rr(sys):
             rows_in.append(len(sys.inequalities))
-            return remove_redundant(sys, box)
+            return remove_redundant(sys)
 
         monkeypatch.setattr(rate_regions, "fme_eliminate", record_fme)
         monkeypatch.setattr(rate_regions, "remove_redundant", record_rr)
@@ -467,7 +466,7 @@ class TestComplementaryCollapse:
         scheme = specialize_scheme("complementary", px, ch)
         region = marton_region(scheme, ch)
         sliced = fix_variables(region.system, {"R2": 0.0, "R3": 0.0})
-        cleaned = remove_redundant(sliced, (0.0, 64.0))
+        cleaned = remove_redundant(sliced)
         keyed = {i.key(): i.rhs for i in cleaned.inequalities}
         j = induced_joint(scheme, ch)
         i1 = mutual_information(j, ("X",), ("Y1",))
