@@ -3,8 +3,8 @@
 Verbs: validate, classify, region, raw-project, optimize, slice, simulate,
 compare. Structured output is JSON with fixed field order and floats at 12
 significant digits, so identical inputs and seeds give byte-identical files.
-Slices are CSV. Exit codes: 1 malformed input, 2 desk-scale guard, 3
-internal consistency.
+Slices are CSV. Exit codes: 1 malformed input or a usage error, 2 desk-scale
+guard, 3 internal consistency.
 
 Message semantics: receiver 1 wants (M1, M2, M4) and knows M5 a priori;
 receiver 2 wants (M1, M3, M5) and knows M4. Rates are bits per channel use,
@@ -14,6 +14,7 @@ named R1..R5.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -262,7 +263,11 @@ def cmd_compare(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process. It names the verb
+    only; main looks up cmd_<verb> when it runs, so that a wrapper put on a
+    cmd_ function later is the one called."""
     parser = argparse.ArgumentParser(
         prog="bcsi",
         description="Rate regions, classifiers and a Monte Carlo coder for "
@@ -277,14 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel", required=True)
     p.add_argument("--scheme")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("classify", help="channel class verdicts")
     p.add_argument("--channel", required=True)
     p.add_argument("--resolution", type=int, default=None)
     p.add_argument("--u-size", type=int, default=2)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("region", help="region for one scheme")
     p.add_argument("--theorem", choices=("t1", "t2", "t3"), required=True)
@@ -292,14 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", required=True,
                    help="aux scheme file for t1, p(u,x) joint file for t2/t3")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("raw-project",
                        help="pre-projection system, its projection, and the equality verdict")
     p.add_argument("--channel", required=True)
     p.add_argument("--scheme", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_raw_project)
 
     p = sub.add_parser("optimize", help="search schemes for max weighted rate")
     p.add_argument("--channel", required=True)
@@ -310,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("slice", help="2-D slice of the union region (CSV)")
     p.add_argument("--channel", required=True)
@@ -323,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--directions", type=int, default=33)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_slice)
 
     p = sub.add_parser("simulate", help="Monte Carlo run of the coding scheme")
     p.add_argument("--channel", required=True)
@@ -336,21 +335,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixed-codebook", action="store_true",
                    help="reuse one codebook instead of redrawing per trial")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="region containment verdicts")
     p.add_argument("region_a")
     p.add_argument("region_b")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_compare)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed --help, --version or a usage error
+        return 1 if exc.code else 0
+    try:
+        return globals()["cmd_" + args.verb.replace("-", "_")](args)
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

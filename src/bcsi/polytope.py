@@ -1,10 +1,14 @@
 """Linear inequality systems over named variables.
 
 Every inequality is of the form sum(coeff * var) <= rhs with exact rational
-coefficients and a float right-hand side. Strict inequalities from the
-achievability analysis are represented closed throughout; regions are their
-closures. The LP layer is scipy's HiGHS, imported on the first solve; only
-the 1e-7 tolerance contract is normative, not the method.
+coefficients and a float right-hand side. Fourier-Motzkin elimination combines
+rows in exact integer arithmetic: each row is scaled by the lcm of its
+coefficients' denominators, all pairs of one step are formed as one int64
+array, and rows too wide for int64 are combined as Python ints. Strict
+inequalities from the achievability analysis are represented closed
+throughout; regions are their closures. The LP layer is scipy's HiGHS,
+imported on the first solve; only the 1e-7 tolerance contract is normative,
+not the method.
 
 Every variable lives in the rate box [0, BOX_HI]. Redundancy, containment
 and feasibility are first tried without an LP: a row holds when a sum of at
@@ -20,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from math import gcd, isfinite
+from math import gcd, isfinite, lcm
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -47,7 +51,8 @@ class LinearInequality:
     def __post_init__(self):
         clean = {}
         for var, c in self.coeffs.items():
-            c = Fraction(c)
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
             if c != 0:
                 clean[var] = c
         self.coeffs = clean
@@ -55,16 +60,14 @@ class LinearInequality:
 
     def canonical(self) -> "LinearInequality":
         """Scale by the positive rational making the coefficients a primitive
-        integer vector (sense preserved)."""
+        integer vector (sense preserved). A primitive integer row comes back
+        as an unscaled copy."""
         if not self.coeffs:
             return LinearInequality({}, self.rhs)
-        denom_lcm = 1
-        for c in self.coeffs.values():
-            denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-        nums = [abs(int(c * denom_lcm)) for c in self.coeffs.values()]
-        g = 0
-        for v in nums:
-            g = gcd(g, v)
+        denom_lcm = lcm(*(c.denominator for c in self.coeffs.values()))
+        g = gcd(*(c.numerator * (denom_lcm // c.denominator) for c in self.coeffs.values()))
+        if denom_lcm == g == 1:
+            return LinearInequality(dict(self.coeffs), self.rhs)
         scale = Fraction(denom_lcm, g)
         coeffs = {v: c * scale for v, c in self.coeffs.items()}
         return LinearInequality(coeffs, self.rhs * float(scale))
@@ -136,10 +139,43 @@ def _minimal(sets: Iterable[int]) -> tuple:
     return tuple(out)
 
 
+# Largest coefficient or denominator size for which one elimination step
+# stays in int64 arithmetic: a pair's combined coefficients are below 2**53,
+# so they neither wrap nor lose bits as float64, and numpy's float division of
+# two such integers is their correctly rounded quotient. Larger rows are
+# combined as Python ints.
+_INT64_SAFE = 1 << 26
+
+
+def _integer_rows(rows, variables) -> tuple:
+    """The rows as an integer coefficient matrix over the variables and one
+    positive denominator per row (the lcm of its coefficients'
+    denominators): row i is coeffs[i] / denom[i]. Both are int64 when every
+    entry is at most _INT64_SAFE, else arrays of Python ints."""
+    index = {v: i for i, v in enumerate(variables)}
+    coeffs = [[0] * len(variables) for _ in rows]
+    denoms = []
+    for row, out in zip(rows, coeffs):
+        d = lcm(*(c.denominator for c in row.coeffs.values()))
+        for v, c in row.coeffs.items():
+            out[index[v]] = c.numerator * (d // c.denominator)
+        denoms.append(d)
+    widest = max([abs(c) for out in coeffs for c in out] + denoms, default=0)
+    dtype = np.int64 if widest <= _INT64_SAFE else object
+    return (np.array(coeffs, dtype=dtype).reshape(len(rows), len(variables)),
+            np.array(denoms, dtype=dtype))
+
+
 def fme_eliminate(sys: LinearSystem, var: str) -> LinearSystem:
     """Project out one variable by pairing rows of opposite sign on it.
 
-    Coefficient arithmetic is exact rational; the rhs combination is float.
+    Coefficient arithmetic is exact integer arithmetic on rows scaled by the
+    lcm of their denominators, all pairs at once; the rhs combination is
+    float. Each row comes out canonical, as LinearInequality.canonical
+    gives it: pairing p (coefficient a_p on var) with q (a_q < 0) forms
+    -a_q * p + a_p * q, with rhs float(-a_q) * p.rhs + float(a_p) * q.rhs,
+    then scaled by the positive rational making it a primitive integer row.
+    Rows come out in this order: rows free of var, then pairs, p-major.
     A combined row's source sets are the unions of one set of each parent.
     After the k-th elimination, a derivation that combines more than k+1
     original rows is implied by the others (Chernikov's rule): its set is
@@ -151,52 +187,46 @@ def fme_eliminate(sys: LinearSystem, var: str) -> LinearSystem:
     """
     if var not in sys.variables:
         raise InputError(f"variable {var!r} not declared")
-    zero, pos, neg = [], [], []
-    for row, src in zip(sys.inequalities, sys.sources, strict=True):
-        c = row.coeffs.get(var, Fraction(0))
-        if c > 0:
-            pos.append((row, src))
-        elif c < 0:
-            neg.append((row, src))
-        else:
-            zero.append((row, src))
+    j = sys.variables.index(var)
+    a, den = _integer_rows(sys.inequalities, sys.variables)
+    b = np.array([r.rhs for r in sys.inequalities], dtype=float)
+    zero, pos, neg = (np.flatnonzero(m) for m in (a[:, j] == 0, a[:, j] > 0, a[:, j] < 0))
     projected = len(zero) + len(pos) * len(neg)
     if projected > FME_ROW_CAP:
         raise GuardError(
             f"eliminating {var!r} would create {projected} inequalities (cap {FME_ROW_CAP})")
-    out = list(zero)
-    for p, p_src in pos:
-        cp = p.coeffs[var]
-        for q, q_src in neg:
-            cq = q.coeffs[var]
-            alpha = -cq  # > 0, multiplies p
-            beta = cp    # > 0, multiplies q
-            coeffs = {}
-            for v, c in p.coeffs.items():
-                coeffs[v] = coeffs.get(v, Fraction(0)) + alpha * c
-            for v, c in q.coeffs.items():
-                coeffs[v] = coeffs.get(v, Fraction(0)) + beta * c
-            coeffs.pop(var, None)  # exact cancellation by construction
-            rhs = float(alpha) * p.rhs + float(beta) * q.rhs
-            out.append((LinearInequality(coeffs, rhs),
-                        tuple(a | b for a in p_src for b in q_src)))
+    p, q = np.repeat(pos, len(neg)), np.tile(neg, len(pos))
+    alpha, beta = -a[q, j], a[p, j]  # > 0: p is scaled by alpha / den[q], q by beta / den[p]
+    rows = np.concatenate([a[zero], alpha[:, None] * a[p] + beta[:, None] * a[q]])
+    rows_den = np.concatenate([den[zero], den[p] * den[q]])
+    rhs = np.concatenate([b[zero], (alpha / den[q]).astype(float) * b[p]
+                          + (beta / den[p]).astype(float) * b[q]])
+    # canonical form: divide by the gcd, and scale the rhs by the correctly
+    # rounded rows_den / gcd; a row with no coefficient left keeps its rhs
+    g = np.gcd.reduce(rows, axis=1)
+    vacuous = g == 0
+    g[vacuous] = 1
+    rhs = rhs * np.where(vacuous, 1.0, (rows_den / g).astype(float))
+    rows = rows // g[:, None]
+    sources = [sys.sources[i] for i in zero.tolist()]
+    sources += [tuple(x | y for x in sys.sources[i] for y in sys.sources[k])
+                for i, k in zip(p.tolist(), q.tolist())]
     # exact duplicates collapse at the first one's position, pooling their
     # source sets
     merged = {}
-    for row, src in out:
-        row = row.canonical()
-        k = (row.key(), row.rhs)
-        first, pooled = merged.get(k, (row, ()))
-        merged[k] = (first, pooled + src)
+    for key, src in zip(zip(map(tuple, rows.tolist()), rhs.tolist()), sources):
+        merged.setdefault(key, []).extend(src)
     steps = sys.eliminated + 1
-    rows, sources = [], []
-    for row, src in merged.values():
-        src = _minimal(s for s in src if s.bit_count() <= steps + 1)
-        if src:
-            rows.append(row)
-            sources.append(src)
     remaining = tuple(v for v in sys.variables if v != var)
-    return LinearSystem(remaining, rows, sources, steps)
+    keep = [i for i in range(len(sys.variables)) if i != j]
+    out, out_sources = [], []
+    for (row, row_rhs), pooled in merged.items():
+        src = _minimal(s for s in pooled if s.bit_count() <= steps + 1)
+        if src:
+            out.append(LinearInequality(
+                {v: Fraction(row[i]) for v, i in zip(remaining, keep) if row[i]}, row_rhs))
+            out_sources.append(src)
+    return LinearSystem(remaining, out, out_sources, steps)
 
 
 def linprog(*args, **kwargs):

@@ -114,6 +114,73 @@ def plain_fme(rows, var_indices):
     return rows
 
 
+def fraction_canonical(row):
+    """LinearInequality.canonical by Fraction arithmetic alone: scale by the
+    positive rational making the coefficients a primitive integer vector."""
+    from fractions import Fraction
+    from math import gcd
+
+    from bcsi.polytope import LinearInequality
+
+    if not row.coeffs:
+        return LinearInequality({}, row.rhs)
+    denom_lcm = 1
+    for c in row.coeffs.values():
+        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
+    g = 0
+    for c in row.coeffs.values():
+        g = gcd(g, abs(int(c * denom_lcm)))
+    scale = Fraction(denom_lcm, g)
+    return LinearInequality({v: c * scale for v, c in row.coeffs.items()},
+                            row.rhs * float(scale))
+
+
+def fraction_fme(sys, var):
+    """fme_eliminate on dicts of Fractions, one pair at a time: the same
+    rows, rhs bits, order, source sets and pruning, with no integer arrays."""
+    from fractions import Fraction
+
+    from bcsi.errors import GuardError, InputError
+    from bcsi.polytope import FME_ROW_CAP, LinearInequality, LinearSystem, _minimal
+
+    if var not in sys.variables:
+        raise InputError(f"variable {var!r} not declared")
+    zero, pos, neg = [], [], []
+    for row, src in zip(sys.inequalities, sys.sources, strict=True):
+        c = row.coeffs.get(var, Fraction(0))
+        (pos if c > 0 else neg if c < 0 else zero).append((row, src))
+    projected = len(zero) + len(pos) * len(neg)
+    if projected > FME_ROW_CAP:
+        raise GuardError(f"eliminating {var!r} would create {projected} inequalities")
+    out = list(zero)
+    for p, p_src in pos:
+        for q, q_src in neg:
+            alpha, beta = -q.coeffs[var], p.coeffs[var]
+            coeffs = {}
+            for v, c in p.coeffs.items():
+                coeffs[v] = coeffs.get(v, Fraction(0)) + alpha * c
+            for v, c in q.coeffs.items():
+                coeffs[v] = coeffs.get(v, Fraction(0)) + beta * c
+            coeffs.pop(var, None)
+            rhs = float(alpha) * p.rhs + float(beta) * q.rhs
+            out.append((LinearInequality(coeffs, rhs),
+                        tuple(a | b for a in p_src for b in q_src)))
+    merged = {}
+    for row, src in out:
+        row = fraction_canonical(row)
+        k = (row.key(), row.rhs)
+        first, pooled = merged.get(k, (row, ()))
+        merged[k] = (first, pooled + src)
+    steps = sys.eliminated + 1
+    rows, sources = [], []
+    for row, src in merged.values():
+        src = _minimal(s for s in src if s.bit_count() <= steps + 1)
+        if src:
+            rows.append(row)
+            sources.append(src)
+    return LinearSystem(tuple(v for v in sys.variables if v != var), rows, sources, steps)
+
+
 def plain_feasible(sys):
     """Feasibility by one LP, whatever the rows' signs prove."""
     from bcsi.polytope import maximize

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from bcsi import cli
 from bcsi.cli import main
 
 
@@ -334,6 +335,13 @@ _BAD_ARGV = {
     "slice out dir": _SLICE + ["--out", "{tmp}"],
     "simulate out dir": _SIMULATE + ["--out", "{tmp}"],
     "compare out dir": ["compare", "{region}", "{region}", "--out", "{tmp}"],
+    # usage errors: argparse's message on stderr, exit 1 like any malformed input
+    "unknown option": ["validate", "--channel", "{channel}", "--bogus", "1"],
+    "missing channel": ["validate", "--scheme", "{aux}"],
+    "missing verb": [],
+    "theorem t4": _with(_OPTIMIZE, "--theorem", "t4"),
+    "weights read as an option": _with(_OPTIMIZE, "--weights", "-1,1,1,1,1"),
+    "resolution x": _with(_OPTIMIZE, "--resolution", "x"),
 }
 
 
@@ -480,13 +488,54 @@ def test_fuzzed_inputs_end_in_an_exit_code(files, data):
             argv[i] = data.draw(_OPTION_VALUES, label=argv[i - 1])
         argv = [a.format(**paths) for a in argv]
         err = io.StringIO()
-        try:
-            with redirect_stdout(io.StringIO()), redirect_stderr(err):
-                code = main(argv)
-        except SystemExit as exc:  # argparse rejects an option value
-            code = exc.code
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
     assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    if "usage:" in err.getvalue():  # argparse rejected an option value
+        assert code == 1, (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["simulate", "--help"]])
+def test_help_and_version_exit_0(capsys, argv):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out
+
+
+class TestParserReuse:
+    """One parser serves every main call of a process."""
+
+    def test_patched_command_is_the_one_called(self, files, capsys, monkeypatch):
+        argv = ["validate", "--channel", files["channel"]]
+        assert run_cli(argv, capsys)[0] == 0
+        calls = []
+        monkeypatch.setattr(cli, "cmd_validate", lambda args: calls.append(args.channel) or 7)
+        assert run_cli(argv, capsys)[0] == 7
+        assert calls == [files["channel"]]
+
+    def test_interleaved_calls_print_what_fresh_parsers_print(self, files, capsys):
+        out_file = str(files["tmp"] / "validate.json")
+        runs = [
+            ["validate", "--channel", files["channel"], "--scheme", files["aux"],
+             "--out", out_file],
+            ["validate", "--channel", files["channel"]],
+            ["region", "--theorem", "t2", "--channel", files["channel"],
+             "--scheme", files["ux"]],
+            ["compare", files["region"], files["region"], "--out", out_file],
+            ["compare", files["region"], files["region"]],
+            ["validate", "--channel", files["channel"], "--scheme", files["aux"]],
+            ["raw-project", "--channel", files["channel"], "--scheme", files["aux"]],
+            ["validate", "--channel", files["channel"], "--bogus"],
+            ["validate", "--channel", files["channel"]],
+        ]
+        fresh = []
+        for argv in runs:
+            cli.build_parser.cache_clear()
+            fresh.append(run_cli(argv, capsys))
+        reused = [run_cli(argv, capsys) for argv in runs]
+        assert [(code, out) for code, out, _ in reused] == [(code, out) for code, out, _ in fresh]
+        assert [out for _, out, _ in fresh].count("") == 3  # two --out runs, one usage error
 
 
 class TestConsoleScript:

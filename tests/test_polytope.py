@@ -13,8 +13,8 @@ from bcsi.polytope import (LinearInequality, LinearSystem, RATE_VARS, RateRegion
                            maximize, regions_equal, region_subset,
                            remove_redundant)
 from bcsi.rate_regions import MiConstants, project_raw_system, raw_coding_system
-from oracles import (lift_exists_interval, plain_feasible, plain_fme, plain_region_subset,
-                     plain_remove_redundant)
+from oracles import (fraction_canonical, fraction_fme, lift_exists_interval, plain_feasible,
+                     plain_fme, plain_region_subset, plain_remove_redundant)
 
 
 def ineq(coeffs, rhs):
@@ -166,6 +166,100 @@ class TestFmeSoundness:
             in_plain = all(sum(float(c) * x for c, x in zip(coeffs, full)) <= rhs + 1e-9
                            for coeffs, rhs in plain)
             assert in_pruned == in_plain
+
+
+def exact_rows(sys):
+    """Everything fme_eliminate returns, with each rhs as float.hex."""
+    return (sys.variables, sys.eliminated, sys.sources,
+            [(r.coeffs, r.rhs.hex()) for r in sys.inequalities],
+            all(type(c) is Fraction for r in sys.inequalities for c in r.coeffs.values()))
+
+
+# rhs values whose products and sums round, and a signed zero that merges
+# with 0.0 at the first row's sign
+_RHS = st.one_of(st.floats(-20, 20, allow_subnormal=False), st.sampled_from([0.0, -0.0, 1 / 3]))
+
+
+@st.composite
+def coefficient_system(draw, coefficient):
+    """Three to five variables, 2-8 rows with coefficients drawn from
+    `coefficient` or zero, so that rows skip variables and pairs cancel to
+    vacuous rows."""
+    n_vars = draw(st.integers(3, 5))
+    names = tuple(f"v{i}" for i in range(n_vars))
+    coefficient = st.one_of(st.just(0), coefficient)
+    rows = draw(st.lists(st.tuples(st.lists(coefficient, min_size=n_vars, max_size=n_vars),
+                                   _RHS), min_size=2, max_size=8))
+    return LinearSystem(names, [LinearInequality(dict(zip(names, c)), rhs) for c, rhs in rows])
+
+
+_SMALL_INT = st.integers(-3, 3).map(Fraction)
+_RATIONAL = st.builds(Fraction, st.integers(-7, 7), st.sampled_from([1, 2, 3, 4, 6, 9, 10]))
+
+
+class TestFmeMatchesFractionOracle:
+    """The integer-array step gives the Fraction step's rows, rhs bits, row
+    order, source sets and step count, over 1-3 chained steps."""
+
+    @staticmethod
+    def check_chain(sys, order):
+        mine = theirs = sys
+        for j in order:
+            var = sys.variables[j]
+            mine, theirs = fme_eliminate(mine, var), fraction_fme(theirs, var)
+            assert exact_rows(mine) == exact_rows(theirs)
+
+    @given(st.one_of(coefficient_system(_SMALL_INT), coefficient_system(_RATIONAL)), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_systems(self, sys, data):
+        order = data.draw(st.permutations(range(len(sys.variables))))
+        self.check_chain(sys, order[:data.draw(st.integers(1, 3))])
+
+    @pytest.mark.parametrize("base", [2**26 - 1, 2**26, 2**26 + 1, 2**40, 2**62])
+    @given(sys=coefficient_system(_SMALL_INT), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_wide_coefficients_do_not_wrap(self, base, sys, data):
+        # entries near base make pair products near base**2, past int64 from
+        # 2**32 on; each must come out as the oracle's exact integers
+        wide = LinearSystem(sys.variables, [
+            LinearInequality({v: (base + abs(k)) * (1 if k > 0 else -1)
+                              for v, k in r.coeffs.items()} | {sys.variables[0]: base - 1},
+                             r.rhs) for r in sys.inequalities])
+        order = data.draw(st.permutations(range(1, len(sys.variables))))
+        self.check_chain(wide, order[:data.draw(st.integers(1, 2))])
+
+    def test_wide_rows_reach_the_exact_integers(self):
+        big = 2**62 + 3  # prime to 15, so the combined row is primitive
+        sys = LinearSystem(("x", "y", "z"), [ineq({"x": big, "y": 3, "z": 1}, 1.0),
+                                             ineq({"x": 5, "y": -big}, 2.0)])
+        out = fme_eliminate(sys, "y")
+        (row,) = out.inequalities
+        assert row.coeffs == {"x": big * big + 15, "z": big}  # past int64 and float64
+        assert exact_rows(out) == exact_rows(fraction_fme(sys, "y"))
+
+    def test_wide_denominators(self):
+        sys = LinearSystem(("x", "y", "z"), [
+            ineq({"x": Fraction(1, 2**40 + 1), "y": Fraction(3, 2**31)}, 1.0),
+            ineq({"x": Fraction(5, 7), "y": Fraction(-1, 2**45), "z": 1}, 1 / 3),
+            ineq({"y": Fraction(-2, 3), "z": Fraction(1, 2**62)}, 0.1),
+        ])
+        self.check_chain(sys, [1, 0])
+
+    def test_vacuous_rational_pair_keeps_its_rhs(self):
+        # the pair cancels to 0 <= rhs; canonical form leaves that rhs unscaled
+        sys = LinearSystem(("x", "y"), [ineq({"y": Fraction(1, 2)}, 1.0),
+                                        ineq({"y": Fraction(-1, 3)}, 0.5)])
+        (row,) = fme_eliminate(sys, "y").inequalities
+        assert row.is_vacuous() and row.rhs == float(Fraction(1, 3)) * 1.0 + 0.5 * 0.5
+        self.check_chain(sys, [1])
+
+    @given(coefficient_system(st.one_of(_RATIONAL, st.integers(-2**63, 2**63).map(Fraction))))
+    @settings(max_examples=60, deadline=None)
+    def test_canonical_matches_fraction_arithmetic(self, sys):
+        for r in sys.inequalities:
+            mine, theirs = r.canonical(), fraction_canonical(r)
+            assert (mine.coeffs, mine.rhs.hex()) == (theirs.coeffs, theirs.rhs.hex())
+            assert mine is not r and mine.coeffs is not r.coeffs
 
 
 class TestRemoveRedundant:
