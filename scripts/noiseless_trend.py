@@ -9,6 +9,7 @@ one by counting.
 import argparse
 import sys
 
+from bcsi.errors import GuardError
 from bcsi.probability import Alphabet, Pmf, noiseless_channel
 from bcsi.rate_regions import SplitRates, specialize_scheme
 from bcsi.simulator import SchemeConfig, estimate_error
@@ -29,9 +30,8 @@ def main(argv=None) -> int:
         for n in (4, 8, 12):
             try:
                 cfg = SchemeConfig(scheme=scheme, n=n, rates=SplitRates(r1=r1),
-                                   eps_prime=args.eps / 2, eps1=args.eps,
-                                   eps2=args.eps, seed=args.seed)
-            except Exception as exc:
+                                   eps=args.eps, seed=args.seed)
+            except GuardError as exc:
                 print(f"{r1:6.2f} {n:4d}  skipped ({exc})")
                 continue
             rep = estimate_error(ch, cfg, args.trials)

@@ -24,6 +24,6 @@ from .classifier import (ClassVerdict, classify_all, is_degraded,
                          is_more_capable_grid)
 from .optimizer import (SearchConfig, SearchResult, evaluate_weighted_rate,
                         maximize_weighted_rate, region_for, union_slice_2d)
-from .simulator import (Codebooks, SchemeConfig, SimReport, decode_rx1,
-                        decode_rx2, encode, estimate_error, generate_codebooks,
-                        is_jointly_typical, plan_split_rates)
+from .simulator import (Codebooks, CoderTables, SchemeConfig, SimReport,
+                        decode_rx1, decode_rx2, encode, estimate_error,
+                        generate_codebooks, is_jointly_typical, plan_split_rates)

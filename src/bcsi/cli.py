@@ -232,8 +232,7 @@ def cmd_simulate(args) -> int:
             sys.stderr.write(f"warning: operating point outside the region "
                              f"(slack {slack:.6g})\n")
     cfg = SchemeConfig(scheme=scheme, n=args.n, rates=split,
-                       eps_prime=args.eps / 2, eps1=args.eps, eps2=args.eps,
-                       seed=args.seed, fresh_codebooks=not args.fixed_codebook)
+                       eps=args.eps, seed=args.seed, fresh_codebooks=not args.fixed_codebook)
 
     start = time.perf_counter()
 

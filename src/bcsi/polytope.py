@@ -119,11 +119,10 @@ class LinearSystem:
 
 
 def _dedup(rows: Iterable[LinearInequality]) -> list:
-    """Canonicalize rows; rows sharing a coefficient vector keep the tightest
-    rhs, at the position of the first of them."""
+    """Rows sharing a coefficient vector keep the tightest rhs, at the
+    position of the first of them. The rows must be canonical."""
     best = {}
     for row in rows:
-        row = row.canonical()
         k = row.key()
         if k not in best or row.rhs < best[k].rhs:
             best[k] = row
@@ -377,7 +376,7 @@ def fix_variables(sys: LinearSystem, assignment: Mapping[str, float]) -> LinearS
         coeffs = {v: c for v, c in r.coeffs.items() if v not in assignment}
         shift = sum(float(c) * float(assignment[v])
                     for v, c in r.coeffs.items() if v in assignment)
-        out.append(LinearInequality(coeffs, r.rhs - shift))
+        out.append(LinearInequality(coeffs, r.rhs - shift).canonical())
     return LinearSystem(remaining, _dedup(out))
 
 

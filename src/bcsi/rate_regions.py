@@ -198,13 +198,12 @@ def _t3_rows(p_ux: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
     return np.stack([i_u_y2, i_u_y2 + i_x_y1_u, i_x_y1], axis=-1)
 
 
-def raw_coding_system(consts: MiConstants, u2_trivial: bool = False) -> LinearSystem:
+def raw_coding_system(consts: MiConstants) -> LinearSystem:
     """Pre-projection achievability conditions over the split-rate variables.
 
     One covering condition (encoded in <= form by negation), two per-receiver
-    packing pairs, and nonnegativity for all nine variables. With a trivial
-    U2 the split of M3 collapses and the first bin is unused, which pins
-    R32 = 0 and Rp1 = 0.
+    packing pairs, and nonnegativity for all nine variables. The first five
+    rows are the coding conditions the simulator's bin-rate planner meets.
     """
     rows = [
         _ineq({"Rp1": -1, "Rp2": -1}, -consts.i_u1_u2_given_u0),
@@ -217,9 +216,6 @@ def raw_coding_system(consts: MiConstants, u2_trivial: bool = False) -> LinearSy
     ]
     for v in SPLIT_VARS:
         rows.append(_ineq({v: -1}, 0.0))
-    if u2_trivial:
-        rows.append(_ineq({"R32": 1}, 0.0))
-        rows.append(_ineq({"Rp1": 1}, 0.0))
     return LinearSystem(SPLIT_VARS, rows)
 
 

@@ -21,6 +21,11 @@ multiplicative form. Receiver errors are counted as decoded-message
 mismatches; a failed search still yields a deterministic default guess, so a
 rate-zero configuration never errors.
 
+The encoder and both decoders have one calling form: a batch of trials
+(one index array per message, received words of shape (T, n)) and a
+required CoderTables built once per scheme and channel. One slack eps sets
+the decoders' packing tests; the encoder covers within eps / 2.
+
 Per-trial randomness comes from counter-style derived generators: trial t
 draws from the stream of default_rng((seed, 0, t)), so reports are
 bit-identical given the config. Those generators are not built one by one:
@@ -34,14 +39,14 @@ run once over the whole block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import GuardError, InputError
 from .probability import AuxScheme, Channel, JointPmf
-from .rate_regions import MiConstants, SplitRates, receiver_joints
+from .rate_regions import MiConstants, SplitRates, raw_coding_system, receiver_joints
 
 DESK_CAP = 1_000_000  # product of all message-set and bin sizes
 _CHUNK_CELLS = 4_000_000
@@ -75,9 +80,7 @@ class SchemeConfig:
     scheme: AuxScheme
     n: int
     rates: SplitRates
-    eps_prime: float = 0.15
-    eps1: float = 0.3
-    eps2: float = 0.3
+    eps: float = 0.3  # decoding (packing) slack; the encoder covers within eps / 2
     seed: int = 0
     fresh_codebooks: bool = True
 
@@ -86,16 +89,19 @@ class SchemeConfig:
             raise InputError("blocklength must be at least 1")
         if self.seed < 0:
             raise InputError("seed must be nonnegative")
-        if not (self.eps_prime > 0 and self.eps1 > 0 and self.eps2 > 0):
-            raise InputError("typicality slacks must be positive")
-        if self.eps_prime >= min(self.eps1, self.eps2):
-            raise InputError("eps_prime must be below the decoding slacks")
+        if not (self.eps_prime > 0 and math.isfinite(self.eps)):
+            raise InputError("typicality slack must be positive and finite")
         total = 1
         for s in self._sizes.values():
             total *= s
         if total > DESK_CAP:
             raise GuardError(
                 f"codebook index space {total} exceeds desk-scale cap {DESK_CAP}")
+
+    @property
+    def eps_prime(self) -> float:
+        """Covering slack of the encoder's bin scan, below the decoders' eps."""
+        return self.eps / 2
 
     @cached_property
     def _sizes(self) -> dict:
@@ -112,13 +118,15 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class Msg:
-    m1: int
-    m4: int
-    m5: int
-    m21: int
-    m31: int
-    m22: int
-    m32: int
+    """One index array per message, one entry per trial."""
+
+    m1: np.ndarray
+    m4: np.ndarray
+    m5: np.ndarray
+    m21: np.ndarray
+    m31: np.ndarray
+    m22: np.ndarray
+    m32: np.ndarray
 
 
 @dataclass
@@ -136,12 +144,12 @@ class Codebooks:
 
 @dataclass
 class DecodeResult:
-    """One decision; in the batched form every field has a leading trial
-    axis (messages maps each name to an index array)."""
+    """One decision per trial: every field has a leading trial axis
+    (messages maps each name to an index array)."""
 
-    ok: bool
+    ok: np.ndarray
     messages: dict
-    kind: str | None  # None, "none_typical" or "ambiguous"
+    kind: np.ndarray  # per trial None, "none_typical" or "ambiguous"
     passing: np.ndarray
 
 
@@ -161,20 +169,7 @@ class SimReport:
     config: dict
 
     def to_jsonable(self) -> dict:
-        return {
-            "trials": self.trials,
-            "encoder_fallbacks": self.encoder_fallbacks,
-            "rx1_errors": self.rx1_errors,
-            "rx2_errors": self.rx2_errors,
-            "rx1_events": self.rx1_events,
-            "rx2_events": self.rx2_events,
-            "pe_estimate": self.pe_estimate,
-            "pe_half_width_95": self.pe_half_width_95,
-            "sizes": self.sizes,
-            "nominal_rates": self.nominal_rates,
-            "realized_rates": self.realized_rates,
-            "config": self.config,
-        }
+        return asdict(self)
 
 
 def is_jointly_typical(seqs, joint: JointPmf, eps: float) -> bool:
@@ -365,9 +360,10 @@ def _bincount_flags(table, eps, fixed, fixed_known, major, minor, g, shape) -> n
     return flags.reshape(shape)
 
 
-class _Tables:
-    """Float conditionals shared by the encoder and both decoders, and the
-    pass/fail tables of their typicality tests."""
+class CoderTables:
+    """Float conditionals shared by the codebook draw, the encoder and both
+    decoders, and the pass/fail tables of their typicality tests. Build one
+    per (scheme, channel) and pass it to every encode and decode call."""
 
     def __init__(self, scheme: AuxScheme, ch: Channel):
         scheme.check_against(ch)
@@ -390,14 +386,6 @@ class _Tables:
         # channel sampling cdfs over the composite (y1, y2) alphabet
         kern = ch.kernel_float().reshape(ch.x.size, -1)
         self.channel_cdf = np.cumsum(kern, axis=1)
-
-
-def _need_tables(tables, cfg: SchemeConfig, ch, what: str) -> _Tables:
-    if tables is not None:
-        return tables
-    if ch is None:
-        raise InputError(f"{what} needs precomputed tables or the channel")
-    return _Tables(cfg.scheme, ch)
 
 
 def _inverse_cdf(r: np.ndarray, columns, dtype=np.int64) -> np.ndarray:
@@ -423,7 +411,7 @@ def _book_shapes(cfg: SchemeConfig) -> tuple:
             base + (sz["m32"], sz["l2"], cfg.n))
 
 
-def _drawn_shapes(cfg: SchemeConfig, tables: _Tables) -> list:
+def _drawn_shapes(cfg: SchemeConfig, tables: CoderTables) -> list:
     """Shapes of the uniform draws behind one set of books, in draw order: a
     trivial satellite alphabet draws nothing."""
     cb0, cb1, cb2 = _book_shapes(cfg)
@@ -431,7 +419,7 @@ def _drawn_shapes(cfg: SchemeConfig, tables: _Tables) -> list:
     return [cb0] + [shape for a, shape in ((a1, cb1), (a2, cb2)) if a > 1]
 
 
-def _codebooks(cfg: SchemeConfig, tables: _Tables, uniforms) -> Codebooks:
+def _codebooks(cfg: SchemeConfig, tables: CoderTables, uniforms) -> Codebooks:
     """Map the uniforms of _drawn_shapes (with any leading trial axes) to
     codewords by inverse cdf: cloud symbols from p(u0), satellite symbols
     from p(u_k | u0) given the cloud symbol at the same position."""
@@ -451,13 +439,12 @@ def _codebooks(cfg: SchemeConfig, tables: _Tables, uniforms) -> Codebooks:
     return Codebooks(*books)
 
 
-def _draw_books(cfg: SchemeConfig, tables: _Tables, rng: np.random.Generator) -> Codebooks:
-    return _codebooks(cfg, tables, [rng.random(s) for s in _drawn_shapes(cfg, tables)])
-
-
 def generate_codebooks(cfg: SchemeConfig, ch: Channel) -> Codebooks:
-    """Standalone codebook draw, deterministic in cfg.seed."""
-    return _draw_books(cfg, _Tables(cfg.scheme, ch), np.random.default_rng((cfg.seed, 1)))
+    """Standalone codebook draw, deterministic in cfg.seed: the fixed books
+    of estimate_error."""
+    tables = CoderTables(cfg.scheme, ch)
+    rng = np.random.default_rng((cfg.seed, 1))
+    return _codebooks(cfg, tables, [rng.random(s) for s in _drawn_shapes(cfg, tables)])
 
 
 @dataclass
@@ -470,7 +457,7 @@ class _Packed(Codebooks):
     words: tuple
 
 
-def _pack_books(cb: Codebooks, cfg: SchemeConfig, tables: _Tables) -> _Packed:
+def _pack_books(cb: Codebooks, cfg: SchemeConfig, tables: CoderTables) -> _Packed:
     """cb with every nontrivial book packed once for the encoder and both
     decoders. g is the _group_size of their three tests: cell pairs
     (u0, u1), (u0, u2) and (u1, u2), each against the candidate words it
@@ -504,19 +491,16 @@ def _per_trial(cb: _Packed, trials: int) -> _Packed:
                    tuple(grow(w) for w in cb.words))
 
 
-def encode(cb: Codebooks, msg: Msg, cfg: SchemeConfig,
-           tables: _Tables | None = None, ch: Channel | None = None):
-    """Test every bin pair (l1, l2) and take the first conditionally typical
-    triple in lexicographic order; fall back to (0, 0) when none passes.
-    Returns (x_seq, (l1, l2), fallback).
+def encode(cb: Codebooks, msg: Msg, cfg: SchemeConfig, tables: CoderTables):
+    """Per trial, test every bin pair (l1, l2) and take the first
+    conditionally typical triple in lexicographic order; fall back to (0, 0)
+    when none passes. Returns (x, (l1, l2), fallback), each with a leading
+    trial axis (x is (T, n)).
 
-    Batched form: msg holds one index array per message with a leading
-    trial axis, and cb either has that axis too or is shared by every
-    trial; then every output gains the trial axis. cb may come packed
-    (_pack_books)."""
-    tables = _need_tables(tables, cfg, ch, "encode")
-    single = np.ndim(msg.m1) == 0
-    m = [np.atleast_1d(getattr(msg, k)) for k in _MSG_NAMES]
+    msg holds one index array of T entries per message; cb either has a
+    leading trial axis of T or is shared by every trial, and may come
+    packed (_pack_books)."""
+    m = [getattr(msg, k) for k in _MSG_NAMES]
     trials = np.arange(len(m[0]))
     cb = _per_trial(_pack_books(cb, cfg, tables), len(trials))
     cloud = (trials, *m[:5])
@@ -532,10 +516,7 @@ def encode(cb: Codebooks, msg: Msg, cfg: SchemeConfig,
     # argmax is 0, i.e. the fallback pair (0, 0), when nothing passes
     l1, l2 = np.divmod(flags.argmax(axis=1), pairs[2])
     x = tables.gamma[u0, cb.cb1[cloud + (m[5], l1)], cb.cb2[cloud + (m[6], l2)]]
-    fallback = ~flags.any(axis=1)
-    if single:
-        return x[0], (int(l1[0]), int(l2[0])), bool(fallback[0])
-    return x, (l1, l2), fallback
+    return x, (l1, l2), ~flags.any(axis=1)
 
 
 # Per receiver: its satellite book, the cb0 axis of the message it knows
@@ -543,17 +524,14 @@ def encode(cb: Codebooks, msg: Msg, cfg: SchemeConfig,
 # (the other receiver's private cloud part and the bin; the trial axis
 # first), and the messages it decodes.
 _RECEIVERS = {
-    1: ("cb1", 3, (4, 6), ("m1", "m4", "m21", "m22"), "eps1"),
-    2: ("cb2", 2, (3, 6), ("m1", "m5", "m31", "m32"), "eps2"),
+    1: ("cb1", 3, (4, 6), ("m1", "m4", "m21", "m22")),
+    2: ("cb2", 2, (3, 6), ("m1", "m5", "m31", "m32")),
 }
 
 
 def _decode(rx: int, cb: Codebooks, y: np.ndarray, known, cfg: SchemeConfig,
-            tables: _Tables | None, ch: Channel | None) -> DecodeResult:
-    tables = _need_tables(tables, cfg, ch, "decode")
-    book, known_axis, hidden, names, eps = _RECEIVERS[rx]
-    single = np.ndim(known) == 0
-    known = np.atleast_1d(known)
+            tables: CoderTables) -> DecodeResult:
+    book, known_axis, hidden, names = _RECEIVERS[rx]
     y = np.asarray(y).reshape(len(known), 1, 1, 1, 1, 1, 1, -1)
     trials = np.arange(len(known))
     cb = _per_trial(_pack_books(cb, cfg, tables), len(trials))
@@ -566,30 +544,25 @@ def _decode(rx: int, cb: Codebooks, y: np.ndarray, known, cfg: SchemeConfig,
     w0, w_sat = cb.words[0], cb.words[rx]
     major = (None if w0 is None else w0[pick][:, :, :, :, :, None, None, :], tables.sizes[0])
     minor = (None if w_sat is None else w_sat[pick], tables.sizes[rx])
-    flags = _typical_flags(tables.t_y[rx], getattr(cfg, eps), y, False, major, minor, cb.g,
+    flags = _typical_flags(tables.t_y[rx], cfg.eps, y, False, major, minor, cb.g,
                            tables.pass_tables[rx])
-    result = _resolve(np.broadcast_to(flags, candidates).any(axis=hidden), names)
-    if single:
-        return DecodeResult(bool(result.ok[0]),
-                            {k: int(v[0]) for k, v in result.messages.items()},
-                            result.kind[0], result.passing[0])
-    return result
+    return _resolve(np.broadcast_to(flags, candidates).any(axis=hidden), names)
 
 
 def decode_rx1(cb: Codebooks, y1: np.ndarray, m5, cfg: SchemeConfig,
-               tables: _Tables | None = None, ch: Channel | None = None) -> DecodeResult:
-    """Search all (m1, m21, m22, m4); a candidate passes if some (m31, l1)
-    makes (cloud word, satellite word, y1) conditionally typical. Unique pass
-    decodes; zero or several is an error with a deterministic default guess.
-    Batched form: y1 is (T, n) and m5 has T entries, as in encode."""
-    return _decode(1, cb, y1, m5, cfg, tables, ch)
+               tables: CoderTables) -> DecodeResult:
+    """Per trial, search all (m1, m21, m22, m4); a candidate passes if some
+    (m31, l1) makes (cloud word, satellite word, y1) conditionally typical.
+    Unique pass decodes; zero or several is an error with a deterministic
+    default guess. y1 is (T, n) and m5 has T entries; cb as in encode."""
+    return _decode(1, cb, y1, m5, cfg, tables)
 
 
 def decode_rx2(cb: Codebooks, y2: np.ndarray, m4, cfg: SchemeConfig,
-               tables: _Tables | None = None, ch: Channel | None = None) -> DecodeResult:
+               tables: CoderTables) -> DecodeResult:
     """Mirror of decode_rx1: receiver 2 knows m4, decodes (m1, m31, m32, m5)
     with (m21, l2) existential."""
-    return _decode(2, cb, y2, m4, cfg, tables, ch)
+    return _decode(2, cb, y2, m4, cfg, tables)
 
 
 def _resolve(passing: np.ndarray, names) -> DecodeResult:
@@ -728,7 +701,7 @@ def _trial_streams(seed: int, trials: int):
             yield rng
 
 
-def _draw_block(cfg: SchemeConfig, tables: _Tables, streams, uniforms: list,
+def _draw_block(cfg: SchemeConfig, tables: CoderTables, streams, uniforms: list,
                 channel: np.ndarray, count: int) -> Msg:
     """Every draw of the next count trials, each from its own generator
     (streams yields them in trial order) in the order cloud and satellite
@@ -760,12 +733,11 @@ def estimate_error(ch: Channel, cfg: SchemeConfig, trials: int,
     per block."""
     if trials < 1:
         raise InputError("need at least one trial")
-    tables = _Tables(cfg.scheme, ch)
+    tables = CoderTables(cfg.scheme, ch)
     sz = cfg.sizes()
     fixed_books = None
     if not cfg.fresh_codebooks:
-        fixed_books = _pack_books(_draw_books(cfg, tables, np.random.default_rng((cfg.seed, 1))),
-                                  cfg, tables)
+        fixed_books = _pack_books(generate_codebooks(cfg, ch), cfg, tables)
     # codeword symbols, bin pairs and channel draws of one trial
     per_trial = (sum(math.prod(s) for s in _book_shapes(cfg))
                  + cfg.n * (sz["l1"] * sz["l2"] + 1))
@@ -821,52 +793,36 @@ def estimate_error(ch: Channel, cfg: SchemeConfig, trials: int,
         sizes=sz,
         nominal_rates=nominal,
         realized_rates=cfg.realized_rates(),
-        config={"n": cfg.n, "eps_prime": cfg.eps_prime, "eps1": cfg.eps1,
-                "eps2": cfg.eps2, "seed": cfg.seed,
+        config={"n": cfg.n, "eps_prime": cfg.eps_prime, "eps1": cfg.eps,
+                "eps2": cfg.eps, "seed": cfg.seed,
                 "fresh_codebooks": cfg.fresh_codebooks},
     )
 
 
 def plan_split_rates(consts: MiConstants, r1: float, r2: float, r3: float,
-                     r4: float, r5: float, split2: float = 0.5,
-                     split3: float = 0.5) -> tuple:
-    """Split the private rates (even by default) and pick bin rates by a
-    max-slack feasibility scan of the pre-projection conditions.
+                     r4: float, r5: float) -> tuple:
+    """Split the private rates evenly and pick bin rates by a max-slack
+    feasibility scan of the coding conditions of raw_coding_system, with
+    every rate but the bin rates fixed.
 
     Returns (SplitRates, slack); negative slack means the operating point
     sits outside the region at these constants.
     """
     from scipy.optimize import linprog
 
-    if not (0.0 <= split2 <= 1.0 and 0.0 <= split3 <= 1.0):
-        raise InputError("splits must lie in [0, 1]")
-    r21, r22 = r2 * split2, r2 * (1.0 - split2)
-    r31, r32 = r3 * split3, r3 * (1.0 - split3)
-    a = consts.i_u1_u2_given_u0
-    b1 = consts.i_u1_y1_given_u0
-    b2 = consts.i_u2_y2_given_u0
-    big1 = consts.i_u0u1_y1
-    big2 = consts.i_u0u2_y2
-    # variables rp1, rp2, t; maximize t
-    a_ub = np.array([
-        [-1.0, -1.0, 1.0],
-        [1.0, 0.0, 1.0],
-        [1.0, 0.0, 1.0],
-        [0.0, 1.0, 1.0],
-        [0.0, 1.0, 1.0],
-    ])
-    b_ub = np.array([
-        -a,
-        b1 - r22,
-        big1 - (r1 + r21 + r31 + r4 + r22),
-        b2 - r32,
-        big2 - (r1 + r21 + r31 + r5 + r32),
-    ])
+    fixed = {"R1": r1, "R21": r2 * 0.5, "R22": r2 * 0.5, "R31": r3 * 0.5,
+             "R32": r3 * 0.5, "R4": r4, "R5": r5}
+    # the covering and packing rows; variables rp1, rp2, t; maximize t
+    rows = raw_coding_system(consts).inequalities[:5]
+    a_ub = np.array([[float(r.coeffs.get("Rp1", 0)), float(r.coeffs.get("Rp2", 0)), 1.0]
+                     for r in rows])
+    b_ub = np.array([r.rhs - sum(float(c) * fixed[v] for v, c in r.coeffs.items() if v in fixed)
+                     for r in rows])
     res = linprog(np.array([0.0, 0.0, -1.0]), A_ub=a_ub, b_ub=b_ub,
                   bounds=[(0.0, None), (0.0, None), (None, None)], method="highs")
     if not res.success:
         raise GuardError(f"bin-rate planning LP failed: {res.message}")
     rp1, rp2, slack = float(res.x[0]), float(res.x[1]), float(res.x[2])
-    rates = SplitRates(r1=r1, r21=r21, r22=r22, r31=r31, r32=r32, r4=r4, r5=r5,
-                       rp1=max(rp1, 0.0), rp2=max(rp2, 0.0))
+    rates = SplitRates(r1=r1, r21=fixed["R21"], r22=fixed["R22"], r31=fixed["R31"],
+                       r32=fixed["R32"], r4=r4, r5=r5, rp1=max(rp1, 0.0), rp2=max(rp2, 0.0))
     return rates, slack

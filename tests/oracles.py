@@ -400,10 +400,11 @@ def plain_generate(cfg, tables, rng):
     return Codebooks(cb0, cb1, cb2)
 
 
-def plain_classify(result, msg):
-    """Error event of one wrong decision, one trial at a time."""
-    truth = tuple(getattr(msg, k) for k in result.messages)
-    others = result.passing.copy()
+def plain_classify(messages, passing, msg):
+    """Error event of one wrong decision (the decoded messages and the
+    passing array of one trial)."""
+    truth = tuple(getattr(msg, k) for k in messages)
+    others = passing.copy()
     others[truth] = False
     if np.delete(others, truth[0], axis=0).any():
         return "wrong_cloud"
@@ -417,11 +418,12 @@ def plain_classify(result, msg):
 def plain_estimate_error(ch, cfg, trials, progress=None):
     """The simulator one trial at a time: each trial draws its books, all
     seven messages and its channel uniforms from the generator (seed, 0,
-    trial) and runs single encode and decode calls on int64 books."""
+    trial) and runs encode and decode calls on a batch of that one trial,
+    on int64 books."""
     from bcsi import simulator
     from bcsi.simulator import Msg, SimReport
 
-    tables = simulator._Tables(cfg.scheme, ch)
+    tables = simulator.CoderTables(cfg.scheme, ch)
     sz = cfg.sizes()
     fixed_books = None
     if not cfg.fresh_codebooks:
@@ -434,18 +436,20 @@ def plain_estimate_error(ch, cfg, trials, progress=None):
     for trial in range(trials):
         rng = np.random.default_rng((cfg.seed, 0, trial))
         books = fixed_books if fixed_books is not None else plain_generate(cfg, tables, rng)
-        msg = Msg(*(int(rng.integers(sz[k])) for k in
-                    ("m1", "m4", "m5", "m21", "m31", "m22", "m32")))
-        x, _, fb = simulator.encode(books, msg, cfg, tables)
-        fallbacks += int(fb)
-        flat = plain_sample_categorical(rng, tables.channel_cdf, x)
-        results = {1: simulator.decode_rx1(books, flat // ch.y2.size, msg.m5, cfg, tables),
-                   2: simulator.decode_rx2(books, flat % ch.y2.size, msg.m4, cfg, tables)}
+        fields = [int(rng.integers(sz[k])) for k in
+                  ("m1", "m4", "m5", "m21", "m31", "m22", "m32")]
+        msg, batch = Msg(*fields), Msg(*(np.array([v]) for v in fields))
+        x, _, fb = simulator.encode(books, batch, cfg, tables)
+        fallbacks += int(fb[0])
+        flat = plain_sample_categorical(rng, tables.channel_cdf, x[0])[None]
+        results = {1: simulator.decode_rx1(books, flat // ch.y2.size, batch.m5, cfg, tables),
+                   2: simulator.decode_rx2(books, flat % ch.y2.size, batch.m4, cfg, tables)}
         failed = False
         for rx, res in results.items():
-            if any(v != getattr(msg, k) for k, v in res.messages.items()):
+            decided = {k: int(v[0]) for k, v in res.messages.items()}
+            if any(v != getattr(msg, k) for k, v in decided.items()):
                 errors[rx] += 1
-                buckets[rx][plain_classify(res, msg)] += 1
+                buckets[rx][plain_classify(decided, res.passing[0], msg)] += 1
                 failed = True
         any_errors += int(failed)
         if progress is not None and (trial + 1) % 100 == 0:
@@ -466,7 +470,43 @@ def plain_estimate_error(ch, cfg, trials, progress=None):
         sizes=sz,
         nominal_rates=nominal,
         realized_rates=cfg.realized_rates(),
-        config={"n": cfg.n, "eps_prime": cfg.eps_prime, "eps1": cfg.eps1,
-                "eps2": cfg.eps2, "seed": cfg.seed,
+        config={"n": cfg.n, "eps_prime": cfg.eps / 2, "eps1": cfg.eps,
+                "eps2": cfg.eps, "seed": cfg.seed,
                 "fresh_codebooks": cfg.fresh_codebooks},
     )
+
+
+def hand_written_bin_rate_lp(consts, r1, r2, r3, r4, r5):
+    """(A_ub, b_ub) of the bin-rate planner's LP over (rp1, rp2, t), each
+    coding condition written out by hand with the private rates split
+    evenly: covering rp1 + rp2 >= a, then per receiver its satellite
+    packing and its joint packing row."""
+    r21, r22 = r2 * 0.5, r2 * (1.0 - 0.5)
+    r31, r32 = r3 * 0.5, r3 * (1.0 - 0.5)
+    a_ub = np.array([
+        [-1.0, -1.0, 1.0],
+        [1.0, 0.0, 1.0],
+        [1.0, 0.0, 1.0],
+        [0.0, 1.0, 1.0],
+        [0.0, 1.0, 1.0],
+    ])
+    b_ub = np.array([
+        -consts.i_u1_u2_given_u0,
+        consts.i_u1_y1_given_u0 - r22,
+        consts.i_u0u1_y1 - (r1 + r21 + r31 + r4 + r22),
+        consts.i_u2_y2_given_u0 - r32,
+        consts.i_u0u2_y2 - (r1 + r21 + r31 + r5 + r32),
+    ])
+    return a_ub, b_ub
+
+
+def closed_form_bin_rate_slack(consts, r1, r2, r3, r4, r5):
+    """The planner's max slack t without an LP: with d_k the least room of
+    receiver k's two packing rows, some rp1 in [0, d1 - t] and rp2 in
+    [0, d2 - t] cover rp1 + rp2 >= a + t exactly when t <= d1, t <= d2 and
+    t <= (d1 + d2 - a) / 3."""
+    r21 = r22 = r2 / 2
+    r31 = r32 = r3 / 2
+    d1 = min(consts.i_u1_y1_given_u0 - r22, consts.i_u0u1_y1 - (r1 + r21 + r31 + r4 + r22))
+    d2 = min(consts.i_u2_y2_given_u0 - r32, consts.i_u0u2_y2 - (r1 + r21 + r31 + r5 + r32))
+    return min(d1, d2, (d1 + d2 - consts.i_u1_u2_given_u0) / 3)

@@ -168,7 +168,7 @@ def test_7_simulator_achievability_trend():
         pes = []
         for n in (4, 8, 12):
             cfg = SchemeConfig(scheme=scheme, n=n, rates=SplitRates(r1=0.5),
-                               eps_prime=0.15, eps1=0.3, eps2=0.3, seed=77)
+                               eps=0.3, seed=77)
             pes.append(estimate_error(ch, cfg, 500).pe_estimate)
         assert pes[0] > pes[1] > pes[2], f"not strictly decreasing: {pes}"
         assert pes[2] <= 0.1, f"pe at n=12 is {pes[2]}"
@@ -177,12 +177,12 @@ def test_7_simulator_achievability_trend():
         # so the counting-bound check runs at n in {4, 8}
         for n in (4, 8):
             cfg = SchemeConfig(scheme=scheme, n=n, rates=SplitRates(r1=2.0),
-                               eps_prime=0.15, eps1=0.3, eps2=0.3, seed=77)
+                               eps=0.3, seed=77)
             pe = estimate_error(ch, cfg, 500).pe_estimate
             assert pe >= 0.3, f"overloaded pe at n={n} is {pe}"
         with pytest.raises(GuardError):
             SchemeConfig(scheme=scheme, n=12, rates=SplitRates(r1=2.0),
-                         eps_prime=0.15, eps1=0.3, eps2=0.3, seed=77)
+                         eps=0.3, seed=77)
         elapsed = time.monotonic() - start
         assert elapsed <= 300.0, f"took {elapsed:.1f}s"
 

@@ -296,6 +296,51 @@ class TestRemoveRedundant:
                         for r in out.inequalities)
             assert before == after
 
+    @pytest.mark.parametrize("sizes, seed", [((2, 2, 2), 1), ((3, 2, 2), 2), ((1, 2, 2), 4),
+                                             ((2, 1, 2), 5)])
+    def test_dedup_makes_no_canonical_call(self, monkeypatch, tmp_path, sizes, seed):
+        """remove_redundant and fix_variables hand _dedup canonical rows:
+        _dedup calls canonical() on none, and raw-project writes the bytes
+        it writes with a _dedup that canonicalizes its rows again."""
+        rng = np.random.default_rng(seed)
+        kernel = rng.random((3, 4)) + 0.05
+        joint = rng.random(sizes) + 0.02
+        specs = {"channel": {"x_size": 3, "y1_size": 2, "y2_size": 2,
+                             "kernel": (kernel / kernel.sum(axis=1, keepdims=True)).tolist()},
+                 "scheme": {"u_sizes": list(sizes), "joint": (joint / joint.sum()).ravel().tolist(),
+                            "gamma": rng.integers(0, 3, size=joint.size).tolist()}}
+        for name, spec in specs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(spec))
+
+        def raw_project(out):
+            assert cli.main(["raw-project", "--channel", str(tmp_path / "channel.json"),
+                             "--scheme", str(tmp_path / "scheme.json"),
+                             "--out", str(tmp_path / out)]) == 0
+            return (tmp_path / out).read_bytes()
+
+        dedup, canonical = polytope._dedup, LinearInequality.canonical
+        calls, inside = [], []
+
+        def counted(row):
+            calls.append(1)
+            return canonical(row)
+
+        def watched(rows):
+            before = len(calls)
+            out = dedup(rows)
+            inside.append(len(calls) - before)
+            return out
+
+        monkeypatch.setattr(LinearInequality, "canonical", counted)
+        monkeypatch.setattr(polytope, "_dedup", watched)
+        ours = raw_project("ours.json")
+        sliced = fix_variables(LinearSystem(("x", "y"), [ineq({"x": 2, "y": 1}, 6.0)]),
+                               {"y": 1.0})
+        assert inside and set(inside) == {0}
+        assert [(r.key(), r.rhs) for r in sliced.inequalities] == [((("x", Fraction(1)),), 2.5)]
+        monkeypatch.setattr(polytope, "_dedup", lambda rows: dedup([canonical(r) for r in rows]))
+        assert ours == raw_project("theirs.json")
+
 
 @st.composite
 def derived_system(draw):
@@ -599,6 +644,14 @@ class TestFixVariables:
         out = fix_variables(sys, {"y": 0.0})
         assert len(out.inequalities) == 1
         assert out.inequalities[0].rhs == pytest.approx(3.0)
+
+    def test_scaled_duplicates_merge_in_canonical_form(self):
+        sys = LinearSystem(("x", "y"), [
+            ineq({"x": 2, "y": 1}, 6.0),
+            ineq({"x": 1, "y": 3}, 2.0),
+        ])
+        out = fix_variables(sys, {"y": 0.0})
+        assert [(r.coeffs, r.rhs) for r in out.inequalities] == [({"x": Fraction(1)}, 2.0)]
 
 
 class TestMaximize:

@@ -224,14 +224,6 @@ class TestRawSystem:
         direct = RateRegion(LinearSystem(RATE_VARS, rows))
         assert regions_equal(projected, direct)
 
-    def test_u2_trivial_variant_still_projects_to_marton(self, rng):
-        p_ux = random_joint(rng, (2, 2), names=("U", "X"))
-        ch = random_channel(rng, 2, 2, 2)
-        scheme = specialize_scheme("more_capable", p_ux, ch)
-        c = mi_constants(scheme, ch)
-        projected = project_raw_system(raw_coding_system(c, u2_trivial=True))
-        assert regions_equal(projected, marton_region(scheme, ch))
-
 
 class TestDeterministicRegion:
     def test_degenerate_u_identity_channel(self):

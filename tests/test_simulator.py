@@ -4,23 +4,32 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcsi import simulator
 from bcsi.errors import GuardError, InputError
 from bcsi.probability import (Alphabet, AuxScheme, JointPmf, Pmf,
                               binary_symmetric_pair, noiseless_channel)
 from bcsi.rate_regions import MiConstants, SplitRates, mi_constants, specialize_scheme
-from bcsi.simulator import (Msg, SchemeConfig, decode_rx1, decode_rx2, encode,
-                            estimate_error, generate_codebooks,
+from bcsi.simulator import (CoderTables, Msg, SchemeConfig, decode_rx1, decode_rx2,
+                            encode, estimate_error, generate_codebooks,
                             is_jointly_typical, plan_split_rates)
 from conftest import random_channel, random_scheme
-from oracles import brute_conditionally_typical, plain_estimate_error, plain_generate
+from oracles import (brute_conditionally_typical, closed_form_bin_rate_slack,
+                     hand_written_bin_rate_lp, plain_estimate_error, plain_generate)
 
 
 def complementary_scheme(ch, px=None):
     if px is None:
         px = Pmf.uniform(Alphabet.indexed("X", ch.x.size))
     return specialize_scheme("complementary", px, ch)
+
+
+def one_msg(**fields):
+    """A batch of one trial's messages, each index 0 unless given."""
+    return Msg(*(np.array([fields.get(k, 0)]) for k in simulator._MSG_NAMES))
 
 
 def correlated_scheme():
@@ -253,11 +262,15 @@ class TestTypicalFlags:
 
 
 class TestSchemeConfig:
-    def test_eps_ordering_enforced(self):
+    def test_one_slack(self):
+        """The encoder covers within half the decoders' slack; a slack that
+        is not positive and finite (or whose half is 0) is refused."""
         ch = noiseless_channel(2)
-        with pytest.raises(InputError):
-            SchemeConfig(scheme=complementary_scheme(ch), n=4,
-                         rates=SplitRates(), eps_prime=0.4, eps1=0.3, eps2=0.3)
+        cfg = SchemeConfig(scheme=complementary_scheme(ch), n=4, rates=SplitRates(), eps=0.3)
+        assert cfg.eps_prime == 0.15
+        for eps in (0.0, -0.3, math.inf, math.nan, 5e-324):
+            with pytest.raises(InputError):
+                replace(cfg, eps=eps)
 
     def test_desk_cap(self):
         ch = noiseless_channel(2)
@@ -318,11 +331,12 @@ class TestEncode:
         cfg = SchemeConfig(scheme=complementary_scheme(ch), n=4,
                            rates=SplitRates(r1=0.5), seed=2)
         books = generate_codebooks(cfg, ch)
-        for m1 in range(cfg.sizes()["m1"]):
-            msg = Msg(m1, 0, 0, 0, 0, 0, 0)
-            x, (l1, l2), fallback = encode(books, msg, cfg, ch=ch)
-            assert (l1, l2) == (0, 0)
-            assert not fallback
+        m1 = np.arange(cfg.sizes()["m1"])
+        zero = np.zeros_like(m1)
+        msg = Msg(m1, *[zero] * 6)
+        x, (l1, l2), fallback = encode(books, msg, cfg, CoderTables(cfg.scheme, ch))
+        assert (l1 == 0).all() and (l2 == 0).all()
+        assert not fallback.any()
 
     def test_gamma_consistency(self):
         ch = noiseless_channel(2)
@@ -330,37 +344,36 @@ class TestEncode:
         cfg = SchemeConfig(scheme=scheme, n=6, rates=SplitRates(rp1=0.4, rp2=0.4),
                            seed=3)
         books = generate_codebooks(cfg, ch)
-        msg = Msg(0, 0, 0, 0, 0, 0, 0)
-        x, (l1, l2), _ = encode(books, msg, cfg, ch=ch)
-        u1 = books.cb1[0, 0, 0, 0, 0, 0, l1]
-        assert (x == u1).all()  # gamma maps (u0, u1, u2) -> u1 here
+        x, (l1, l2), _ = encode(books, one_msg(), cfg, CoderTables(scheme, ch))
+        u1 = books.cb1[0, 0, 0, 0, 0, 0, l1[0]]
+        assert (x[0] == u1).all()  # gamma maps (u0, u1, u2) -> u1 here
 
-    @pytest.mark.parametrize("scheme_kind, eps_prime", [("correlated", 0.25),
-                                                        ("random", 1.2)])
-    def test_matches_sequential_scan(self, scheme_kind, eps_prime):
+    @pytest.mark.parametrize("scheme_kind, eps", [("correlated", 0.5), ("random", 2.4)])
+    def test_matches_sequential_scan(self, scheme_kind, eps):
         """First passing bin pair in lexicographic order, one pair at a time."""
         rng = np.random.default_rng(31)
         ch = random_channel(rng, 2, 2, 2)
         scheme = correlated_scheme() if scheme_kind == "correlated" else \
             random_scheme(rng, (2, 2, 2), 2)
-        t_pair = simulator._Tables(scheme, ch).t_pair
+        tables = CoderTables(scheme, ch)
+        t_pair = tables.t_pair
         a2 = scheme.sizes[2]
         fallbacks = 0
         for seed in range(20):
             cfg = SchemeConfig(scheme=scheme, n=6, rates=SplitRates(rp1=0.2, rp2=0.4),
-                               eps_prime=eps_prime, eps1=2.0, eps2=2.0, seed=seed)
+                               eps=eps, seed=seed)
             books = generate_codebooks(cfg, ch)
-            msg = Msg(0, 0, 0, 0, 0, 0, 0)
             u0, u1, u2 = books.cb0[0, 0, 0, 0, 0], books.cb1[0, 0, 0, 0, 0, 0], \
                 books.cb2[0, 0, 0, 0, 0, 0]
             passing = [(l1, l2) for l1 in range(len(u1)) for l2 in range(len(u2))
                        if brute_conditionally_typical(u0, u1[l1] * a2 + u2[l2],
                                                       t_pair, cfg.eps_prime)]
             expected = (passing[0], False) if passing else ((0, 0), True)
-            x, chosen, fallback = encode(books, msg, cfg, ch=ch)
-            assert (chosen, fallback) == expected
-            assert (x == scheme.gamma[u0, u1[chosen[0]], u2[chosen[1]]]).all()
-            fallbacks += fallback
+            x, (l1, l2), fallback = encode(books, one_msg(), cfg, tables)
+            chosen = (l1[0], l2[0])
+            assert (chosen, fallback[0]) == expected
+            assert (x[0] == scheme.gamma[u0, u1[chosen[0]], u2[chosen[1]]]).all()
+            fallbacks += fallback[0]
         assert 0 < fallbacks < 20
 
     def test_correlated_pair_with_single_bin_often_falls_back(self):
@@ -399,12 +412,12 @@ class TestDecode:
         # y1 = all-ones is impossible when every candidate word has a zero;
         # force it by brute search over a seed where codewords are mixed
         y1 = np.array([1, 0, 1, 0])
-        res = decode_rx1(books, y1, 0, cfg, ch=ch)
+        res = decode_rx1(books, y1[None], np.array([0]), cfg, CoderTables(cfg.scheme, ch))
         matches = [(books.cb0[m1, 0, 0, 0, 0] == y1).all()
                    for m1 in range(cfg.sizes()["m1"])]
         if not any(matches):
-            assert not res.ok
-            assert res.kind == "none_typical"
+            assert not res.ok[0]
+            assert res.kind[0] == "none_typical"
 
     def test_duplicate_codewords_force_ambiguity(self):
         ch = noiseless_channel(2)
@@ -413,22 +426,22 @@ class TestDecode:
                            rates=SplitRates(r1=2.0), seed=8)
         books = generate_codebooks(cfg, ch)
         y1 = books.cb0[0, 0, 0, 0, 0].copy()
-        res = decode_rx1(books, y1, 0, cfg, ch=ch)
-        assert not res.ok
-        assert res.kind == "ambiguous"
+        res = decode_rx1(books, y1[None], np.array([0]), cfg, CoderTables(cfg.scheme, ch))
+        assert not res.ok[0]
+        assert res.kind[0] == "ambiguous"
 
     def test_rx2_mirrors_rx1_on_symmetric_setup(self):
         ch = noiseless_channel(2)
         cfg = SchemeConfig(scheme=complementary_scheme(ch), n=8,
                            rates=SplitRates(r1=0.25), seed=10)
         books = generate_codebooks(cfg, ch)
-        msg = Msg(1, 0, 0, 0, 0, 0, 0)
-        x, _, _ = encode(books, msg, cfg, ch=ch)
-        r1 = decode_rx1(books, x.copy(), 0, cfg, ch=ch)
-        r2 = decode_rx2(books, x.copy(), 0, cfg, ch=ch)
-        assert r1.ok and r2.ok
-        assert r1.messages["m1"] == 1
-        assert r2.messages["m1"] == 1
+        tables = CoderTables(cfg.scheme, ch)
+        x, _, _ = encode(books, one_msg(m1=1), cfg, tables)
+        r1 = decode_rx1(books, x.copy(), np.array([0]), cfg, tables)
+        r2 = decode_rx2(books, x.copy(), np.array([0]), cfg, tables)
+        assert r1.ok[0] and r2.ok[0]
+        assert r1.messages["m1"][0] == 1
+        assert r2.messages["m1"][0] == 1
 
 
 class TestEstimateError:
@@ -531,8 +544,7 @@ class TestBatchedEstimate:
         x = int(rng.integers(2, 4))
         ch = random_channel(rng, x, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
         cfg = SchemeConfig(scheme=random_scheme(rng, ORACLE_SIZES[case % 6], x), n=6,
-                           rates=ORACLE_RATES[case % 6], eps_prime=0.5,
-                           eps1=(1.2, 2.5)[case % 2], eps2=(1.2, 2.5)[case % 2], seed=case,
+                           rates=ORACLE_RATES[case % 6], eps=(1.2, 2.5)[case % 2], seed=case,
                            fresh_codebooks=case % 4 != 3)
         trials = ORACLE_TRIALS[case % 6]
         block = ORACLE_BLOCKS[case % 5]
@@ -577,8 +589,8 @@ class TestCodewordDtype:
         axes = tuple(Alphabet.indexed(f"U{i}", s) for i, s in enumerate(sizes))
         scheme = AuxScheme(JointPmf(axes, mass / mass.sum()), rng.integers(0, 4, size=sizes))
         cfg = SchemeConfig(scheme=scheme, n=4, rates=SplitRates(r1=1.0, rp1=0.5, rp2=0.5),
-                           eps_prime=1e3, eps1=2e3, eps2=2e3, seed=2)
-        tables = simulator._Tables(scheme, ch)
+                           eps=2e3, seed=2)
+        tables = CoderTables(scheme, ch)
         books = generate_codebooks(cfg, ch)
         assert books.cb0.dtype == books.cb1.dtype == books.cb2.dtype == np.uint8
         plain = plain_generate(cfg, tables, np.random.default_rng((cfg.seed, 1)))
@@ -586,24 +598,25 @@ class TestCodewordDtype:
                                 (plain.cb0, plain.cb1, plain.cb2)):
             assert ours.shape == theirs.shape and (ours == theirs).all()
         wide = wide_books(books)
-        pairs, passing = set(), []
-        for m1 in range(cfg.sizes()["m1"]):
-            msg = Msg(m1, 0, 0, 0, 0, 0, 0)
-            x, pair, fallback = encode(books, msg, cfg, tables)
-            x_wide, pair_wide, fallback_wide = encode(wide, msg, cfg, tables)
-            assert (x == x_wide).all() and pair == pair_wide and fallback == fallback_wide
-            pairs.add((pair, fallback))
-            for decode in (decode_rx1, decode_rx2):
-                ours, theirs = decode(books, x, 0, cfg, tables), decode(wide, x, 0, cfg, tables)
-                assert (ours.ok, ours.messages, ours.kind) == \
-                    (theirs.ok, theirs.messages, theirs.kind)
-                assert (ours.passing == theirs.passing).all()
-                if decode is decode_rx1:
-                    passing.append(ours.passing)
+        m1 = np.arange(cfg.sizes()["m1"])
+        zero = np.zeros_like(m1)
+        msg = Msg(m1, *[zero] * 6)
+        x, (l1, l2), fallback = encode(books, msg, cfg, tables)
+        x_wide, (l1_wide, l2_wide), fallback_wide = encode(wide, msg, cfg, tables)
+        assert (x == x_wide).all() and (l1 == l1_wide).all() and (l2 == l2_wide).all()
+        assert (fallback == fallback_wide).all()
+        for decode in (decode_rx1, decode_rx2):
+            ours, theirs = decode(books, x, zero, cfg, tables), decode(wide, x, zero, cfg, tables)
+            assert (ours.ok == theirs.ok).all() and (ours.kind == theirs.kind).all()
+            assert all((ours.messages[k] == theirs.messages[k]).all() for k in ours.messages)
+            assert list(ours.messages) == list(theirs.messages)
+            assert (ours.passing == theirs.passing).all()
+            if decode is decode_rx1:
+                passing = ours.passing
         if sizes[0] * sizes[1] > 256:
             assert 0 < np.mean(passing) < 1
         else:
-            assert len(pairs) > 2
+            assert len(set(zip(l1.tolist(), l2.tolist(), fallback.tolist()))) > 2
 
     def test_large_alphabets_keep_int64(self):
         ch = noiseless_channel(2)
@@ -631,7 +644,7 @@ def stacked_books(cfg, ch, trials):
 
 
 class TestBatchAxis:
-    """One batched call over T trials equals T single calls exactly."""
+    """One call over T trials equals T calls over one trial exactly."""
 
     CLOUD = ((2, 1, 1), 2, SplitRates(r1=0.5))                       # table path
     BINNING = ((1, 2, 2), 4, SplitRates(r22=0.25, r32=0.25, rp1=0.375, rp2=0.375))  # unique
@@ -646,8 +659,8 @@ class TestBatchAxis:
         axes = tuple(Alphabet.indexed(f"U{i}", s) for i, s in enumerate(sizes))
         gamma = np.arange(math.prod(sizes)).reshape(sizes) % x_size
         cfg = SchemeConfig(scheme=AuxScheme(JointPmf(axes, mass), gamma), n=8, rates=rates,
-                           eps_prime=0.5, eps1=2.0, eps2=2.0, seed=4)
-        tables = simulator._Tables(cfg.scheme, ch)
+                           eps=2.0, seed=4)
+        tables = CoderTables(cfg.scheme, ch)
         keys = (cfg.n + 1) ** tables.t_y[1].size
         assert path == ("table" if keys <= simulator._TABLE_KEYS else "unique")
         trials = 12
@@ -665,17 +678,19 @@ class TestBatchAxis:
         for t in range(trials):
             one = books if shared else simulator.Codebooks(books.cb0[t], books.cb1[t],
                                                            books.cb2[t])
-            single_msg = Msg(*(int(v) for v in fields[:, t]))
+            single_msg = Msg(*fields[:, t:t + 1])
             x1, pair, fb = encode(one, single_msg, cfg, tables)
-            assert (x1 == x[t]).all() and pair == (l1[t], l2[t]) and fb == fallback[t]
+            assert (x1[0] == x[t]).all() and (pair[0][0], pair[1][0]) == (l1[t], l2[t])
+            assert fb[0] == fallback[t]
             for rx, decode in ((1, decode_rx1), (2, decode_rx2)):
                 known = single_msg.m5 if rx == 1 else single_msg.m4
-                res = decode(one, y[t], known, cfg, tables)
+                res = decode(one, y[t:t + 1], known, cfg, tables)
                 both = batched[rx]
-                assert res.ok == both.ok[t] and res.kind == both.kind[t]
-                assert res.messages == {k: v[t] for k, v in both.messages.items()}
-                assert (res.passing == both.passing[t]).all()
-                kinds.add(res.kind)
+                assert res.ok[0] == both.ok[t] and res.kind[0] == both.kind[t]
+                assert {k: v[0] for k, v in res.messages.items()} == \
+                    {k: v[t] for k, v in both.messages.items()}
+                assert (res.passing[0] == both.passing[t]).all()
+                kinds.add(res.kind[0])
         assert None in kinds and len(kinds) > 1
 
 
@@ -686,7 +701,6 @@ def brute_passing(rx, books, y, known, cfg, tables):
     typical."""
     sz = cfg.sizes()
     a = tables.sizes[rx]
-    eps = cfg.eps1 if rx == 1 else cfg.eps2
     if rx == 1:
         axes, hidden = ("m1", "m4", "m21", "m22"), ("m31", "l1")
     else:
@@ -699,7 +713,7 @@ def brute_passing(rx, books, y, known, cfg, tables):
             sat = books.cb1[cloud + (m["m22"], m["l1"])] if rx == 1 else \
                 books.cb2[cloud + (m["m32"], m["l2"])]
             cells = books.cb0[cloud].astype(np.int64) * a + sat
-            if brute_conditionally_typical(cells, y, tables.t_y[rx], eps):
+            if brute_conditionally_typical(cells, y, tables.t_y[rx], cfg.eps):
                 passing[idx] = True
                 break
     return passing
@@ -718,9 +732,8 @@ class TestPackedBooks:
         one, two = 1.0 / n, 2.0 / n
         rates = SplitRates(r1=one, r21=2 * one, r31=2 * one, r4=one, r5=one, r22=one, r32=one,
                            rp1=two, rp2=two)
-        cfg = SchemeConfig(scheme=scheme, n=n, rates=rates, eps_prime=1.0, eps1=2.0, eps2=2.0,
-                           seed=n)
-        tables = simulator._Tables(scheme, ch)
+        cfg = SchemeConfig(scheme=scheme, n=n, rates=rates, eps=2.0, seed=n)
+        tables = CoderTables(scheme, ch)
         assert tables.t_y[1].shape == (6, 3) and tables.t_y[2].shape == (6, 2)
         assert ((n + 1) ** 18 > simulator._KEY_LIMIT) == (rx1_path == "bincount")
         books = generate_codebooks(cfg, ch)
@@ -731,18 +744,20 @@ class TestPackedBooks:
         for seed in range(3):
             draw = np.random.default_rng(seed)
             m4, m5 = (int(draw.integers(2)) for _ in range(2))
-            x, pair, fallback = encode(books, Msg(0, m4, m5, 0, 0, 0, 0), cfg, tables)
+            x, (l1, l2), fallback = encode(books, one_msg(m4=m4, m5=m5), cfg, tables)
             u0 = books.cb0[0, m4, m5, 0, 0]
             u1, u2 = books.cb1[0, m4, m5, 0, 0, 0], books.cb2[0, m4, m5, 0, 0, 0]
             scan = [(l1, l2) for l1 in range(len(u1)) for l2 in range(len(u2))
                     if brute_conditionally_typical(u0, u1[l1].astype(np.int64) * 2 + u2[l2],
                                                    tables.t_pair, cfg.eps_prime)]
-            assert (pair, fallback) == ((scan[0], False) if scan else ((0, 0), True))
-            flat = (tables.channel_cdf[x] < draw.random((n, 1))).sum(axis=1)
+            assert ((l1[0], l2[0]), fallback[0]) == \
+                ((scan[0], False) if scan else ((0, 0), True))
+            flat = (tables.channel_cdf[x[0]] < draw.random((n, 1))).sum(axis=1)
             for rx, y, known in ((1, flat // 2, m5), (2, flat % 2, m4)):
-                res = (decode_rx1 if rx == 1 else decode_rx2)(books, y, known, cfg, tables)
+                res = (decode_rx1 if rx == 1 else decode_rx2)(books, y[None], np.array([known]),
+                                                              cfg, tables)
                 expected = brute_passing(rx, books, y, known, cfg, tables)
-                assert (res.passing == expected).all()
+                assert (res.passing[0] == expected).all()
                 passing.append(expected)
         assert 0 < np.mean(np.concatenate([p.reshape(-1) for p in passing])) < 1
 
@@ -832,8 +847,48 @@ class TestPlanSplitRates:
         rates, slack = plan_split_rates(consts, 1.0, 0.5, 0.5, 0.0, 0.0)
         assert slack < 0.0
 
-    def test_split_override(self):
-        consts = MiConstants(1.0, 1.0, 0.5, 0.5, 0.0)
-        rates, _ = plan_split_rates(consts, 0.0, 0.4, 0.0, 0.0, 0.0, split2=0.25)
-        assert rates.r21 == pytest.approx(0.1)
-        assert rates.r22 == pytest.approx(0.3)
+    # mutual informations are never -0.0; a rate of -0.0 passes the CLI
+    CONSTS = st.lists(st.sampled_from([0.0, 0.3]) | st.floats(0.0, 3.0), min_size=5,
+                      max_size=5).map(lambda v: MiConstants(*v))
+    POINT = st.lists(st.sampled_from([0.0, -0.0, 0.4]) | st.floats(0.0, 2.0), min_size=5,
+                     max_size=5)
+
+    @given(CONSTS, POINT)
+    @settings(max_examples=300, deadline=None)
+    def test_slack_matches_the_closed_form(self, consts, point):
+        """The LP's slack is min(d1, d2, (d1 + d2 - a) / 3), and every coding
+        row holds with that room at the returned bin rates."""
+        rates, slack = plan_split_rates(consts, *point)
+        assert abs(slack - closed_form_bin_rate_slack(consts, *point)) <= 1e-9
+        r1, r2, r3, r4, r5 = point
+        assert (rates.r1, rates.r4, rates.r5) == (r1, r4, r5)
+        assert rates.r21 == rates.r22 == r2 / 2 and rates.r31 == rates.r32 == r3 / 2
+        cloud = r1 + rates.r21 + rates.r31
+        rows = [(-(rates.rp1 + rates.rp2), -consts.i_u1_u2_given_u0),
+                (rates.r22 + rates.rp1, consts.i_u1_y1_given_u0),
+                (cloud + r4 + rates.r22 + rates.rp1, consts.i_u0u1_y1),
+                (rates.r32 + rates.rp2, consts.i_u2_y2_given_u0),
+                (cloud + r5 + rates.r32 + rates.rp2, consts.i_u0u2_y2)]
+        for lhs, rhs in rows:
+            assert lhs + slack <= rhs + 1e-9
+
+    @given(CONSTS, POINT)
+    @settings(max_examples=300, deadline=None)
+    def test_lp_rows_are_the_hand_written_ones(self, consts, point):
+        """The rows read from raw_coding_system give linprog the bytes of
+        the coding conditions written out by hand."""
+        seen = []
+        linprog = scipy.optimize.linprog
+
+        def recorded(*args, **kwargs):
+            seen.append((kwargs["A_ub"], kwargs["b_ub"]))
+            return linprog(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scipy.optimize, "linprog", recorded)
+            plan_split_rates(consts, *point)
+        (a_ub, b_ub), = seen
+        a_hand, b_hand = hand_written_bin_rate_lp(consts, *point)
+        for ours, theirs in ((a_ub, a_hand), (b_ub, b_hand)):
+            assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+            assert ours.tobytes() == theirs.tobytes()

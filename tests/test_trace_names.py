@@ -1,6 +1,7 @@
 """The benchmark's per-layer tracer wraps library functions by the names
-their callers look them up by; a renamed or deleted name must fail here,
-not only in a traced benchmark run."""
+their callers look them up by, and its worker calls some library functions
+directly; a renamed or deleted name, or a changed signature, must fail
+here, not only in a traced benchmark run."""
 
 import importlib.util
 from pathlib import Path
@@ -8,19 +9,22 @@ from pathlib import Path
 import bcsi.cli
 import bcsi.info_measures
 import bcsi.rate_regions
+from bcsi.probability import Alphabet, Pmf, noiseless_channel
+from bcsi.rate_regions import SplitRates, specialize_scheme
+from bcsi.simulator import SchemeConfig
 
-LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_layers():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_name_exists_and_is_restored():
-    layers = _load_layers()
+    layers = _load("layers")
     originals = (bcsi.rate_regions.entropy, bcsi.cli.emit)
     tracer = layers.install(layers.Tracer(), [])
     try:
@@ -29,3 +33,16 @@ def test_every_traced_name_exists_and_is_restored():
         tracer.close()
     assert (bcsi.rate_regions.entropy, bcsi.cli.emit) == originals
     assert bcsi.rate_regions.entropy is bcsi.info_measures.entropy
+
+
+def test_worker_times_codebooks_of_a_captured_config():
+    """The worker draws the codebooks of each captured (channel, config,
+    trials) through the library's own calls."""
+    worker = _load("worker")
+    ch = noiseless_channel(2)
+    scheme = specialize_scheme("complementary", Pmf.uniform(Alphabet.indexed("X", 2)), ch)
+    cfg = SchemeConfig(scheme=scheme, n=4, rates=SplitRates(r1=0.5), seed=3)
+    out = worker.time_codebooks([(ch, cfg, 6)], sample=2)
+    assert set(out) == {"simulator.codebook.s", "simulator.codebook.mb"}
+    assert out["simulator.codebook.s"] > 0.0
+    assert out["simulator.codebook.mb"] > 0.0
