@@ -818,8 +818,12 @@ def plan_split_rates(consts: MiConstants, r1: float, r2: float, r3: float,
                      for r in rows])
     b_ub = np.array([r.rhs - sum(float(c) * fixed[v] for v, c in r.coeffs.items() if v in fixed)
                      for r in rows])
+    # HiGHS accepts a row broken by up to 1e-7 by default, which would shift
+    # the slack by as much near a degenerate point; hold it to its tightest
     res = linprog(np.array([0.0, 0.0, -1.0]), A_ub=a_ub, b_ub=b_ub,
-                  bounds=[(0.0, None), (0.0, None), (None, None)], method="highs")
+                  bounds=[(0.0, None), (0.0, None), (None, None)], method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
     if not res.success:
         raise GuardError(f"bin-rate planning LP failed: {res.message}")
     rp1, rp2, slack = float(res.x[0]), float(res.x[1]), float(res.x[2])

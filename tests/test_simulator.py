@@ -348,8 +348,9 @@ class TestEncode:
         u1 = books.cb1[0, 0, 0, 0, 0, 0, l1[0]]
         assert (x[0] == u1).all()  # gamma maps (u0, u1, u2) -> u1 here
 
-    @pytest.mark.parametrize("scheme_kind, eps", [("correlated", 0.5), ("random", 2.4)])
-    def test_matches_sequential_scan(self, scheme_kind, eps):
+    @pytest.mark.parametrize("scheme_kind, eps_prime", [("correlated", 0.25),
+                                                        ("random", 1.2)])
+    def test_matches_sequential_scan(self, scheme_kind, eps_prime):
         """First passing bin pair in lexicographic order, one pair at a time."""
         rng = np.random.default_rng(31)
         ch = random_channel(rng, 2, 2, 2)
@@ -361,7 +362,8 @@ class TestEncode:
         fallbacks = 0
         for seed in range(20):
             cfg = SchemeConfig(scheme=scheme, n=6, rates=SplitRates(rp1=0.2, rp2=0.4),
-                               eps=eps, seed=seed)
+                               eps=2 * eps_prime, seed=seed)
+            assert cfg.eps_prime == eps_prime
             books = generate_codebooks(cfg, ch)
             u0, u1, u2 = books.cb0[0, 0, 0, 0, 0], books.cb1[0, 0, 0, 0, 0, 0], \
                 books.cb2[0, 0, 0, 0, 0, 0]
