@@ -13,8 +13,9 @@ interleave. TRACED_PAIRS traced pairs per workload at seed 3 (alternating
 which side runs first) give the per-layer metrics, each side's median over
 its traced runs: one traced pair swings by tens of percent on unchanged
 code. The result is BENCH_<parent-sha>.json in the repository root:
-parent_commit, change, machine, method, summary, notes, traced_seed_3 and
-runs, one entry per run with its final JSON line.
+parent_commit, change, machine, method, summary (with claim_rule_met per
+workload and metric), notes, traced_seed_3 and runs, one entry per run with
+its final JSON line.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ PAIRS = 10
 TRACED_PAIRS = 3
 SEED_BASE = 500
 METRICS = ("setup_s", "wall_s", "peak_rss_mb")
+CLAIM_SHARE = 0.9  # a claimed gain reads lower in at least this share of the pairs
 
 
 def _git(*args, cwd=ROOT, env=None) -> str:
@@ -50,8 +52,10 @@ def _quartile_distance(values: list) -> float:
 def summarize(runs: list) -> dict:
     """Per workload and end-to-end metric: the median and quartile distance
     of each side's untraced runs, the number of pairs (same workload and
-    seed) where the change reads lower, and the change's median relative to
-    the parent's."""
+    seed) where the change reads lower, the change's median relative to the
+    parent's, and claim_rule_met: the change reads lower in at least
+    CLAIM_SHARE of the pairs and its median lies below the parent's by more
+    than the parent's quartile distance."""
     out = {}
     for workload in sorted({r["workload"] for r in runs}):
         mine = [r for r in runs if r["workload"] == workload and not r["trace"]]
@@ -66,14 +70,16 @@ def summarize(runs: list) -> dict:
             side = {s: [p[s]["metrics"][metric]["value"] for p in pairs]
                     for s in ("parent", "change")}
             parent, change = statistics.median(side["parent"]), statistics.median(side["change"])
+            spread = _quartile_distance(side["parent"])
+            lower = sum(c < p for p, c in zip(side["parent"], side["change"]))
             entry[metric] = {
                 "parent_median": parent,
-                "parent_quartile_distance": _quartile_distance(side["parent"]),
+                "parent_quartile_distance": spread,
                 "change_median": change,
                 "change_quartile_distance": _quartile_distance(side["change"]),
-                "change_lower_in_pairs": sum(c < p for p, c in zip(side["parent"],
-                                                                   side["change"])),
+                "change_lower_in_pairs": lower,
                 "relative_change_of_median": change / parent - 1.0,
+                "claim_rule_met": lower >= CLAIM_SHARE * len(pairs) and parent - change > spread,
             }
         out[workload] = entry
     return out

@@ -23,10 +23,11 @@ CLAMP_TOL = 1e-9
 def _entropy_rows(mass, ndim: int) -> np.ndarray:
     """Entropy of the trailing `ndim` axes, one value per leading index.
     Each row is reduced along one contiguous trailing axis, so its value
-    does not depend on the batch it sits in."""
+    does not depend on the batch it sits in. A point mass gives +0.0: the
+    sum is subtracted from 0.0, which is negation for every other value."""
     m = np.asarray(mass, dtype=np.float64)
     m = m.reshape(m.shape[:m.ndim - ndim] + (-1,))
-    return -(m * np.log2(np.where(m > 0.0, m, 1.0))).sum(axis=-1)
+    return 0.0 - (m * np.log2(np.where(m > 0.0, m, 1.0))).sum(axis=-1)
 
 
 def _entropy_of_mass(mass: np.ndarray) -> float:

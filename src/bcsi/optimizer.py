@@ -15,7 +15,10 @@ Candidates are scored in batched calls of at most CHUNK rows. Ties between
 candidates resolve to the earliest point in sweep order, which is a fixed
 lexicographic enumeration. A t1 candidate is a joint p(u0, u1, u2) scored
 under its best map x = gamma(u0, u1, u2), enumerated on the joint's support
-up to GAMMA_CELL_CAP maps x joint cells, found by greedy passes above.
+up to GAMMA_CELL_CAP maps x joint cells, found by greedy passes above; the
+enumerated joints of one scoring call share calls of MAP_ROWS (joint, map)
+pairs. An oversized lattice level is sampled by seeded Generator.choice
+calls, replayed from one block of the stream (simplex_search).
 
 The support value max w . R over one candidate's region is evaluated by a
 parametric dual oracle: with the inequality left-hand sides and the weights
@@ -44,6 +47,7 @@ PER_LEVEL_CAP = 1200
 REFINE_BUDGET = 120  # refinement line searches per start
 GAMMA_CELL_CAP = 2 ** 16  # t1 maps x joint cells scored exhaustively; greedy above
 WEIGHT_CAP = 1e300  # keeps every support value finite
+MAP_ROWS = 4096  # t1 (joint, map) pairs scored per call on the enumerated path
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -104,25 +108,16 @@ class _SupportOracle:
         # and values are scaled back exactly
         self.shift = 1 - math.frexp(float(weights.max()))[1]
         weights = np.ldexp(weights, self.shift)
-        planes = []  # rows (a, c) of a . y = c
-        for i in range(m):
-            e = np.zeros(m)
-            e[i] = 1.0
-            planes.append((e, 0.0))
-        for k in range(n):
-            planes.append((lhs[:, k].astype(np.float64), float(weights[k])))
-        vertices = []
-        for combo in itertools.combinations(range(len(planes)), m):
-            a = np.stack([planes[i][0] for i in combo])
-            c = np.array([planes[i][1] for i in combo])
-            try:
-                y = np.linalg.solve(a, c)
-            except np.linalg.LinAlgError:
-                continue
-            if (y < -1e-9).any():
-                continue
-            vertices.append(np.clip(y, 0.0, None))
-        ys = np.stack(vertices)
+        # the planes a . y = c: y_i = 0 for each row, (lhs^T y)_k = w_k for
+        # each rate; every m of them that meet in one point give a vertex
+        # candidate, kept when it is dual feasible
+        plane_a = np.vstack([np.eye(m), lhs.T.astype(np.float64)])
+        plane_c = np.concatenate([np.zeros(m), weights])
+        combos = np.array(list(itertools.combinations(range(m + n), m)))
+        a, c = plane_a[combos], plane_c[combos]
+        meet = np.linalg.det(a) != 0.0
+        ys = np.linalg.solve(a[meet], c[meet][..., None])[..., 0]
+        ys = np.clip(ys[~(ys < -1e-9).any(axis=1)], 0.0, None)
         # duplicates merge on their values rounded to 12 decimals (from 2^52
         # on a float is an integer already, and rounding it could overflow);
         # each group keeps its first vertex, unrounded
@@ -180,11 +175,45 @@ class _Evaluator:
         return self.oracle.value(self.rows(tables, gammas))
 
     def _score_maps(self, aux: np.ndarray, maps: np.ndarray) -> np.ndarray:
-        """One joint aux under each map of maps (M, *aux.shape): rows (M, 7)
-        of the right-hand sides, the value and the key sum."""
+        """Joints aux (*shape or (M, *shape)) under maps (M, *shape): rows
+        (M, 7) of the right-hand sides, the value and the key sum."""
         rhs, key = _t1_rows(aux, maps, self.k1, self.k2)
         key_sum = key[..., 0] + key[..., 1] + key[..., 2] + key[..., 3]
         return np.concatenate([rhs, self.oracle.value(rhs)[:, None], key_sum[:, None]], axis=1)
+
+    def _enumerated(self, joints: np.ndarray) -> tuple:
+        """(values (J,), maps (J, *shape), right-hand sides (J, m)) of joints
+        (J, *shape), each under the best of every map on its support.
+
+        The (joint, map) pairs, joints in order and each joint's maps in
+        lexicographic order over its support cells, are scored MAP_ROWS per
+        call; each batch's best pair per joint competes with that joint's
+        bests from other batches under the same rule (_first_best)."""
+        flat = joints.reshape(len(joints), -1)
+        cells = flat.shape[1]
+        on = flat > 0.0
+        size = on.sum(axis=1)
+        offsets = np.concatenate([[0], np.cumsum(self.x_size ** size)])
+        rank = np.arange(cells)
+        inside = rank < size[:, None]
+        # support cells in order, padded with a spare column cut off below
+        cell = np.where(inside, np.argsort(~on, axis=1, kind="stable"), cells)
+        digit = np.where(inside, self.x_size ** np.maximum(size[:, None] - 1 - rank, 0), 1)
+        best = []
+        for lo in range(0, offsets[-1], MAP_ROWS):
+            pair = np.arange(lo, min(lo + MAP_ROWS, offsets[-1]))
+            joint = np.searchsorted(offsets, pair, side="right") - 1
+            code = pair - offsets[joint]
+            gamma = np.zeros((len(pair), cells + 1), dtype=np.int64)
+            gamma[np.arange(len(pair))[:, None], cell[joint]] = (
+                code[:, None] // digit[joint] % self.x_size)
+            gamma = gamma[:, :cells].reshape((-1,) + joints.shape[1:])
+            scored = self._score_maps(joints[joint], gamma)
+            pick = _first_best(scored[:, -2], scored[:, -1], joint)
+            best.append((joint[pick], scored[pick], gamma[pick]))
+        joint, scored, gamma = (np.concatenate(part) for part in zip(*best))
+        pick = _first_best(scored[:, -2], scored[:, -1], joint)
+        return scored[pick, -2], gamma[pick], scored[pick, :-2]
 
     def _best_map(self, aux: np.ndarray) -> tuple:
         """(value, map, right-hand sides) of the best map gamma of one joint aux.
@@ -192,51 +221,55 @@ class _Evaluator:
         A zero-mass cell adds an exact 0 to every joint, so only the map on
         the support matters (0 off it). A map costs more the more cells the
         joint has, so while |X|^|support| * aux.size is at most GAMMA_CELL_CAP
-        every map on the support is scored, and of the maps of maximal value
-        the one with the largest key sum wins, the earliest on ties: the first
-        Pareto-optimal map of that value. Above the cap, up to three greedy
-        passes from the all-zero map score every symbol of one support cell
-        per call; the current symbol keeps ties, otherwise the first maximum
-        wins."""
+        every map on the support is scored (_enumerated), and of the maps of
+        maximal value the one with the largest key sum wins, the earliest on
+        ties: the first Pareto-optimal map of that value. Above the cap, up
+        to three greedy passes from the all-zero map score every symbol of
+        one support cell per call; the current symbol keeps ties, otherwise
+        the first maximum wins."""
+        if self._enumerable(aux[None])[0]:
+            vals, maps, rhs = self._enumerated(aux[None])
+            return float(vals[0]), maps[0], rhs[0]
         support = np.flatnonzero(aux.reshape(-1) > 0.0)
-        if self.x_size ** len(support) * aux.size <= GAMMA_CELL_CAP:
-            digits = self.x_size ** np.arange(len(support) - 1, -1, -1)
+        gamma = np.zeros(aux.size, dtype=np.int64)
+        for _ in range(3):
+            changed = False
+            for cell in support:
+                trial = np.repeat(gamma[None], self.x_size, axis=0)
+                trial[:, cell] = np.arange(self.x_size)
+                scored = self._score_maps(aux, trial.reshape((-1,) + aux.shape))
+                x = int(np.argmax(scored[:, -2]))
+                if scored[x, -2] > scored[gamma[cell], -2]:
+                    gamma[cell], changed = x, True
+                row = scored[gamma[cell]]
+            if not changed:
+                break
+        return float(row[-2]), gamma.reshape(aux.shape), row[:-2]
 
-            def maps(codes):  # lexicographic order over the support cells
-                gamma = np.zeros((len(codes), aux.size), dtype=np.int64)
-                gamma[:, support] = codes[:, None] // digits % self.x_size
-                return gamma.reshape((-1,) + aux.shape)
-
-            scored = in_chunks(lambda codes: self._score_maps(aux, maps(codes)),
-                               np.arange(self.x_size ** len(support)))
-            top = np.flatnonzero(scored[:, -2] == scored[:, -2].max())
-            pick = top[np.argmax(scored[top, -1])]
-            gamma, row = maps(pick[None])[0], scored[pick]
-        else:
-            gamma = np.zeros(aux.size, dtype=np.int64)
-            for _ in range(3):
-                changed = False
-                for cell in support:
-                    trial = np.repeat(gamma[None], self.x_size, axis=0)
-                    trial[:, cell] = np.arange(self.x_size)
-                    scored = self._score_maps(aux, trial.reshape((-1,) + aux.shape))
-                    x = int(np.argmax(scored[:, -2]))
-                    if scored[x, -2] > scored[gamma[cell], -2]:
-                        gamma[cell], changed = x, True
-                    row = scored[gamma[cell]]
-                if not changed:
-                    break
-            gamma = gamma.reshape(aux.shape)
-        return float(row[-2]), gamma, row[:-2]
+    def _enumerable(self, joints: np.ndarray) -> np.ndarray:
+        """Whether each joint (J, *shape) has at most GAMMA_CELL_CAP maps on
+        its support times cells."""
+        cells = math.prod(joints.shape[1:])
+        support = (joints.reshape(len(joints), -1) > 0.0).sum(axis=1)
+        return np.array([self.x_size ** int(n) * cells <= GAMMA_CELL_CAP for n in support],
+                        dtype=bool)
 
     def score(self, points: np.ndarray) -> tuple:
         """Values (N,), maps (N, *shape) and right-hand sides (N, m) of
-        candidate rows (N, cells): for t1 each joint under its best map, for
+        candidate rows (N, cells): for t1 each joint under its best map,
+        every joint on the enumerated path in one _enumerated call; for
         t2/t3 in batched calls of CHUNK rows, with maps all None."""
         tables = points.reshape((-1,) + self.shape)
         if self.theorem == "t1":
-            vals, maps, rhs = zip(*map(self._best_map, tables))
-            return np.array(vals), np.array(maps), np.array(rhs)
+            vals = np.empty(len(tables))
+            maps = np.empty(tables.shape, dtype=np.int64)
+            rhs = np.empty((len(tables), len(self.lhs)))
+            every = self._enumerable(tables)
+            if every.any():
+                vals[every], maps[every], rhs[every] = self._enumerated(tables[every])
+            for i in np.flatnonzero(~every):
+                vals[i], maps[i], rhs[i] = self._best_map(tables[i])
+            return vals, maps, rhs
         rhs = in_chunks(self.rows, tables)
         return in_chunks(self.oracle.value, rhs), np.full(len(tables), None), rhs
 
@@ -251,6 +284,18 @@ class _Evaluator:
                         mass)
         kind = "deterministic" if self.theorem == "t2" else "more_capable"
         return specialize_scheme(kind, p_ux, self.ch), p_ux
+
+
+def _first_best(vals: np.ndarray, key_sums: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """Per run of equal entries of group (sorted), the index of its first row
+    of maximal value and, among those, of largest key sum."""
+    starts = np.flatnonzero(np.diff(group, prepend=group[0] - 1))
+    run = np.cumsum(np.diff(group, prepend=group[0]) != 0)
+    top = vals == np.maximum.reduceat(vals, starts)[run]
+    keys = np.where(top, key_sums, -math.inf)
+    first = np.where(top & (keys == np.maximum.reduceat(keys, starts)[run]),
+                     np.arange(len(vals)), len(vals))
+    return np.minimum.reduceat(first, starts)
 
 
 def _candidate_levels(cells: int, cfg: SearchConfig):

@@ -4,7 +4,11 @@ Shared between the classifier (grid + descent over input distributions) and
 the optimizer (grid + refinement over auxiliary joints): both sweep a
 lattice and then polish its best points with the one budgeted pairwise
 refiner, refine_on_simplex, whose line searches score a grid of transfers
-per call and shrink it in stages.
+per call and shrink it in stages. A lattice too large to enumerate is
+sampled: each point is the sorted Generator.choice of its stars-and-bars
+positions, and a whole sample is drawn in one block of the stream by
+replaying choice, with the same points and the same final stream state as
+one call per point.
 """
 
 from __future__ import annotations
@@ -38,12 +42,71 @@ def lattice_points(parts: int, resolution: int) -> np.ndarray:
 
 def sample_lattice(rng: np.random.Generator, parts: int, resolution: int,
                    count: int) -> np.ndarray:
-    """Uniform seeded sample of lattice pmfs (count, parts) (stars-and-bars
-    positions)."""
-    bars = np.empty((count, parts - 1), dtype=np.int64)
-    for k in range(count):
-        bars[k] = np.sort(rng.choice(resolution + parts - 1, size=parts - 1, replace=False))
+    """Uniform seeded sample of lattice pmfs (count, parts): row k holds the
+    stars-and-bars positions np.sort(rng.choice(slots, parts - 1,
+    replace=False)) of the k-th of count choice calls in a row, drawn in one
+    block by _replay_choice where it applies and one call at a time
+    otherwise. Either way rng ends in the same state."""
+    slots = resolution + parts - 1
+    bars = _replay_choice(rng, slots, parts - 1, count)
+    if bars is None:
+        bars = np.empty((count, parts - 1), dtype=np.int64)
+        for k in range(count):
+            bars[k] = np.sort(rng.choice(slots, size=parts - 1, replace=False))
     return _from_bars(bars, resolution)
+
+
+_LOW = np.uint64(0xFFFFFFFF)
+
+
+def _replay_choice(rng: np.random.Generator, slots: int, size: int, count: int):
+    """count calls np.sort(rng.choice(slots, size, replace=False)) replayed
+    from one random_raw block, (count, size), or None with rng untouched
+    where the replay does not apply.
+
+    For a PCG64 stream, choice without replacement is Floyd's algorithm:
+    for j = slots - size .. slots - 1 it draws t uniform on [0, j] and
+    keeps t, or j if t is already kept; then it shuffles the kept values,
+    which the sort undoes but whose size - 1 draws (bounds size - 1 .. 1)
+    still use the stream. Each bounded draw is Lemire's: one 32-bit
+    half-word w (the low half of a raw output first, the high half held for
+    the next draw) gives (w * (j + 1)) >> 32, and draws again when the low
+    32 bits of the product are below 2**32 mod (j + 1). Every call thus
+    uses 2 * size - 1 half-words unless a draw rejects; a rejection, which
+    is detected exactly, falls back to the loop, and so do numpy's other
+    paths: the tail shuffle (slots > 10000 and size > slots // 50), bounds
+    of 2**32 and above, and draws on [0, 0], which use no half-word."""
+    bg = rng.bit_generator
+    per = 2 * size - 1
+    if (type(bg) is not np.random.PCG64 or size < 1 or count < 1 or slots - size < 1
+            or slots >= 2 ** 32 or (slots > 10000 and size > slots // 50)):
+        return None
+    state = bg.state
+    held = state["has_uint32"]
+    need = count * per - held  # half-words past the held one
+    raw = bg.random_raw((need + 1) // 2)
+    words = np.stack([raw & _LOW, raw >> np.uint64(32)], axis=1).reshape(-1)
+    if held:
+        words = np.concatenate([np.array([state["uinteger"]], dtype=np.uint64), words])
+    bound = np.concatenate([np.arange(slots - size, slots),
+                            np.arange(size - 1, 0, -1)]).astype(np.uint64) + np.uint64(1)
+    product = words[:count * per].reshape(count, per) * bound
+    if ((product & _LOW) < np.uint64(2 ** 32) % bound).any():
+        bg.state = state
+        return None
+    # leave the stream as the loop would: the last raw output's high half
+    # held if it is unused, and stored either way
+    after = bg.state
+    after["has_uint32"] = need % 2
+    if len(raw):
+        after["uinteger"] = int(raw[-1] >> np.uint64(32))
+    bg.state = after
+    draws = (product[:, :size] >> np.uint64(32)).astype(np.int64)
+    kept = np.empty((count, size), dtype=np.int64)
+    for s in range(size):
+        t = draws[:, s]
+        kept[:, s] = np.where((kept[:, :s] == t[:, None]).any(axis=1), slots - size + s, t)
+    return np.sort(kept, axis=1)
 
 
 def lattice_or_sample(parts: int, resolution: int, cap: int, sample: int, seed) -> np.ndarray:

@@ -510,3 +510,55 @@ def closed_form_bin_rate_slack(consts, r1, r2, r3, r4, r5):
     d1 = min(consts.i_u1_y1_given_u0 - r22, consts.i_u0u1_y1 - (r1 + r21 + r31 + r4 + r22))
     d2 = min(consts.i_u2_y2_given_u0 - r32, consts.i_u0u2_y2 - (r1 + r21 + r31 + r5 + r32))
     return min(d1, d2, (d1 + d2 - consts.i_u1_u2_given_u0) / 3)
+
+
+def plain_dual_vertices(lhs, weights):
+    """The support oracle's dual vertex candidates, one solve per set of m
+    planes (y_i = 0 per row, (lhs^T y)_k = w_k per rate), in the order of
+    itertools.combinations, singular sets skipped and infeasible vertices
+    (an entry below -1e-9) dropped, the rest clipped at 0. weights are
+    taken as already scaled."""
+    m, n = lhs.shape
+    planes = [(np.eye(m)[i], 0.0) for i in range(m)]
+    planes += [(lhs[:, k].astype(np.float64), float(weights[k])) for k in range(n)]
+    vertices = []
+    for combo in itertools.combinations(range(len(planes)), m):
+        a = np.stack([planes[i][0] for i in combo])
+        c = np.array([planes[i][1] for i in combo])
+        try:
+            y = np.linalg.solve(a, c)
+        except np.linalg.LinAlgError:
+            continue
+        if (y < -1e-9).any():
+            continue
+        vertices.append(np.clip(y, 0.0, None))
+    return np.stack(vertices)
+
+
+def plain_choice_loop(rng, slots, size, count):
+    """count calls np.sort(rng.choice(slots, size, replace=False)) in a row,
+    (count, size)."""
+    bars = np.empty((count, size), dtype=np.int64)
+    for k in range(count):
+        bars[k] = np.sort(rng.choice(slots, size=size, replace=False))
+    return bars
+
+
+def plain_enumerated_map(aux, x_size, score_maps):
+    """The t1 map of one joint by enumeration on its support: every map on
+    the support cells (0 elsewhere) in lexicographic order, scored in one
+    score_maps(aux, maps) call (rows of right-hand sides, value, key sum),
+    and the first map of maximal value, then largest key sum, found by a
+    scalar scan. Returns (value, gamma, rhs)."""
+    support = np.flatnonzero(aux.reshape(-1) > 0.0)
+    maps = []
+    for digits in itertools.product(range(x_size), repeat=len(support)):
+        gamma = np.zeros(aux.size, dtype=np.int64)
+        gamma[support] = digits
+        maps.append(gamma.reshape(aux.shape))
+    scored = score_maps(aux, np.array(maps))
+    best = 0
+    for i, row in enumerate(scored):
+        if (row[-2], row[-1]) > (scored[best, -2], scored[best, -1]):
+            best = i
+    return float(scored[best, -2]), maps[best], scored[best, :-2]

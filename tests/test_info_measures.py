@@ -27,6 +27,25 @@ class TestEntropy:
     def test_point_mass(self):
         p = Pmf.from_values(Alphabet.indexed("X", 2), [1.0, 0.0])
         assert entropy(p) == 0.0
+        assert math.copysign(1.0, entropy(p)) == 1.0  # +0.0, not -0.0
+
+    def test_entropy_rows_signs(self, rng):
+        """Point masses give +0.0 in every row; every other row keeps the
+        bits of the negated sum."""
+        from bcsi.info_measures import _entropy_rows
+        rows = rng.dirichlet(np.ones(4), size=20)
+        rows[rng.random((20, 4)) < 0.4] = 0.0
+        rows[::5] = np.eye(4)[rng.integers(0, 4, size=4)]
+        rows[rows.sum(axis=1) == 0.0, 0] = 1.0
+        rows /= rows.sum(axis=1, keepdims=True)
+        h = _entropy_rows(rows, 1)
+        for row, value in zip(rows, h):
+            if np.count_nonzero(row) == 1:
+                assert value == 0.0 and math.copysign(1.0, value) == 1.0
+            else:
+                total = (row * np.log2(np.where(row > 0.0, row, 1.0))).sum()
+                assert value == -total and value > 0.0
+        assert math.copysign(1.0, float(entropy(np.array([1.0, 0.0])))) == 1.0
 
     def test_third_two_thirds_closed_form(self):
         # H(1/3) = log2(3) - 2/3

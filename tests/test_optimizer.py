@@ -26,6 +26,23 @@ class TestSupportOracle:
                                   bounds=[(0.0, 64.0)] * 5, method="highs")
                     assert oracle.value(b) == pytest.approx(-res.fun, abs=1e-8)
 
+    def test_vertices_equal_one_solve_per_plane_set(self, rng):
+        """The batched screen and solve keep the vertices of a loop that
+        solves each set of planes alone, in order and bit for bit."""
+        from oracles import plain_dual_vertices
+        for lhs in (_LHS5, _LHS3):
+            for k in range(40):
+                w = rng.random(5) * (rng.random(5) > 0.3)
+                if k % 5 == 0:
+                    w = rng.integers(0, 3, size=5).astype(np.float64)
+                w[k % 5] = max(w[k % 5], 1.0)
+                oracle = _SupportOracle(lhs, w)
+                ys = plain_dual_vertices(lhs, np.ldexp(w, oracle.shift))
+                whole = np.abs(ys) >= 2.0 ** 52
+                keys = np.where(whole, ys, np.round(np.where(whole, 0.0, ys), 12))
+                want = ys[np.unique(keys, axis=0, return_index=True)[1]]
+                assert oracle.ys.tobytes() == want.tobytes()
+
     def test_negative_rhs_is_empty(self):
         oracle = _SupportOracle(_LHS5, np.ones(5))
         assert oracle.value(np.array([1.0, 1.0, -0.2, 1.0, 1.0])) == -np.inf
@@ -197,6 +214,94 @@ class TestGammaCellCap:
                 assert counts["maps"] * 16 == GAMMA_CELL_CAP
             else:
                 assert counts["maps"] <= 3 * support * 2
+
+
+class TestBatchedT1Scoring:
+    """score runs every enumerated joint of a call through _enumerated,
+    MAP_ROWS (joint, map) pairs per _t1_rows call: values, maps and
+    right-hand sides equal each joint's own _best_map bit for bit, and the
+    enumerated ones a per-joint scalar pick over all its maps."""
+
+    @staticmethod
+    def _joints(rng, sizes, count, zero_share=0.4):
+        points = rng.dirichlet(np.ones(int(np.prod(sizes))), size=count)
+        points[rng.random(points.shape) < zero_share] = 0.0
+        points[:, 0] += 0.05
+        return points / points.sum(axis=1, keepdims=True)
+
+    @staticmethod
+    def _check(ev, points):
+        from oracles import plain_enumerated_map
+        vals, maps, rhs = ev.score(points)
+        tables = points.reshape((-1,) + ev.shape)
+        every = ev._enumerable(tables)
+        for i, aux in enumerate(tables):
+            val, gamma, row = ev._best_map(aux)
+            assert vals[i] == val
+            assert np.array_equal(maps[i], gamma)
+            assert rhs[i].tobytes() == row.tobytes()
+            if every[i]:
+                want = plain_enumerated_map(aux, ev.x_size, ev._score_maps)
+                assert val == want[0]
+                assert np.array_equal(gamma, want[1])
+                assert row.tobytes() == want[2].tobytes()
+        return every
+
+    def test_random_joints_with_zero_cells(self, rng):
+        from conftest import random_channel
+
+        from bcsi.optimizer import _Evaluator
+        for x in (2, 3, 4):
+            for sizes in ((2, 2, 1), (1, 2, 2), (2, 2, 2), (2, 1, 2)):
+                ev = _Evaluator(random_channel(rng, x, 2, int(rng.integers(2, 4))), "t1",
+                                rng.random(5), sizes)
+                self._check(ev, self._joints(rng, sizes, 12))
+
+    def test_both_sides_of_the_cap_in_one_call(self, rng):
+        from conftest import random_channel
+
+        from bcsi.optimizer import _Evaluator
+        # 12 cells at |X| = 4: up to 6 support cells are enumerated (4^6 * 12
+        # maps x cells), 7 or more are searched greedily
+        ev = _Evaluator(random_channel(rng, 4, 2, 2), "t1", (1, 1, 1, 1, 1), (3, 2, 2))
+        points = self._joints(rng, (3, 2, 2), 16, zero_share=0.5)
+        points[:4] = self._joints(rng, (3, 2, 2), 4, zero_share=0.0)
+        every = self._check(ev, points)
+        assert every.any() and not every.all()
+
+    @pytest.mark.parametrize("rows", [None, 7])
+    def test_call_spans_several_row_batches(self, rng, monkeypatch, rows):
+        """12-cell joints at |X| = 2 have up to 4,096 maps each: one call
+        spans several MAP_ROWS batches, and with MAP_ROWS = 7 most joints'
+        maps split across batches."""
+        import bcsi.optimizer as opt
+        from conftest import random_channel
+        if rows:
+            monkeypatch.setattr(opt, "MAP_ROWS", rows)
+        calls = {"n": 0}
+        inner = opt._t1_rows
+
+        def counting(aux, gamma, k1, k2):
+            calls["n"] += 1
+            return inner(aux, gamma, k1, k2)
+
+        ev = opt._Evaluator(random_channel(rng, 2, 2, 3), "t1", rng.random(5), (3, 2, 2))
+        points = self._joints(rng, (3, 2, 2), 10, zero_share=0.2)
+        monkeypatch.setattr(opt, "_t1_rows", counting)
+        ev.score(points)
+        pairs = int((2 ** (points > 0.0).sum(axis=1)).sum())
+        assert calls["n"] == -(-pairs // opt.MAP_ROWS) > 1
+        monkeypatch.setattr(opt, "_t1_rows", inner)
+        self._check(ev, points)
+
+    def test_tied_lattice_joints(self):
+        """Lattice joints on noiseless and deterministic channels give many
+        maps of equal value, where the key sum and then the order decide."""
+        from bcsi.optimizer import _Evaluator
+        from bcsi.simplex_search import lattice_points
+        for ch in (noiseless_channel(2), blackwell_channel()):
+            for weights in ((0, 0, 0, 1, 0), (1, 1, 1, 1, 1)):
+                self._check(_Evaluator(ch, "t1", weights, (2, 2, 1)), lattice_points(4, 3))
 
 
 class TestMaximizeWeightedRate:

@@ -81,6 +81,36 @@ def test_bench_pairs_summary():
     assert wall["change_lower_in_pairs"] == 3
     assert wall["relative_change_of_median"] == 2.5 / 3.0 - 1.0
     assert summary["analyze"]["setup_s"]["change_lower_in_pairs"] == 0  # ties are not wins
+    assert not wall["claim_rule_met"]  # lower in 3 of 5 pairs
+
+
+def test_bench_pairs_claim_rule():
+    """A claim holds when the change reads lower in at least 9 of 10 pairs
+    and its median gap exceeds the parent's quartile distance."""
+    bench = _load("bench_pairs")
+
+    def met(parent, change):
+        runs = []
+        for seed, (p, c) in enumerate(zip(parent, change)):
+            runs += [_run_line("analyze", seed, "parent", p),
+                     _run_line("analyze", seed, "change", c)]
+        return bench.summarize(runs)["analyze"]["wall_s"]["claim_rule_met"]
+
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]  # quartile distance 0.45
+    assert met(parent, [p - 0.5 for p in parent])
+    assert met(parent, [p - 0.5 for p in parent[:9]] + [9.0])  # 9 of 10 pairs
+    assert not met(parent, [p - 0.5 for p in parent[:8]] + [9.0, 9.0])  # 8 of 10
+    assert not met(parent, [p - 0.4 for p in parent])  # gap 0.4 within the spread
+
+
+def test_noiseless_trend_bad_arguments_exit_1(capsys):
+    """An invalid slack or trial count ends in one error line and exit 1,
+    not a traceback."""
+    for argv in (["--eps", "0"], ["--eps", "inf"], ["--trials", "0"]):
+        assert _load("noiseless_trend").main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 def test_bench_pairs_traced_medians():

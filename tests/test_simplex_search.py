@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from oracles import plain_lattice_points, plain_refine
+from oracles import plain_choice_loop, plain_lattice_points, plain_refine
 
 from bcsi.optimizer import _LHS5, _SupportOracle
 from bcsi.probability import blackwell_channel
 from bcsi.rate_regions import _t2_rows
-from bcsi.simplex_search import (GRID_POINTS, GRID_STAGES, grid_max_1d, lattice_count,
-                                 lattice_points, refine_on_simplex, sample_lattice)
+from bcsi.simplex_search import (GRID_POINTS, GRID_STAGES, _replay_choice, _from_bars,
+                                 grid_max_1d, lattice_count, lattice_points,
+                                 refine_on_simplex, sample_lattice)
 
 
 class TestLattice:
@@ -25,6 +26,115 @@ class TestLattice:
             bars = np.sort(rng.choice(11, size=4, replace=False))
             masses = np.diff(np.concatenate([[-1], bars, [11]])) - 1
             assert np.array_equal(row, masses / 7)
+
+
+def _same_stream(a, b):
+    """Both generators hold the same state and give the same next draws."""
+    if isinstance(a.bit_generator, np.random.PCG64):
+        assert a.bit_generator.state == b.bit_generator.state
+    assert a.integers(0, 1000, size=3).tolist() == b.integers(0, 1000, size=3).tolist()
+    assert a.random() == b.random()
+
+
+def _holding(seed):
+    """A generator that holds a buffered 32-bit half-word."""
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 7, dtype=np.uint32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
+
+
+class TestSampleReplay:
+    """sample_lattice replays count choice calls from one raw block: the
+    same bars as a plain rng.choice loop, and the generator left where the
+    loop leaves it."""
+
+    @staticmethod
+    def _check(make, parts, resolution, count):
+        a, b = make(), make()
+        points = sample_lattice(a, parts, resolution, count)
+        bars = plain_choice_loop(b, resolution + parts - 1, parts - 1, count)
+        assert np.array_equal(points, _from_bars(bars, resolution))
+        _same_stream(a, b)
+
+    def test_random_draws_match_the_loop(self):
+        draw = np.random.default_rng(31)
+        held = 0
+        for case in range(320):
+            parts, resolution = int(draw.integers(2, 19)), int(draw.integers(1, 41))
+            count, seed = int(draw.integers(1, 61)), int(draw.integers(0, 2**31))
+            make = ((lambda: _holding(seed)) if case % 4 == 0
+                    else (lambda: np.random.default_rng(seed)))
+            held += case % 4 == 0
+            self._check(make, parts, resolution, count)
+        assert held == 80
+
+    @pytest.mark.parametrize("hold", [False, True])
+    def test_two_parts(self, hold):
+        for resolution, count in ((1, 1), (1, 7), (5, 1), (9, 40), (40, 59)):
+            make = (lambda: _holding(8)) if hold else (lambda: np.random.default_rng(8))
+            self._check(make, 2, resolution, count)
+
+    def test_replay_applies_on_these_draws(self):
+        """The cases above do run the replay, not the fallback loop."""
+        for rng in (np.random.default_rng(3), _holding(3)):
+            assert _replay_choice(rng, 20, 6, 50) is not None
+
+    def test_large_slot_count_replays_below_the_tail_shuffle_cut(self):
+        # 10,200 slots: numpy's Floyd path holds for sizes up to 10200 // 50 = 204
+        slots, size = 10_200, 150
+        assert _replay_choice(np.random.default_rng(2), slots, size, 3) is not None
+        self._check(lambda: np.random.default_rng(2), size + 1, slots - size, 3)
+
+    def test_tail_shuffle_path_falls_back(self):
+        slots, size = 10_100, 203  # size > slots // 50: numpy shuffles a tail
+        rng = np.random.default_rng(6)
+        before = rng.bit_generator.state
+        assert _replay_choice(rng, slots, size, 2) is None
+        assert rng.bit_generator.state == before
+        self._check(lambda: np.random.default_rng(6), size + 1, slots - size, 2)
+
+    def test_lemire_rejection_falls_back(self):
+        """A held half-word 0 scaled to [0, 2] leaves 0 in the low 32 bits,
+        below 2**32 mod 3 = 1, so the first draw rejects and draws again."""
+        def make():
+            rng = np.random.default_rng(12)
+            state = rng.bit_generator.state
+            state["has_uint32"], state["uinteger"] = 1, 0
+            rng.bit_generator.state = state
+            return rng
+
+        rng = make()
+        before = rng.bit_generator.state
+        assert _replay_choice(rng, 4, 2, 5) is None  # resolution 2: the first draw is on [0, 2]
+        assert rng.bit_generator.state == before
+        self._check(make, 3, 2, 5)
+        # a held 0 on [0, 2**k - 1] never rejects: the replay applies
+        assert _replay_choice(make(), 5, 2, 5) is not None
+        self._check(make, 3, 3, 5)
+
+    def test_other_bit_generators_fall_back(self):
+        for make in (lambda: np.random.Generator(np.random.MT19937(5)),
+                     lambda: np.random.Generator(np.random.Philox(5))):
+            assert _replay_choice(make(), 12, 4, 10) is None
+            self._check(make, 5, 8, 10)
+
+    def test_faster_than_the_loop(self):
+        """25,000 points on 16 parts: the replay takes a fraction of the
+        loop's time (best of three each)."""
+        import time
+
+        def best(run):
+            times = []
+            for seed in range(3):
+                start = time.perf_counter()
+                run(np.random.default_rng(seed))
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        replay = best(lambda rng: sample_lattice(rng, 16, 30, 25_000))
+        loop = best(lambda rng: plain_choice_loop(rng, 45, 15, 25_000))
+        assert replay * 3 < loop
 
 
 def _starts(rng, k, n):
