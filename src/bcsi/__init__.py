@@ -6,15 +6,13 @@ __version__ = "0.1.0"
 
 from .errors import BcsiError, ConsistencyError, GuardError, InputError
 from .probability import (Alphabet, AuxScheme, Channel, JointPmf, Pmf,
-                          binary_symmetric_pair, blackwell_channel, condition,
+                          binary_symmetric_pair, blackwell_channel,
                           deterministic_channel, induced_joint, load_aux_scheme,
-                          load_channel, load_ux_joint, marginalize,
-                          noiseless_channel, product_channel, validate_pmf)
-from .info_measures import (conditional_mutual_information, csiszar_sum_check,
-                            entropy, mutual_information)
-from .polytope import (LinearInequality, LinearSystem, RateRegion, contains,
-                       fix_variables, fme_eliminate, regions_equal,
-                       region_subset, remove_redundant)
+                          load_channel, load_ux_joint, noiseless_channel,
+                          product_channel)
+from .info_measures import conditional_mutual_information, entropy, mutual_information
+from .polytope import (LinearInequality, LinearSystem, RateRegion, fme_eliminate,
+                       regions_equal, region_subset, remove_redundant)
 from .rate_regions import (MiConstants, SplitRates, deterministic_region,
                            marton_region, mi_constants, more_capable_region,
                            project_raw_system, raw_coding_system,
@@ -26,4 +24,4 @@ from .optimizer import (SearchConfig, SearchResult, evaluate_weighted_rate,
                         maximize_weighted_rate, region_for, union_slice_2d)
 from .simulator import (Codebooks, CoderTables, SchemeConfig, SimReport,
                         decode_rx1, decode_rx2, encode, estimate_error,
-                        generate_codebooks, is_jointly_typical, plan_split_rates)
+                        generate_codebooks, plan_split_rates)

@@ -50,10 +50,9 @@ def default_resolution(x_size: int) -> int:
 
 def is_deterministic(ch: Channel) -> ClassVerdict:
     """Exact: every kernel row must be a point mass (within 1e-9)."""
-    kernel = ch.kernel_float()
     phi1, phi2 = [], []
     for xi in range(ch.x.size):
-        row = kernel[xi]
+        row = ch.kernel[xi]
         flat_idx = int(row.argmax())
         if row.reshape(-1)[flat_idx] < 1.0 - POINT_MASS_TOL:
             return ClassVerdict("deterministic", False,

@@ -101,12 +101,14 @@ def _parse_rates(spec: str | None) -> dict:
             raise InputError(f"rate assignment {part!r} is not NAME=VALUE")
         name, value = part.split("=", 1)
         name = name.strip()
+        if name in out:
+            raise InputError(f"rate {name!r} is given twice")
         out[name] = _number(value, f"{name} value")
     return out
 
 
 def _scheme_jsonable(scheme) -> dict:
-    mass = scheme.aux_joint.as_float().reshape(-1)
+    mass = scheme.aux_joint.mass.reshape(-1)
     return {
         "u_sizes": list(scheme.sizes),
         "joint": [float(v) for v in mass],
@@ -196,9 +198,9 @@ def cmd_slice(args) -> int:
     points, schemes = union_slice_2d(ch, free, fixed, args.theorem, _search_config(args),
                                      directions=args.directions)
     lines = [f"angle_deg,{free[0]},{free[1]},scheme_id"]
-    for p in points:
-        lines.append(f"{p['angle_deg']:.12g},{p[free[0]]:.12g},"
-                     f"{p[free[1]]:.12g},{p['scheme_id']}")
+    for p in points:  # + 0.0: never a -0, as in the JSON output
+        lines.append(f"{p['angle_deg'] + 0.0:.12g},{p[free[0]] + 0.0:.12g},"
+                     f"{p[free[1]] + 0.0:.12g},{p['scheme_id']}")
     _write("\n".join(lines) + "\n", args.out)
     if args.out is not None and args.out != "-":
         emit([_scheme_jsonable(s) for s in schemes], args.out + ".schemes.json")

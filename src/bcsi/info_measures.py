@@ -43,12 +43,12 @@ def _clamp(value: float, what: str) -> float:
 def entropy(p) -> float:
     """H(p) in bits, with 0 log 0 = 0. Accepts Pmf or JointPmf."""
     if isinstance(p, (Pmf, JointPmf)):
-        return _entropy_of_mass(p.as_float())
+        return _entropy_of_mass(p.mass)
     return _entropy_of_mass(np.asarray(p, dtype=np.float64))
 
 
 def _group_entropy(j: JointPmf, axes) -> float:
-    return _entropy_of_mass(j.marginal(axes).as_float()) if axes else 0.0
+    return _entropy_of_mass(j.marginal(axes).mass) if axes else 0.0
 
 
 def _information(j: JointPmf, a: tuple, b: tuple, c: tuple, what: str) -> float:
@@ -77,27 +77,3 @@ def conditional_mutual_information(j: JointPmf, group_a, group_b, group_c) -> fl
     empty, and is 0 when A or B is."""
     return _information(j, j.resolve_axes(group_a), j.resolve_axes(group_b),
                         j.resolve_axes(group_c), "conditional mutual information")
-
-
-def csiszar_sum_check(j: JointPmf, t_axes, a_axes, b_axes) -> tuple:
-    """Evaluate both sides of the telescoping sum identity
-
-        sum_i I(A^{i-1}; B_i | T, B_{i+1}^n) = sum_i I(B_{i+1}^n; A_i | T, A^{i-1})
-
-    and return (lhs, rhs). The caller asserts the two agree.
-    """
-    t = list(t_axes)
-    a = list(a_axes)
-    b = list(b_axes)
-    if len(a) != len(b) or len(a) < 1:
-        raise InputError("need equally long, nonempty A and B axis sequences")
-    seen = t + a + b
-    if len(set(j.resolve_axes(seen))) != len(seen):
-        raise InputError("axis roles overlap")
-    n = len(a)
-    lhs = 0.0
-    rhs = 0.0
-    for i in range(1, n + 1):
-        lhs += conditional_mutual_information(j, a[: i - 1], [b[i - 1]], t + b[i:])
-        rhs += conditional_mutual_information(j, b[i:], [a[i - 1]], t + a[: i - 1])
-    return lhs, rhs

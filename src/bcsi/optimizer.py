@@ -333,7 +333,7 @@ def evaluate_weighted_rate(ch: Channel, theorem: str, weights,
         return float(ev.value(scheme.aux_joint.mass, scheme.gamma))
     if p_ux is None:
         raise InputError(f"{theorem} evaluation needs a p(u, x) joint")
-    return float(ev.value(p_ux.as_float()))
+    return float(ev.value(p_ux.mass))
 
 
 def maximize_weighted_rate(ch: Channel, weights, theorem: str,

@@ -75,9 +75,6 @@ class LinearInequality:
     def key(self) -> tuple:
         return tuple(sorted((v, c) for v, c in self.coeffs.items()))
 
-    def evaluate(self, assignment: Mapping[str, float]) -> float:
-        return float(sum(float(c) * assignment[v] for v, c in self.coeffs.items()))
-
     def is_vacuous(self) -> bool:
         return not self.coeffs
 
@@ -365,21 +362,6 @@ def remove_redundant(sys: LinearSystem) -> LinearSystem:
     return LinearSystem(sys.variables, [r for r, k in zip(rows, kept) if k])
 
 
-def fix_variables(sys: LinearSystem, assignment: Mapping[str, float]) -> LinearSystem:
-    """Substitute fixed values for some variables, folding them into the rhs."""
-    for v in assignment:
-        if v not in sys.variables:
-            raise InputError(f"variable {v!r} not declared")
-    remaining = tuple(v for v in sys.variables if v not in assignment)
-    out = []
-    for r in sys.inequalities:
-        coeffs = {v: c for v, c in r.coeffs.items() if v not in assignment}
-        shift = sum(float(c) * float(assignment[v])
-                    for v, c in r.coeffs.items() if v in assignment)
-        out.append(LinearInequality(coeffs, r.rhs - shift).canonical())
-    return LinearSystem(remaining, _dedup(out))
-
-
 @dataclass
 class RateRegion:
     """A polyhedral rate region over (R1..R5) with implicit nonnegativity.
@@ -437,20 +419,6 @@ def _read_row(item: dict) -> LinearInequality:
         raise ValueError("coefficients and rhs must be finite")
     row.canonical()
     return row
-
-
-def contains(region: RateRegion, point) -> bool:
-    """Closure membership: every inequality satisfied within 1e-9 slack."""
-    values = {v: float(x) for v, x in zip(RATE_VARS, point)}
-    if len(values) != 5:
-        raise InputError("rate points have five entries")
-    for x in values.values():
-        if x < -MEMBER_TOL:
-            return False
-    for ineq in region.system.inequalities:
-        if ineq.evaluate(values) > ineq.rhs + MEMBER_TOL:
-            return False
-    return True
 
 
 def _rows_hold(a: RateRegion, b: RateRegion) -> bool:

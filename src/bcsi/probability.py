@@ -55,12 +55,6 @@ class Alphabet:
     def size(self) -> int:
         return len(self.symbols)
 
-    def index(self, symbol) -> int:
-        try:
-            return self.symbols.index(symbol)
-        except ValueError:
-            raise InputError(f"symbol {symbol!r} not in alphabet {self.name!r}") from None
-
     @staticmethod
     def indexed(name: str, size: int) -> "Alphabet":
         return Alphabet(name, tuple(range(size)))
@@ -196,14 +190,6 @@ class Pmf:
     def uniform(cls, alphabet: Alphabet) -> "Pmf":
         return cls.from_values(alphabet, [Fraction(1, alphabet.size)] * alphabet.size)
 
-    def as_float(self) -> np.ndarray:
-        return self.mass
-
-
-def validate_pmf(p: Pmf) -> str | None:
-    """Check Pmf invariants; None means ok."""
-    return validate_mass(p.mass, p.alphabet.size)
-
 
 class JointPmf:
     """Dense joint pmf over an ordered tuple of named alphabets."""
@@ -232,10 +218,6 @@ class JointPmf:
         mass = np.full(tuple(a.size for a in axes), 1.0 / cells)
         return cls(axes, mass)
 
-    @property
-    def names(self) -> tuple:
-        return tuple(a.name for a in self.axes)
-
     def axis_index(self, key) -> int:
         if isinstance(key, (int, np.integer)):
             i = int(key)
@@ -253,9 +235,6 @@ class JointPmf:
             raise InputError(f"repeated axes in {keys!r}")
         return idx
 
-    def as_float(self) -> np.ndarray:
-        return self.mass
-
     def marginal(self, keep) -> "JointPmf":
         keep_idx = sorted(self.resolve_axes(keep))
         if not keep_idx:
@@ -263,30 +242,6 @@ class JointPmf:
         drop = tuple(i for i in range(len(self.axes)) if i not in keep_idx)
         mass = self.mass.sum(axis=drop) if drop else self.mass
         return JointPmf(tuple(self.axes[i] for i in keep_idx), mass)
-
-    def condition(self, given, values) -> "JointPmf":
-        given_idx = self.resolve_axes(given)
-        if len(values) != len(given_idx):
-            raise InputError("conditioning values do not match given axes")
-        index = [slice(None)] * len(self.axes)
-        for i, v in zip(given_idx, values):
-            index[i] = self.axes[i].index(v) if not isinstance(v, (int, np.integer)) else int(v)
-        sliced = self.mass[tuple(index)]
-        total = float(sliced.sum())
-        if total <= 0.0:
-            raise InputError("conditioning event has zero mass")
-        rest = tuple(a for i, a in enumerate(self.axes) if i not in given_idx)
-        return JointPmf(rest, sliced / total)
-
-
-def marginalize(j: JointPmf, keep) -> JointPmf:
-    """Sum out every axis not in ``keep``; kept axes stay in original order."""
-    return j.marginal(keep)
-
-
-def condition(j: JointPmf, given, values) -> JointPmf:
-    """Normalized slice of ``j`` at the given axis values."""
-    return j.condition(given, values)
 
 
 @dataclass(frozen=True)
@@ -321,9 +276,6 @@ class Channel:
         """(p(y1 | x), p(y2 | x)), read-only, made on first use."""
         return _frozen(self.kernel.sum(axis=2)), _frozen(self.kernel.sum(axis=1))
 
-    def kernel_float(self) -> np.ndarray:
-        return self.kernel
-
     def y1_given_x(self) -> np.ndarray:
         """Marginal kernel p(y1 | x)."""
         return self._marginals[0]
@@ -331,11 +283,6 @@ class Channel:
     def y2_given_x(self) -> np.ndarray:
         """Marginal kernel p(y2 | x)."""
         return self._marginals[1]
-
-    def swap_receivers(self) -> "Channel":
-        kernel = np.swapaxes(self.kernel, 1, 2).copy()
-        return Channel(self.x, Alphabet.indexed("Y1", self.y2.size),
-                       Alphabet.indexed("Y2", self.y1.size), kernel)
 
 
 def noiseless_channel(size: int) -> Channel:

@@ -242,7 +242,7 @@ def _ux_float(p_ux: JointPmf, ch: Channel) -> np.ndarray:
         raise InputError("expected a two-axis joint p(u, x)")
     if p_ux.axes[1].size != ch.x.size:
         raise InputError("p(u, x) input alphabet does not match the channel")
-    return p_ux.as_float()
+    return p_ux.mass
 
 
 def deterministic_region(p_ux: JointPmf, ch: Channel) -> RateRegion:

@@ -16,8 +16,7 @@ Each book is packed once, in its own alphabet, into one word per group, and
 the side of a test that does not vary (a decoder's received word, the
 encoder's cloud word) is folded into a small per-trial table of partial keys
 over every possible candidate word pair, so a candidate costs one table
-lookup per group. The standalone is_jointly_typical keeps the plain
-multiplicative form. Receiver errors are counted as decoded-message
+lookup per group. Receiver errors are counted as decoded-message
 mismatches; a failed search still yields a deterministic default guess, so a
 rate-zero configuration never errors.
 
@@ -45,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GuardError, InputError
-from .probability import AuxScheme, Channel, JointPmf
+from .probability import AuxScheme, Channel
 from .rate_regions import MiConstants, SplitRates, raw_coding_system, receiver_joints
 
 DESK_CAP = 1_000_000  # product of all message-set and bin sizes
@@ -170,23 +169,6 @@ class SimReport:
 
     def to_jsonable(self) -> dict:
         return asdict(self)
-
-
-def is_jointly_typical(seqs, joint: JointPmf, eps: float) -> bool:
-    """Multiplicative typicality: every tuple frequency within eps*p of p.
-    Tuples outside the support must not occur at all."""
-    arrays = [np.asarray(s, dtype=np.int64) for s in seqs]
-    if len(arrays) != len(joint.axes):
-        raise InputError("sequence count does not match joint axes")
-    n = arrays[0].shape[0]
-    for a in arrays:
-        if a.shape != (n,):
-            raise InputError("sequences must share one length")
-    p = joint.as_float()
-    counts = np.zeros(p.shape, dtype=np.int64)
-    np.add.at(counts, tuple(arrays), 1)
-    freq = counts / n
-    return bool(np.all(np.abs(freq - p) <= eps * p))
 
 
 def _conditional_table(joint_mass: np.ndarray, known_cells: int, new_cells: int) -> np.ndarray:
@@ -384,7 +366,7 @@ class CoderTables:
                     2: _conditional_table(m2, a0 * a2, ch.y2.size)}
         self.pass_tables = {"encode": {}, 1: {}, 2: {}}
         # channel sampling cdfs over the composite (y1, y2) alphabet
-        kern = ch.kernel_float().reshape(ch.x.size, -1)
+        kern = ch.kernel.reshape(ch.x.size, -1)
         self.channel_cdf = np.cumsum(kern, axis=1)
 
 

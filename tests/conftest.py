@@ -9,6 +9,22 @@ sys.path.insert(0, str(Path(__file__).parent))
 from bcsi.probability import Alphabet, AuxScheme, Channel, JointPmf
 
 
+def swap_receivers(ch):
+    """ch with its two receivers exchanged."""
+    return Channel(ch.x, Alphabet.indexed("Y1", ch.y2.size), Alphabet.indexed("Y2", ch.y1.size),
+                   np.swapaxes(ch.kernel, 1, 2))
+
+
+def csiszar_sum_check(j, t, a, b):
+    """Both sides (lhs, rhs) of the Csiszar sum identity for axis-name lists,
+    by the library's conditional mutual information:
+    sum_i I(A^{i-1}; B_i | T, B_{i+1}^n) = sum_i I(B_{i+1}^n; A_i | T, A^{i-1})."""
+    from bcsi.info_measures import conditional_mutual_information as cmi
+
+    return (sum(cmi(j, a[:i], [b[i]], t + b[i + 1:]) for i in range(len(a))),
+            sum(cmi(j, b[i + 1:], [a[i]], t + a[:i]) for i in range(len(a))))
+
+
 def random_channel(rng, x_size, y1_size, y2_size):
     rows = rng.random((x_size, y1_size * y2_size)) + 0.05
     rows /= rows.sum(axis=1, keepdims=True)
@@ -25,8 +41,7 @@ def random_generic_channel(rng, x_size, y1_size, y2_size, floor=0.02):
 
     while True:
         ch = random_channel(rng, x_size, y1_size, y2_size)
-        kern = ch.kernel_float()
-        joint = JointPmf((ch.x, ch.y1, ch.y2), kern / x_size)
+        joint = JointPmf((ch.x, ch.y1, ch.y2), ch.kernel / x_size)
         if mutual_information(joint, ("X",), ("Y1",)) >= floor and \
                 mutual_information(joint, ("X",), ("Y2",)) >= floor:
             return ch

@@ -181,6 +181,32 @@ def fraction_fme(sys, var):
     return LinearSystem(tuple(v for v in sys.variables if v != var), rows, sources, steps)
 
 
+def row_value(row, point):
+    """Left side of a LinearInequality at a {variable: value} point."""
+    return float(sum(float(c) * point[v] for v, c in row.coeffs.items()))
+
+
+def contains(region, point):
+    """Closure membership of a five-entry rate point: every entry and every
+    row's slack at least -1e-9."""
+    from bcsi.polytope import MEMBER_TOL, RATE_VARS
+
+    values = {v: float(x) for v, x in zip(RATE_VARS, point)}
+    return min(values.values()) >= -MEMBER_TOL and all(
+        row_value(r, values) <= r.rhs + MEMBER_TOL for r in region.system.inequalities)
+
+
+def fix_variables(sys, assignment):
+    """sys with the assigned variables' values folded into each rhs."""
+    from bcsi.polytope import LinearInequality, LinearSystem
+
+    rows = [LinearInequality({v: c for v, c in r.coeffs.items() if v not in assignment},
+                             r.rhs - sum(float(c) * assignment[v]
+                                         for v, c in r.coeffs.items() if v in assignment))
+            for r in sys.inequalities]
+    return LinearSystem(tuple(v for v in sys.variables if v not in assignment), rows)
+
+
 def plain_feasible(sys):
     """Feasibility by one LP, whatever the rows' signs prove."""
     from bcsi.polytope import maximize

@@ -16,10 +16,9 @@ import pytest
 from bcsi.classifier import (_capability_gap, is_degraded, is_deterministic,
                              is_more_capable_grid)
 from bcsi.errors import GuardError
-from bcsi.info_measures import csiszar_sum_check, mutual_information
+from bcsi.info_measures import mutual_information
 from bcsi.optimizer import SearchConfig, evaluate_weighted_rate, maximize_weighted_rate
-from bcsi.polytope import (LinearInequality, fix_variables, regions_equal,
-                           remove_redundant)
+from bcsi.polytope import LinearInequality, regions_equal, remove_redundant
 from bcsi.probability import (Alphabet, JointPmf, Pmf,
                               binary_symmetric_pair, blackwell_channel,
                               deterministic_channel, induced_joint,
@@ -29,8 +28,9 @@ from bcsi.rate_regions import (SplitRates, deterministic_region, marton_region,
                                project_raw_system, raw_coding_system,
                                specialize_scheme)
 from bcsi.simulator import SchemeConfig, estimate_error
-from conftest import (random_channel, random_generic_channel, random_joint,
-                      random_scheme)
+from conftest import (csiszar_sum_check, random_channel, random_generic_channel,
+                      random_joint, random_scheme, swap_receivers)
+from oracles import fix_variables
 
 
 @contextmanager
@@ -148,7 +148,7 @@ def test_6_classifier_consistency():
         assert is_degraded(pair).holds
         assert is_more_capable_grid(pair, 32).holds
 
-        swapped = pair.swap_receivers()
+        swapped = swap_receivers(pair)
         verdict = is_more_capable_grid(swapped, 32)
         assert not verdict.holds
         witness = np.asarray(verdict.witness["p_x"])

@@ -3,10 +3,8 @@ import pytest
 
 from bcsi.classifier import (classify_all, is_degraded, is_deterministic,
                              is_less_noisy_grid, is_more_capable_grid)
-from bcsi.probability import (Channel, binary_symmetric_pair, blackwell_channel,
-                              deterministic_channel, noiseless_channel,
-                              product_channel)
-from conftest import random_channel
+from bcsi.probability import Channel, binary_symmetric_pair, blackwell_channel, product_channel
+from conftest import random_channel, swap_receivers
 from oracles import brute_mi
 
 def degraded_pair():
@@ -75,7 +73,7 @@ class TestMoreCapable:
         assert is_more_capable_grid(ch, 16).holds
 
     def test_swapped_degraded_pair_fails_with_witness(self):
-        ch = degraded_pair().swap_receivers()
+        ch = swap_receivers(degraded_pair())
         v = is_more_capable_grid(ch, 32)
         assert not v.holds
         assert v.witness["gap"] < -1e-9
@@ -97,7 +95,7 @@ class TestLessNoisy:
         assert is_less_noisy_grid(degraded_pair(), 2, 12).holds
 
     def test_swapped_pair_false_with_witness(self):
-        ch = degraded_pair().swap_receivers()
+        ch = swap_receivers(degraded_pair())
         v = is_less_noisy_grid(ch, 2, 12)
         assert not v.holds
         j = np.asarray(v.witness["joint_ux"])
@@ -167,7 +165,7 @@ def test_large_input_alphabet_samples_instead_of_enumerating(rng, monkeypatch):
     lattice points; the more-capable grid samples above MORE_CAPABLE_CAP,
     the less-noisy grid above LATTICE_CAP. Only the lattices matter here,
     so the descent is skipped."""
-    from conftest import random_channel
+    from conftest import random_channel, swap_receivers
 
     import bcsi.classifier as cl
     import bcsi.simplex_search as ss

@@ -269,6 +269,14 @@ class TestSlice:
         assert len(lines) == 6
         assert (files["tmp"] / "slice.csv.schemes.json").exists()
 
+    def test_negative_zero_coordinates_print_as_zero(self, files, capsys, monkeypatch):
+        point = {"angle_deg": -0.0, "R2": 1.0, "R3": -0.0, "scheme_id": 0}
+        monkeypatch.setattr(cli, "union_slice_2d", lambda *a, **k: ([point], []))
+        code, out, _ = run_cli(["slice", "--channel", files["channel"], "--theorem", "t1",
+                                "--free", "R2,R3", "--fixed", "R1=0,R4=0,R5=0"], capsys)
+        assert code == 0
+        assert out == "angle_deg,R2,R3,scheme_id\n0,1,0,0\n"
+
 
 class TestSimulate:
     def test_report_and_progress(self, files, capsys):
@@ -321,6 +329,8 @@ _BAD_ARGV = {
     "slice directions -1": _with(_SLICE, "--directions", "-1"),
     "slice directions 0": _with(_SLICE, "--directions", "0"),
     "slice fixed nan": _with(_SLICE, "--fixed", "R1=nan,R4=0,R5=0"),
+    "slice fixed R1 twice": _with(_SLICE, "--fixed", "R1=0,R1=5,R4=0,R5=0"),
+    "simulate rate R1 twice": _with(_SIMULATE, "--rates", "R1=0.5,R1=0.2"),
     "simulate rate nan": _with(_SIMULATE, "--rates", "R1=nan"),
     "simulate rate inf": _with(_SIMULATE, "--rates", "R1=inf"),
     "optimize weight nan": _with(_OPTIMIZE, "--weights", "0,nan,1,0,0"),

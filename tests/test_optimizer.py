@@ -5,7 +5,7 @@ from bcsi.errors import InputError
 from bcsi.optimizer import (THEOREMS, SearchConfig, evaluate_weighted_rate,
                             maximize_weighted_rate, region_for, union_slice_2d)
 from bcsi.optimizer import _LHS3, _LHS5, _SupportOracle
-from bcsi.polytope import contains, maximize
+from bcsi.polytope import maximize
 from bcsi.probability import (Channel, blackwell_channel, binary_symmetric_pair,
                               noiseless_channel, product_channel)
 
@@ -345,8 +345,8 @@ class TestMaximizeWeightedRate:
         a = maximize_weighted_rate(ch, (0, 1, 1, 0, 0), "t2", cfg)
         b = maximize_weighted_rate(ch, (0, 1, 1, 0, 0), "t2", cfg)
         assert a.value == b.value
-        assert np.array_equal(a.scheme.aux_joint.as_float(),
-                              b.scheme.aux_joint.as_float())
+        assert np.array_equal(a.scheme.aux_joint.mass,
+                              b.scheme.aux_joint.mass)
 
     def test_reported_value_reproduces_from_scratch(self):
         ch = blackwell_channel()
@@ -424,6 +424,8 @@ class TestUnionSlice:
             assert support(p) == pytest.approx(support(mirror), abs=1e-6)
 
     def test_points_lie_inside_their_scheme_region(self):
+        from oracles import contains
+
         ch = blackwell_channel()
         cfg = SearchConfig(aux_sizes=(3, 1, 1), grid_resolution=4, restarts=1, seed=0)
         points, schemes = union_slice_2d(

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from bcsi import cli, polytope
 from bcsi.errors import GuardError, InputError
 from bcsi.polytope import (LinearInequality, LinearSystem, RATE_VARS, RateRegion,
-                           contains, fix_variables, fme_eliminate, is_feasible,
-                           maximize, regions_equal, region_subset,
-                           remove_redundant)
+                           fme_eliminate, is_feasible, maximize, regions_equal,
+                           region_subset, remove_redundant)
 from bcsi.rate_regions import MiConstants, project_raw_system, raw_coding_system
-from oracles import (fraction_canonical, fraction_fme, lift_exists_interval, plain_feasible,
-                     plain_fme, plain_region_subset, plain_remove_redundant)
+from oracles import (contains, fix_variables, fraction_canonical, fraction_fme,
+                     lift_exists_interval, plain_feasible, plain_fme, plain_region_subset,
+                     plain_remove_redundant, row_value)
 
 
 def ineq(coeffs, rhs):
@@ -161,7 +161,7 @@ class TestFmeSoundness:
         for _ in range(40):
             point = {v: float(rng.integers(-4, 5)) for v in keep}
             full = [point.get(v, 0.0) for v in sys.variables]
-            in_pruned = all(r.evaluate(point) <= r.rhs + 1e-9
+            in_pruned = all(row_value(r, point) <= r.rhs + 1e-9
                             for r in projected.inequalities)
             in_plain = all(sum(float(c) * x for c, x in zip(coeffs, full)) <= rhs + 1e-9
                            for coeffs, rhs in plain)
@@ -291,17 +291,17 @@ class TestRemoveRedundant:
         assert len(out.inequalities) < len(rows)
         pts = rng.random((1000, 2)) * 8.0
         for x, y in pts:
-            before = all(r.evaluate({"x": x, "y": y}) <= r.rhs + 1e-9 for r in rows)
-            after = all(r.evaluate({"x": x, "y": y}) <= r.rhs + 1e-9
+            before = all(row_value(r, {"x": x, "y": y}) <= r.rhs + 1e-9 for r in rows)
+            after = all(row_value(r, {"x": x, "y": y}) <= r.rhs + 1e-9
                         for r in out.inequalities)
             assert before == after
 
     @pytest.mark.parametrize("sizes, seed", [((2, 2, 2), 1), ((3, 2, 2), 2), ((1, 2, 2), 4),
                                              ((2, 1, 2), 5)])
     def test_dedup_makes_no_canonical_call(self, monkeypatch, tmp_path, sizes, seed):
-        """remove_redundant and fix_variables hand _dedup canonical rows:
-        _dedup calls canonical() on none, and raw-project writes the bytes
-        it writes with a _dedup that canonicalizes its rows again."""
+        """remove_redundant hands _dedup canonical rows: _dedup calls
+        canonical() on none, and raw-project writes the bytes it writes with
+        a _dedup that canonicalizes its rows again."""
         rng = np.random.default_rng(seed)
         kernel = rng.random((3, 4)) + 0.05
         joint = rng.random(sizes) + 0.02
@@ -334,10 +334,11 @@ class TestRemoveRedundant:
         monkeypatch.setattr(LinearInequality, "canonical", counted)
         monkeypatch.setattr(polytope, "_dedup", watched)
         ours = raw_project("ours.json")
-        sliced = fix_variables(LinearSystem(("x", "y"), [ineq({"x": 2, "y": 1}, 6.0)]),
-                               {"y": 1.0})
+        merged = remove_redundant(LinearSystem(("x", "y"), [ineq({"x": 2, "y": 1}, 6.0),
+                                                            ineq({"x": 4, "y": 2}, 10.0)]))
         assert inside and set(inside) == {0}
-        assert [(r.key(), r.rhs) for r in sliced.inequalities] == [((("x", Fraction(1)),), 2.5)]
+        assert [(r.key(), r.rhs) for r in merged.inequalities] == \
+            [((("x", Fraction(2)), ("y", Fraction(1))), 5.0)]
         monkeypatch.setattr(polytope, "_dedup", lambda rows: dedup([canonical(r) for r in rows]))
         assert ours == raw_project("theirs.json")
 
@@ -502,6 +503,7 @@ class TestRegions:
             ineq({"R1": 2, "R2": 1, "R3": 1, "R4": 1, "R5": 1}, 2.0),
         ])
 
+    # contains is the membership oracle that the region and optimizer tests use
     def test_origin_inside(self):
         assert contains(self.region(), (0, 0, 0, 0, 0))
 
@@ -628,6 +630,8 @@ class TestRegions:
 
 
 class TestFixVariables:
+    """The substitution oracle that the complementary-collapse tests use."""
+
     def test_substitution_folds_into_rhs(self):
         sys = LinearSystem(("x", "y"), [ineq({"x": 1, "y": 2}, 5.0)])
         out = fix_variables(sys, {"y": 1.5})
@@ -636,22 +640,6 @@ class TestFixVariables:
         assert row.rhs == pytest.approx(2.0)
         assert out.variables == ("x",)
 
-    def test_duplicates_merge(self):
-        sys = LinearSystem(("x", "y"), [
-            ineq({"x": 1, "y": 1}, 3.0),
-            ineq({"x": 1, "y": 2}, 4.0),
-        ])
-        out = fix_variables(sys, {"y": 0.0})
-        assert len(out.inequalities) == 1
-        assert out.inequalities[0].rhs == pytest.approx(3.0)
-
-    def test_scaled_duplicates_merge_in_canonical_form(self):
-        sys = LinearSystem(("x", "y"), [
-            ineq({"x": 2, "y": 1}, 6.0),
-            ineq({"x": 1, "y": 3}, 2.0),
-        ])
-        out = fix_variables(sys, {"y": 0.0})
-        assert [(r.coeffs, r.rhs) for r in out.inequalities] == [({"x": Fraction(1)}, 2.0)]
 
 
 class TestMaximize:

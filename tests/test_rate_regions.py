@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from bcsi.errors import InputError
-from bcsi.info_measures import entropy, mutual_information
+from bcsi.info_measures import mutual_information
 from bcsi import rate_regions
 from bcsi.polytope import (LinearInequality, LinearSystem, RATE_VARS, RateRegion,
-                           contains, fix_variables, fme_eliminate, maximize,
-                           regions_equal, remove_redundant)
+                           fme_eliminate, maximize, regions_equal, remove_redundant)
 from bcsi.probability import (Alphabet, AuxScheme, JointPmf, Pmf,
                               binary_symmetric_pair, blackwell_channel,
                               deterministic_channel, induced_joint,
@@ -19,7 +18,8 @@ from bcsi.rate_regions import (MiConstants, SplitRates, _t1_rows, _t2_rows, _t3_
                                more_capable_region, project_raw_system,
                                raw_coding_system, specialize_scheme)
 from conftest import random_channel, random_joint, random_scheme
-from oracles import binary_entropy, brute_cmi, brute_group_entropy, brute_mi, plain_fme
+from oracles import (binary_entropy, brute_cmi, brute_group_entropy, brute_mi, contains,
+                     fix_variables, plain_fme, row_value)
 
 
 def key_of(coeffs):
@@ -68,7 +68,7 @@ class TestMiConstants:
         scheme = random_scheme(rng, (2, 2, 2), 2)
         ch = random_channel(rng, 2, 2, 2)
         c = mi_constants(scheme, ch)
-        j = induced_joint(scheme, ch).as_float()
+        j = induced_joint(scheme, ch).mass
         shape = j.shape
         # axes: U0 U1 U2 X Y1 Y2
         assert c.i_u0u1_y1 == pytest.approx(
@@ -142,7 +142,7 @@ class TestRawSystem:
         # Rp1 = Rp2 = 0 is allowed when there is nothing to cover
         assign = {v: 0.0 for v in sys.variables}
         for row in sys.inequalities:
-            assert row.evaluate(assign) <= row.rhs + 1e-12
+            assert row_value(row, assign) <= row.rhs + 1e-12
 
     def test_projection_matches_direct_region(self, rng):
         for _ in range(5):
@@ -308,7 +308,7 @@ class TestTheoremRows:
                 x = int(rng.integers(2, 4))
                 ch = random_channel(rng, x, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
                 scheme = random_scheme(rng, sizes, x)
-                rhs, _ = _t1_rows(scheme.aux_joint.as_float(), np.asarray(scheme.gamma),
+                rhs, _ = _t1_rows(scheme.aux_joint.mass, np.asarray(scheme.gamma),
                                   ch.y1_given_x(), ch.y2_given_x())
                 direct = [i.rhs for i in marton_region(scheme, ch).system.inequalities]
                 np.testing.assert_allclose(rhs, direct, rtol=0.0, atol=1e-12)
@@ -327,7 +327,7 @@ class TestTheoremRows:
                 x = int(rng.integers(2, 4))
                 ch = random_channel(rng, x, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
                 scheme = random_scheme(rng, sizes, x)
-                rhs, key = _t1_rows(scheme.aux_joint.as_float(), np.asarray(scheme.gamma),
+                rhs, key = _t1_rows(scheme.aux_joint.mass, np.asarray(scheme.gamma),
                                     ch.y1_given_x(), ch.y2_given_x())
                 c = mi_constants(scheme, ch)
                 direct = [i.rhs for i in marton_region(scheme, ch).system.inequalities]
@@ -352,7 +352,7 @@ class TestTheoremRows:
         m = rng.random((u, ch.x.size)) * (rng.random((u, ch.x.size)) > 0.25)
         m[0, 0] += 0.05
         p_ux = m / m.sum()
-        return p_ux, p_ux[:, :, None, None] * ch.kernel_float()[None]
+        return p_ux, p_ux[:, :, None, None] * ch.kernel[None]
 
     def test_t2_rows_match_brute_entropies(self, rng):
         for _ in range(30):
@@ -419,18 +419,18 @@ class TestSpecializeScheme:
         px = Pmf.from_values(Alphabet.indexed("X", 2), [0.3, 0.7])
         scheme = specialize_scheme("complementary", px, noiseless_channel(2))
         assert scheme.sizes == (2, 1, 1)
-        assert np.allclose(scheme.aux_joint.as_float()[:, 0, 0], [0.3, 0.7])
+        assert np.allclose(scheme.aux_joint.mass[:, 0, 0], [0.3, 0.7])
         assert scheme.gamma[0, 0, 0] == 0 and scheme.gamma[1, 0, 0] == 1
 
     def test_deterministic_support(self, rng):
         ch = blackwell_channel()
         p_ux = random_joint(rng, (2, 3), names=("U", "X"))
         scheme = specialize_scheme("deterministic", p_ux, ch)
-        f = scheme.aux_joint.as_float()
+        f = scheme.aux_joint.mass
         # realizable output pairs for the maps {0,1->0; 2->1} and {0->0; 1,2->1}
-        assert f[:, 0, 0].sum() == pytest.approx(p_ux.as_float()[:, 0].sum())
-        assert f[:, 0, 1].sum() == pytest.approx(p_ux.as_float()[:, 1].sum())
-        assert f[:, 1, 1].sum() == pytest.approx(p_ux.as_float()[:, 2].sum())
+        assert f[:, 0, 0].sum() == pytest.approx(p_ux.mass[:, 0].sum())
+        assert f[:, 0, 1].sum() == pytest.approx(p_ux.mass[:, 1].sum())
+        assert f[:, 1, 1].sum() == pytest.approx(p_ux.mass[:, 2].sum())
         assert f[:, 1, 0].sum() == 0.0
         # gamma picks the lowest-index consistent input
         assert scheme.gamma[0, 0, 0] == 0
@@ -443,8 +443,8 @@ class TestSpecializeScheme:
         s2 = specialize_scheme("degraded_rx2", p_ux, noiseless_channel(2))
         assert s1.sizes == (2, 2, 1)
         assert s2.sizes == (2, 1, 2)
-        assert np.allclose(s1.aux_joint.as_float()[:, :, 0],
-                           s2.aux_joint.as_float()[:, 0, :])
+        assert np.allclose(s1.aux_joint.mass[:, :, 0],
+                           s2.aux_joint.mass[:, 0, :])
 
     def test_unknown_kind_rejected(self, rng):
         with pytest.raises(InputError):
@@ -474,7 +474,7 @@ class TestMonotonicity:
         small = random_scheme(rng, (2, 1, 1), 2)
         # embed in a larger support with zero mass on the extra cells
         big_mass = np.zeros((3, 2, 2))
-        big_mass[:2, :1, :1] = small.aux_joint.as_float()
+        big_mass[:2, :1, :1] = small.aux_joint.mass
         axes = (Alphabet.indexed("U0", 3), Alphabet.indexed("U1", 2),
                 Alphabet.indexed("U2", 2))
         big_gamma = np.zeros((3, 2, 2), dtype=np.int64)

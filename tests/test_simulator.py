@@ -14,8 +14,7 @@ from bcsi.probability import (Alphabet, AuxScheme, JointPmf, Pmf,
                               binary_symmetric_pair, noiseless_channel)
 from bcsi.rate_regions import MiConstants, SplitRates, mi_constants, specialize_scheme
 from bcsi.simulator import (CoderTables, Msg, SchemeConfig, decode_rx1, decode_rx2,
-                            encode, estimate_error, generate_codebooks,
-                            is_jointly_typical, plan_split_rates)
+                            encode, estimate_error, generate_codebooks, plan_split_rates)
 from conftest import random_channel, random_scheme
 from oracles import (brute_conditionally_typical, closed_form_bin_rate_slack,
                      hand_written_bin_rate_lp, plain_estimate_error, plain_generate)
@@ -38,34 +37,6 @@ def correlated_scheme():
             Alphabet.indexed("U2", 2))
     aux = JointPmf(axes, np.array([[[0.5, 0.0], [0.0, 0.5]]]))
     return AuxScheme(aux, np.array([[[0, 0], [1, 1]]]))
-
-
-class TestJointTypicality:
-    def joint(self):
-        axes = (Alphabet.indexed("A", 2), Alphabet.indexed("B", 2))
-        return JointPmf(axes, np.array([[0.5, 0.0], [0.0, 0.5]]))
-
-    def test_exact_empirical_distribution(self):
-        a = np.array([0, 1, 0, 1])
-        assert is_jointly_typical((a, a), self.joint(), 1e-6)
-
-    def test_zero_probability_tuple_excluded(self):
-        a = np.array([0, 1, 0, 1])
-        b = np.array([0, 1, 0, 0])  # (1, 0) has zero mass
-        assert not is_jointly_typical((a, b), self.joint(), 0.9)
-
-    def test_iid_samples_mostly_typical(self):
-        rng = np.random.default_rng(1)
-        p = JointPmf((Alphabet.indexed("A", 2),), np.array([0.5, 0.5]))
-        hits = 0
-        for _ in range(1000):
-            s = rng.integers(0, 2, size=1000)
-            hits += is_jointly_typical((s,), p, 0.1)
-        assert hits >= 900
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(InputError):
-            is_jointly_typical((np.array([0, 1]), np.array([0])), self.joint(), 0.1)
 
 
 def kernel_case(rng, n, a_major, a_minor, fixed_cells, fixed_known, layout, trials=30,
