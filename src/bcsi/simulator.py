@@ -33,6 +33,19 @@ vectorized over many trials, and one generator takes each trial's state in
 turn. Trials run in blocks: every trial of a block makes its draws first,
 then the codebook mapping, the encoder, the channel and both decoders each
 run once over the whole block.
+
+Each symbol takes only the random bits its law needs. A drawn table (p(u0),
+p(u1 | u0), p(u2 | u0), or the channel's rows) has one width b: the smallest
+b in _WIDTHS such that every cdf entry c but the last of each row has
+c * 2**b an integer, else 53. A table of width 0 is a point mass per row
+and draws nothing. At 1 <= b <= 32, N symbols take ceil(N * b / 64) raw
+64-bit outputs, field i of output r being (r >> b * i) & (2**b - 1), and a
+field v is symbol #{k : c_k * 2**b <= v}: a law of masses that are
+multiples of 2**-b is sampled exactly (Knuth and Yao). At b = 53 each
+symbol takes one output r, and v = r >> 11 is symbol #{k : c_k * 2**53 < v},
+the symbol of the double u = v * 2**-53 that Generator.random gives for r,
+counted as #{k : c_k < u}. So a run whose tables all have width 53 draws
+what a double per symbol draws.
 """
 
 from __future__ import annotations
@@ -56,6 +69,8 @@ _SEED_CHUNK = 256      # trials seeded together (their Python-int states are hel
 # block has at least one trial): what one trial of 65,536 cloud words of
 # length 8 draws
 _BLOCK_CELLS = 2 ** 19
+_WIDTHS = (0, 1, 2, 4, 8, 16, 32)  # random bits per symbol of a dyadic law
+_FULL_WIDTH = 53  # bits per symbol of any other law: a double's mantissa
 
 RATE_NAMES = ("r1", "r21", "r22", "r31", "r32", "r4", "r5", "rp1", "rp2")
 SIZE_NAMES = ("m1", "m4", "m5", "m21", "m31", "m22", "m32", "l1", "l2")
@@ -343,9 +358,10 @@ def _bincount_flags(table, eps, fixed, fixed_known, major, minor, g, shape) -> n
 
 
 class CoderTables:
-    """Float conditionals shared by the codebook draw, the encoder and both
-    decoders, and the pass/fail tables of their typicality tests. Build one
-    per (scheme, channel) and pass it to every encode and decode call."""
+    """Symbol laws of the codebook draw and the channel, the conditionals
+    of the encoder's and both decoders' typicality tests, and their pass/fail
+    tables. Build one per (scheme, channel) and pass it to every encode and
+    decode call."""
 
     def __init__(self, scheme: AuxScheme, ch: Channel):
         scheme.check_against(ch)
@@ -353,10 +369,10 @@ class CoderTables:
         a0, a1, a2 = aux.shape
         self.sizes = (a0, a1, a2)
         self.codeword_dtype = np.uint8 if max(self.sizes) <= 256 else np.int64
-        self.p_u0 = aux.sum(axis=(1, 2))
-        # p(u1 | u0) and p(u2 | u0) for codebook draws
-        self.t_u1 = _conditional_table(aux.sum(axis=2), a0, a1)
-        self.t_u2 = _conditional_table(aux.sum(axis=1), a0, a2)
+        # the _symbol_law of p(u0), p(u1 | u0) and p(u2 | u0), in book order
+        self.book_laws = (_symbol_law(aux.sum(axis=(1, 2))[None]),
+                          _symbol_law(_conditional_table(aux.sum(axis=2), a0, a1)),
+                          _symbol_law(_conditional_table(aux.sum(axis=1), a0, a2)))
         # p(u1, u2 | u0) for the covering scan
         self.t_pair = _conditional_table(aux, a0, a1 * a2)
         self.gamma = np.asarray(scheme.gamma, dtype=np.int64)
@@ -365,24 +381,81 @@ class CoderTables:
         self.t_y = {1: _conditional_table(m1, a0 * a1, ch.y1.size),
                     2: _conditional_table(m2, a0 * a2, ch.y2.size)}
         self.pass_tables = {"encode": {}, 1: {}, 2: {}}
-        # channel sampling cdfs over the composite (y1, y2) alphabet
-        kern = ch.kernel.reshape(ch.x.size, -1)
-        self.channel_cdf = np.cumsum(kern, axis=1)
+        # the channel's rows over the composite (y1, y2) alphabet
+        self.channel_law = _symbol_law(ch.kernel.reshape(ch.x.size, -1))
 
 
-def _inverse_cdf(r: np.ndarray, columns, dtype=np.int64) -> np.ndarray:
-    """Index drawn by each uniform in r: the number of cdf columns below it
-    (each column broadcasts against r). Callers leave out the last column,
-    which can only push the count past the last index. The first comparison
-    is written straight into the result: on a codebook's uniforms, a bool
-    temporary of r's size costs more than the comparison itself."""
-    idx = np.zeros(r.shape, dtype=dtype)
+def _symbol_law(table: np.ndarray) -> tuple:
+    """(b, thresholds) of a table of laws, one per row: b is the width of
+    the module docstring, and a field v of b bits is symbol #{k : T[row, k]
+    <= v} of the table's row. T[row, k] is c_k * 2**b for the row's cdf
+    entries c_k but the last (which can only push the count past the last
+    symbol), at b = 53 floor(c_k * 2**53) + 1, in the smallest unsigned dtype
+    that holds 2**b."""
+    cdf = np.cumsum(table, axis=1)[:, :-1]
+    for bits in _WIDTHS:
+        scaled = cdf * 2.0 ** bits  # a power of two scales exactly
+        if (scaled == np.floor(scaled)).all():
+            return bits, scaled.astype(np.min_scalar_type(2 ** bits))
+    # floor(c * 2**53) + 1 may be 2**53 + 1, which a double cannot hold
+    return _FULL_WIDTH, np.floor(cdf * 2.0 ** _FULL_WIDTH).astype(np.uint64) + np.uint64(1)
+
+
+def _raw_words(count: int, bits: int) -> int:
+    """Raw outputs that count symbols of width bits take."""
+    return count if bits == _FULL_WIDTH else -(-count * bits // 64)
+
+
+def _fields(raw: np.ndarray, bits: int, count: int) -> np.ndarray:
+    """The first count fields of width bits (1 to 32, or 53) of the raw
+    outputs on raw's last axis, field i of output r being (r >> bits * i) &
+    (2**bits - 1), at 53 the top 53 bits of each output; uint8 up to 8 bits,
+    else as wide as the field."""
+    if bits == _FULL_WIDTH:
+        return raw >> np.uint64(64 - _FULL_WIDTH)
+    octets = raw.astype("<u8", copy=False).view(np.uint8)  # the least significant first
+    if bits == 1:
+        return np.unpackbits(octets, axis=-1, count=count, bitorder="little")
+    if bits >= 8:
+        return octets.view(f"<u{bits // 8}")[..., :count]
+    shifts = np.arange(0, 8, bits, dtype=np.uint8)
+    parts = (octets[..., None] >> shifts) & np.uint8((1 << bits) - 1)
+    return parts.reshape(raw.shape[:-1] + (-1,))[..., :count]
+
+
+def _inverse_cdf(v: np.ndarray, columns, dtype=np.int64) -> np.ndarray:
+    """Symbol of each field in v: the number of threshold columns (each
+    broadcasting against v) at or below it. The thresholds are those of
+    _symbol_law, so a field of b bits, uniform on 0 .. 2**b - 1, is symbol k
+    for exactly T[row, k] - T[row, k - 1] of its values, and at b = 53 it is
+    symbol #{k : c_k < u} of the double u = v * 2**-53. The first comparison
+    is written straight into the result: on a codebook's fields, a bool
+    temporary of v's size costs more than the comparison itself."""
+    idx = np.zeros(v.shape, dtype=dtype)
     for k, col in enumerate(columns):
         if k:
-            idx += col < r
+            idx += col <= v
         else:
-            np.less(col, r, out=idx, casting="unsafe")
+            np.less_equal(col, v, out=idx, casting="unsafe")
     return idx
+
+
+def _sample(law: tuple, raw, shape: tuple, rows, dtype) -> np.ndarray:
+    """Symbols of the given shape drawn from law (_symbol_law), in C order
+    from the fields of raw (leading axes first, the raw outputs of each
+    leading index on the last axis; None when the law has width 0 and draws
+    nothing). rows, broadcasting against shape, selects each symbol's row of
+    the law, and is None for a law of one row."""
+    bits, thresholds = law
+    if bits:
+        v = _fields(raw, bits, math.prod(shape[raw.ndim - 1:])).reshape(shape)
+    else:
+        v = np.broadcast_to(np.uint8(0), shape)
+    if rows is None:
+        columns = thresholds[0]
+    else:
+        columns = (thresholds[:, k][rows] for k in range(thresholds.shape[1]))
+    return _inverse_cdf(v, columns, dtype)
 
 
 def _book_shapes(cfg: SchemeConfig) -> tuple:
@@ -393,40 +466,41 @@ def _book_shapes(cfg: SchemeConfig) -> tuple:
             base + (sz["m32"], sz["l2"], cfg.n))
 
 
-def _drawn_shapes(cfg: SchemeConfig, tables: CoderTables) -> list:
-    """Shapes of the uniform draws behind one set of books, in draw order: a
-    trivial satellite alphabet draws nothing."""
-    cb0, cb1, cb2 = _book_shapes(cfg)
-    _, a1, a2 = tables.sizes
-    return [cb0] + [shape for a, shape in ((a1, cb1), (a2, cb2)) if a > 1]
+def _book_words(cfg: SchemeConfig, tables: CoderTables) -> list:
+    """Raw outputs each of cb0, cb1 and cb2 draws for one trial, in draw
+    order; a book whose law has width 0 draws none."""
+    return [_raw_words(math.prod(shape), law[0])
+            for shape, law in zip(_book_shapes(cfg), tables.book_laws)]
 
 
-def _codebooks(cfg: SchemeConfig, tables: CoderTables, uniforms) -> Codebooks:
-    """Map the uniforms of _drawn_shapes (with any leading trial axes) to
-    codewords by inverse cdf: cloud symbols from p(u0), satellite symbols
-    from p(u_k | u0) given the cloud symbol at the same position."""
+def _codebooks(cfg: SchemeConfig, tables: CoderTables, raw: list) -> Codebooks:
+    """Map the raw outputs of each book (_book_words on the last axis, with
+    any leading trial axes; None for a book that draws none) to codewords:
+    cloud symbols from p(u0), satellite symbols from p(u_k | u0) given the
+    cloud symbol at the same position. When no book draws, the books have
+    no leading axes."""
     dtype = tables.codeword_dtype
-    draws = iter(uniforms)
-    cb0 = _inverse_cdf(next(draws), np.cumsum(tables.p_u0)[:-1], dtype)
-    lead = cb0.shape[:cb0.ndim - 6]
+    lead = next((r.shape[:-1] for r in raw if r is not None), ())
+    shapes = [lead + shape for shape in _book_shapes(cfg)]
+    cb0 = _sample(tables.book_laws[0], raw[0], shapes[0], None, dtype)
     rows = cb0[..., None, None, :]
     books = [cb0]
-    for table, shape in zip((tables.t_u1, tables.t_u2), _book_shapes(cfg)[1:]):
-        if table.shape[1] == 1:  # trivial satellite alphabet: all zeros, no draw
-            books.append(np.broadcast_to(np.zeros((), dtype), lead + shape))
+    for k in (1, 2):
+        if tables.sizes[k] == 1:  # trivial satellite alphabet: all zeros, no draw
+            books.append(np.broadcast_to(np.zeros((), dtype), shapes[k]))
         else:
-            cdf = np.cumsum(table, axis=1)
-            columns = (cdf[:, k][rows] for k in range(table.shape[1] - 1))
-            books.append(_inverse_cdf(next(draws), columns, dtype))
+            books.append(_sample(tables.book_laws[k], raw[k], shapes[k], rows, dtype))
     return Codebooks(*books)
 
 
 def generate_codebooks(cfg: SchemeConfig, ch: Channel) -> Codebooks:
     """Standalone codebook draw, deterministic in cfg.seed: the fixed books
-    of estimate_error."""
+    of estimate_error. Each book starts on a fresh raw output of the
+    stream of default_rng((seed, 1))."""
     tables = CoderTables(cfg.scheme, ch)
-    rng = np.random.default_rng((cfg.seed, 1))
-    return _codebooks(cfg, tables, [rng.random(s) for s in _drawn_shapes(cfg, tables)])
+    bits = np.random.default_rng((cfg.seed, 1)).bit_generator
+    return _codebooks(cfg, tables, [bits.random_raw(w) if w else None
+                                    for w in _book_words(cfg, tables)])
 
 
 @dataclass
@@ -683,22 +757,25 @@ def _trial_streams(seed: int, trials: int):
             yield rng
 
 
-def _draw_block(cfg: SchemeConfig, tables: CoderTables, streams, uniforms: list,
-                channel: np.ndarray, count: int) -> Msg:
+def _draw_block(cfg: SchemeConfig, streams, books: list, channel, count: int) -> Msg:
     """Every draw of the next count trials, each from its own generator
-    (streams yields them in trial order) in the order cloud and satellite
-    uniforms (fresh books only; none in uniforms for fixed books), messages,
-    channel uniforms. The uniforms go to the first count rows of the
-    buffers, which every block reuses; returns the Msg of index arrays."""
+    (streams yields them in trial order), in the order books (fresh books
+    only), messages, channel: each entry of books and channel is None or a
+    buffer that takes one row of raw outputs per trial, in its first count
+    rows (every block reuses the buffers). Returns the Msg of index
+    arrays."""
     msgs = np.zeros((len(_MSG_NAMES), count), dtype=np.int64)
     # a message set of size 1 is index 0 and takes nothing from the stream
     drawn = [(i, cfg._sizes[k]) for i, k in enumerate(_MSG_NAMES) if cfg._sizes[k] > 1]
+    books = [raw for raw in books if raw is not None]
     for t, rng in zip(range(count), streams):
-        for u in uniforms:
-            rng.random(out=u[t])
+        bits = rng.bit_generator
+        for raw in books:
+            raw[t] = bits.random_raw(raw.shape[1])
         for i, high in drawn:
             msgs[i, t] = rng.integers(high)
-        rng.random(out=channel[t])
+        if channel is not None:
+            channel[t] = bits.random_raw(channel.shape[1])
     return Msg(*msgs)
 
 
@@ -710,9 +787,9 @@ def estimate_error(ch: Channel, cfg: SchemeConfig, trials: int,
     default (the random-coding average).
 
     Trials run in blocks: each trial still draws from its own generator's
-    stream (into uniform buffers every block reuses), each block's books are
-    packed once, then the encoder, the channel and both decoders run once
-    per block."""
+    stream (into raw-output buffers every block reuses), each block's books
+    are mapped and packed once, then the encoder, the channel and both
+    decoders run once per block."""
     if trials < 1:
         raise InputError("need at least one trial")
     tables = CoderTables(cfg.scheme, ch)
@@ -724,11 +801,14 @@ def estimate_error(ch: Channel, cfg: SchemeConfig, trials: int,
     per_trial = (sum(math.prod(s) for s in _book_shapes(cfg))
                  + cfg.n * (sz["l1"] * sz["l2"] + 1))
     block = min(trials, max(1, _BLOCK_CELLS // per_trial))
-    # one set of uniform buffers for every block
-    uniforms = [] if fixed_books is not None else \
-        [np.empty((block,) + s) for s in _drawn_shapes(cfg, tables)]
-    channel = np.empty((block, cfg.n))
-    cdf_columns = range(tables.channel_cdf.shape[1] - 1)
+
+    def buffer(words):
+        return np.empty((block, words), np.uint64) if words else None
+
+    # one set of raw-output buffers for every block
+    raw = [None] * 3 if fixed_books is not None else \
+        [buffer(w) for w in _book_words(cfg, tables)]
+    channel = buffer(_raw_words(cfg.n, tables.channel_law[0]))
     fallbacks = 0
     errors = {1: 0, 2: 0}
     any_errors = 0
@@ -736,12 +816,14 @@ def estimate_error(ch: Channel, cfg: SchemeConfig, trials: int,
     streams = _trial_streams(cfg.seed, trials)
     for first in range(0, trials, block):
         count = min(block, trials - first)
-        msg = _draw_block(cfg, tables, streams, uniforms, channel, count)
-        books = fixed_books if fixed_books is not None else \
-            _pack_books(_codebooks(cfg, tables, [u[:count] for u in uniforms]), cfg, tables)
+        msg = _draw_block(cfg, streams, raw, channel, count)
+        books = fixed_books if fixed_books is not None else _pack_books(
+            _codebooks(cfg, tables, [None if r is None else r[:count] for r in raw]),
+            cfg, tables)
         x, _, fb = encode(books, msg, cfg, tables)
         fallbacks += int(fb.sum())
-        flat = _inverse_cdf(channel[:count], (tables.channel_cdf[x, k] for k in cdf_columns))
+        flat = _sample(tables.channel_law, None if channel is None else channel[:count],
+                       x.shape, x, np.int64)
         results = {1: decode_rx1(books, flat // ch.y2.size, msg.m5, cfg, tables),
                    2: decode_rx2(books, flat % ch.y2.size, msg.m4, cfg, tables)}
         failed = np.zeros(count, dtype=bool)

@@ -6,6 +6,7 @@ the library's vectorized paths.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -280,17 +281,17 @@ def plain_lattice_points(parts, resolution):
 
 
 def plain_staged_grid(f, lo, hi, points=16, stages=5):
-    """Scalar staged grid maximization of f on [lo, hi], one point per call:
-    each stage tries `points` evenly spaced points of the bracket (both ends
-    included), moves the best point so far only to a strictly better one and
-    narrows the bracket to it plus and minus one step, clipped to [lo, hi]."""
+    """Scalar staged grid maximization of f on [lo, hi]: each stage scores
+    `points` evenly spaced points of the bracket (both ends included) in
+    one call of f, which maps a list of abscissae to their values, moves
+    the best point so far only to a strictly better one, taking the points
+    in order, and narrows the bracket to it plus and minus one step, clipped
+    to [lo, hi]."""
     a, b = lo, hi
     best_t, best_v = lo, -math.inf
     for _ in range(stages):
-        for k in range(points):
-            w = k / (points - 1)
-            t = a * (1.0 - w) + b * w
-            v = f(t)
+        ts = [a * (1.0 - k / (points - 1)) + b * (k / (points - 1)) for k in range(points)]
+        for t, v in zip(ts, f(ts)):
             if v > best_v:
                 best_t, best_v = t, v
         step = (b - a) / (points - 1)
@@ -301,10 +302,11 @@ def plain_staged_grid(f, lo, hi, points=16, stages=5):
 def plain_refine(objective, start, budget, sweeps=8):
     """One start at a time: pairwise staged-grid ascent on mass transfers
     (clipped at zero, renormalized), each line search charged one unit of
-    the budget, stopping after a sweep without improvement. An accepted
-    point is valued afresh."""
+    the budget, stopping after a sweep without improvement. objective maps
+    points (m, n) to their m values; a grid stage is one call, and an
+    accepted point is valued afresh."""
     x = np.array(start, dtype=np.float64)
-    best = objective(x)
+    best = objective(x[None])[0]
     n = len(x)
     remaining = budget
     for _ in range(sweeps):
@@ -317,15 +319,14 @@ def plain_refine(objective, start, budget, sweeps=8):
                 if hi - lo < 1e-12:
                     continue
 
-                def shifted(t, i=i, j=j):
-                    y = x.copy()
-                    y[i] -= t
-                    y[j] += t
+                def shifted(ts, i=i, j=j):
+                    y = np.tile(x, (len(ts), 1))
+                    y[:, i] -= ts
+                    y[:, j] += ts
                     np.clip(y, 0.0, None, out=y)
-                    s = y.sum()
-                    if s <= 0:
-                        return -math.inf
-                    return objective(y / s)
+                    s = y.sum(axis=1)
+                    vals = objective(y / np.where(s > 0, s, 1.0)[:, None])
+                    return np.where(s > 0, vals, -math.inf)
 
                 remaining -= 1
                 t, val = plain_staged_grid(shifted, lo, hi)
@@ -334,7 +335,7 @@ def plain_refine(objective, start, budget, sweeps=8):
                     x[j] += t
                     np.clip(x, 0.0, None, out=x)
                     x /= x.sum()
-                    best = objective(x)
+                    best = objective(x[None])[0]
                     improved = True
         if not improved:
             break
@@ -391,39 +392,77 @@ def plain_greedy_gamma(aux, x_size, value):
     return (float(best), gamma) if best > -math.inf else (-math.inf, None)
 
 
+def plain_width(cdf_rows):
+    """Random bits per symbol of a draw from the cdf rows: the smallest b
+    in (0, 1, 2, 4, 8, 16, 32) with every entry but the last of each row a
+    multiple of 2**-b, checked in exact fractions, else 53."""
+    entries = [Fraction(float(c)) for row in cdf_rows for c in row[:-1]]
+    for b in (0, 1, 2, 4, 8, 16, 32):
+        if all((c * 2 ** b).denominator == 1 for c in entries):
+            return b
+    return 53
+
+
 def plain_sample_categorical(rng, cdf_rows, rows):
-    """Inverse-cdf draw, one uniform per entry of rows, counted column by
-    column against the cdf row each entry selects."""
-    r = rng.random(rows.shape)
-    idx = np.zeros(r.shape, dtype=np.int64)
-    for k in range(cdf_rows.shape[1] - 1):
-        idx += cdf_rows[rows, k] < r
+    """One symbol per entry of rows (in C order), each from the cdf row it
+    selects, at the width b of plain_width. At b = 53 each symbol counts the
+    cdf entries below one rng.random() double. At 1 <= b <= 32 the symbols
+    take ceil(N * b / 64) raw outputs and symbol i is field i, (r >> b * j)
+    & (2**b - 1) with r output i // (64 / b) and j = i % (64 / b), counted
+    against c * 2**b for each cdf entry c at or below it. At b = 0 nothing
+    is drawn and the field is 0."""
+    rows = np.asarray(rows)
+    b = plain_width(cdf_rows)
+    idx = np.zeros(rows.shape, dtype=np.int64)
+    if b == 53:
+        r = rng.random(rows.shape)
+        for k in range(cdf_rows.shape[1] - 1):
+            idx += cdf_rows[rows, k] < r
+        return idx
+    scaled = [[int(Fraction(float(c)) * 2 ** b) for c in row[:-1]] for row in cdf_rows]
+    per = 64 // b if b else 0
+    raw = [int(w) for w in rng.bit_generator.random_raw(-(-rows.size * b // 64))] if b else []
+    for i, pos in enumerate(np.ndindex(rows.shape)):
+        v = (raw[i // per] >> (b * (i % per))) & ((1 << b) - 1) if b else 0
+        idx[pos] = sum(t <= v for t in scaled[rows[pos]])
     return idx
 
 
-def plain_generate(cfg, tables, rng):
-    """One trial's codebooks as int64 arrays, drawn book by book: cloud
-    words from p(u0), satellite words from p(u_k | u0); a trivial satellite
-    alphabet draws nothing."""
+def plain_conditional_cdf(joint, known_cells):
+    """Row-wise cdf of p(new | known) from a (known, new) joint, zero rows
+    where the known cell has no mass."""
+    m = np.asarray(joint).reshape(known_cells, -1)
+    totals = m.sum(axis=1, keepdims=True)
+    cond = np.zeros_like(m)
+    for row in range(known_cells):
+        if totals[row, 0] > 0.0:
+            cond[row] = m[row] / totals[row]
+    return np.cumsum(cond, axis=1)
+
+
+def plain_generate(cfg, rng):
+    """One trial's codebooks as int64 arrays, drawn book by book, each from
+    a fresh raw output: cloud words from p(u0), satellite words from
+    p(u_k | u0); a trivial satellite alphabet draws nothing."""
     from bcsi.simulator import Codebooks
 
+    aux = cfg.scheme.aux_joint.mass
+    a0, a1, a2 = aux.shape
     sz = cfg.sizes()
     n = cfg.n
     base = (sz["m1"], sz["m4"], sz["m5"], sz["m21"], sz["m31"])
-    _, a1, a2 = tables.sizes
-    cb0 = plain_sample_categorical(rng, np.cumsum(tables.p_u0)[None, :],
+    cb0 = plain_sample_categorical(rng, np.cumsum(aux.sum(axis=(1, 2)))[None, :],
                                    np.zeros(base + (n,), dtype=np.int64))
-    if a1 == 1:
-        cb1 = np.zeros(base + (sz["m22"], sz["l1"], n), dtype=np.int64)
-    else:
-        cb0_b1 = np.broadcast_to(cb0[..., None, None, :], base + (sz["m22"], sz["l1"], n))
-        cb1 = plain_sample_categorical(rng, np.cumsum(tables.t_u1, axis=1), cb0_b1)
-    if a2 == 1:
-        cb2 = np.zeros(base + (sz["m32"], sz["l2"], n), dtype=np.int64)
-    else:
-        cb0_b2 = np.broadcast_to(cb0[..., None, None, :], base + (sz["m32"], sz["l2"], n))
-        cb2 = plain_sample_categorical(rng, np.cumsum(tables.t_u2, axis=1), cb0_b2)
-    return Codebooks(cb0, cb1, cb2)
+    books = [cb0]
+    for a, own, joint in ((a1, ("m22", "l1"), aux.sum(axis=2)),
+                          (a2, ("m32", "l2"), aux.sum(axis=1))):
+        shape = base + (sz[own[0]], sz[own[1]], n)
+        if a == 1:
+            books.append(np.zeros(shape, dtype=np.int64))
+        else:
+            rows = np.broadcast_to(cb0[..., None, None, :], shape)
+            books.append(plain_sample_categorical(rng, plain_conditional_cdf(joint, a0), rows))
+    return Codebooks(*books)
 
 
 def plain_classify(messages, passing, msg):
@@ -443,17 +482,18 @@ def plain_classify(messages, passing, msg):
 
 def plain_estimate_error(ch, cfg, trials, progress=None):
     """The simulator one trial at a time: each trial draws its books, all
-    seven messages and its channel uniforms from the generator (seed, 0,
-    trial) and runs encode and decode calls on a batch of that one trial,
-    on int64 books."""
+    seven messages and its channel symbols from the generator (seed, 0,
+    trial), at the widths of plain_width, and runs encode and decode calls
+    on a batch of that one trial, on int64 books."""
     from bcsi import simulator
     from bcsi.simulator import Msg, SimReport
 
     tables = simulator.CoderTables(cfg.scheme, ch)
+    channel_cdf = np.cumsum(ch.kernel.reshape(ch.x.size, -1), axis=1)
     sz = cfg.sizes()
     fixed_books = None
     if not cfg.fresh_codebooks:
-        fixed_books = plain_generate(cfg, tables, np.random.default_rng((cfg.seed, 1)))
+        fixed_books = plain_generate(cfg, np.random.default_rng((cfg.seed, 1)))
     fallbacks = 0
     errors = {1: 0, 2: 0}
     any_errors = 0
@@ -461,13 +501,13 @@ def plain_estimate_error(ch, cfg, trials, progress=None):
                for rx in (1, 2)}
     for trial in range(trials):
         rng = np.random.default_rng((cfg.seed, 0, trial))
-        books = fixed_books if fixed_books is not None else plain_generate(cfg, tables, rng)
+        books = fixed_books if fixed_books is not None else plain_generate(cfg, rng)
         fields = [int(rng.integers(sz[k])) for k in
                   ("m1", "m4", "m5", "m21", "m31", "m22", "m32")]
         msg, batch = Msg(*fields), Msg(*(np.array([v]) for v in fields))
         x, _, fb = simulator.encode(books, batch, cfg, tables)
         fallbacks += int(fb[0])
-        flat = plain_sample_categorical(rng, tables.channel_cdf, x[0])[None]
+        flat = plain_sample_categorical(rng, channel_cdf, x[0])[None]
         results = {1: simulator.decode_rx1(books, flat // ch.y2.size, batch.m5, cfg, tables),
                    2: simulator.decode_rx2(books, flat % ch.y2.size, batch.m4, cfg, tables)}
         failed = False

@@ -154,7 +154,7 @@ class TestLockstepRefiner:
     def _check(objective, starts, budget):
         points, values = refine_on_simplex(objective, starts, budget)
         for r, start in enumerate(starts):
-            x, best = plain_refine(lambda p, r=r: objective(p[None], np.array([r]))[0],
+            x, best = plain_refine(lambda p, r=r: objective(p, np.full(len(p), r)),
                                    start, budget)
             assert np.array_equal(points[r], x)
             assert values[r] == best

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from bcsi import simulator
 from bcsi.errors import GuardError, InputError
-from bcsi.probability import (Alphabet, AuxScheme, JointPmf, Pmf,
+from bcsi.probability import (Alphabet, AuxScheme, Channel, JointPmf, Pmf,
                               binary_symmetric_pair, noiseless_channel)
 from bcsi.rate_regions import MiConstants, SplitRates, mi_constants, specialize_scheme
 from bcsi.simulator import (CoderTables, Msg, SchemeConfig, decode_rx1, decode_rx2,
@@ -566,7 +566,7 @@ class TestCodewordDtype:
         tables = CoderTables(scheme, ch)
         books = generate_codebooks(cfg, ch)
         assert books.cb0.dtype == books.cb1.dtype == books.cb2.dtype == np.uint8
-        plain = plain_generate(cfg, tables, np.random.default_rng((cfg.seed, 1)))
+        plain = plain_generate(cfg, np.random.default_rng((cfg.seed, 1)))
         for ours, theirs in zip((books.cb0, books.cb1, books.cb2),
                                 (plain.cb0, plain.cb1, plain.cb2)):
             assert ours.shape == theirs.shape and (ours == theirs).all()
@@ -713,6 +713,7 @@ class TestPackedBooks:
         if wide:
             books = wide_books(books)
         assert simulator._pack_books(books, cfg, tables).g == 2
+        channel_cdf = np.cumsum(ch.kernel.reshape(2, -1), axis=1)
         passing = []
         for seed in range(3):
             draw = np.random.default_rng(seed)
@@ -725,7 +726,7 @@ class TestPackedBooks:
                                                    tables.t_pair, cfg.eps_prime)]
             assert ((l1[0], l2[0]), fallback[0]) == \
                 ((scan[0], False) if scan else ((0, 0), True))
-            flat = (tables.channel_cdf[x[0]] < draw.random((n, 1))).sum(axis=1)
+            flat = (channel_cdf[x[0]] < draw.random((n, 1))).sum(axis=1)
             for rx, y, known in ((1, flat // 2, m5), (2, flat % 2, m4)):
                 res = (decode_rx1 if rx == 1 else decode_rx2)(books, y[None], np.array([known]),
                                                               cfg, tables)
@@ -755,6 +756,154 @@ class TestPackedBooks:
         assert max(entries) == 64
         monkeypatch.undo()
         assert report.to_jsonable() == plain_estimate_error(ch, cfg, 40).to_jsonable()
+
+
+def dyadic_rows(rng, rows, cols, b):
+    """rows laws over cols symbols whose masses are multiples of 2**-b, as
+    integer counts out of 2**b. The first count is odd at b >= 1, so that
+    the table's width is exactly b; at b = 0 each row is a point mass."""
+    counts = rng.multinomial(2 ** b, np.full(cols, 1.0 / cols), size=rows)
+    if b and counts[0, 0] % 2 == 0:
+        step = 1 if counts[0, 1] else -1
+        counts[0, 0] += step
+        counts[0, 1] -= step
+    return counts
+
+
+def dyadic_case(rng, widths, n=6):
+    """A scheme with p(u0), p(u1 | u0) and p(u2 | u0) of the given widths
+    (U1 and U2 independent given U0, so each conditional is exact in
+    floats) and a channel of the last width, with every alphabet of size 2
+    or 3 but a width-0 satellite, which is trivial."""
+    b0, b1, b2, b_ch = widths
+    a0 = 3
+    sat = [2 if b else 1 for b in (b1, b2)]
+    p0 = dyadic_rows(rng, 1, a0, b0)[0] / 2.0 ** b0
+    p1, p2 = (dyadic_rows(rng, a0, a, b) / 2.0 ** b for a, b in zip(sat, (b1, b2)))
+    mass = p0[:, None, None] * p1[:, :, None] * p2[:, None, :]
+    axes = tuple(Alphabet.indexed(f"U{i}", a) for i, a in enumerate((a0, *sat)))
+    scheme = AuxScheme(JointPmf(axes, mass), rng.integers(0, 2, size=mass.shape))
+    kernel = dyadic_rows(rng, 2, 4, b_ch) / 2.0 ** b_ch
+    ch = Channel.from_rows([row.tolist() for row in kernel], 2, 2, 2)
+    return scheme, ch
+
+
+class TestSymbolDraws:
+    @pytest.mark.parametrize("fresh", [True, False])
+    def test_non_dyadic_run_keeps_the_double_draw(self, fresh):
+        """Every drawn table has width 53 (p(u0) = (1/3, 2/3), a random
+        float channel; the trivial satellites draw nothing), so the report
+        is the one a double per symbol gave: the counts below are those of
+        the inverse-cdf draw on rng.random() doubles."""
+        ch = random_channel(np.random.default_rng(2026), 2, 2, 2)
+        axes = tuple(Alphabet.indexed(f"U{i}", s) for i, s in enumerate((2, 1, 1)))
+        scheme = AuxScheme(JointPmf(axes, np.array([1 / 3, 2 / 3]).reshape(2, 1, 1)),
+                           np.array([0, 1]).reshape(2, 1, 1))
+        tables = CoderTables(scheme, ch)
+        assert [law[0] for law in tables.book_laws] == [53, 0, 0]
+        assert tables.channel_law[0] == 53
+        cfg = SchemeConfig(scheme=scheme, n=6, rates=SplitRates(r1=0.25, r4=0.25), eps=0.5,
+                           seed=21, fresh_codebooks=fresh)
+        report = estimate_error(ch, cfg, 300).to_jsonable()
+        expected = {
+            True: (266, 194, {"none_typical": 77, "wrong_satellite": 0, "wrong_cloud": 183,
+                              "other": 6},
+                   {"none_typical": 114, "wrong_satellite": 0, "wrong_cloud": 80, "other": 0},
+                   274),
+            False: (269, 187, {"none_typical": 56, "wrong_satellite": 0, "wrong_cloud": 207,
+                               "other": 6},
+                    {"none_typical": 110, "wrong_satellite": 0, "wrong_cloud": 77, "other": 0},
+                    278)}[fresh]
+        assert (report["rx1_errors"], report["rx2_errors"], report["rx1_events"],
+                report["rx2_events"], report["pe_estimate"] * 300) == expected
+        assert report == plain_estimate_error(ch, cfg, 300).to_jsonable()
+
+    @pytest.mark.parametrize("b", [0, 1, 2, 4, 8])
+    def test_fields_map_onto_each_symbol_its_mass_times(self, b):
+        """On random dyadic tables of width b, the 2**b field values map
+        onto symbol k of a row exactly p_k * 2**b times."""
+        rng = np.random.default_rng(b)
+        for cols in (2, 3, 5):
+            counts = dyadic_rows(rng, 4, cols, b)
+            bits, thresholds = simulator._symbol_law(counts / 2.0 ** b)
+            assert bits == b
+            values = np.arange(2 ** b, dtype=np.uint8 if b < 8 else np.uint16)
+            for row, count in enumerate(counts):
+                symbols = simulator._inverse_cdf(values, thresholds[row])
+                assert np.bincount(symbols, minlength=cols).tolist() == count.tolist()
+
+    @pytest.mark.parametrize("b", [1, 2, 4, 8, 16, 32, 53])
+    def test_fields_are_read_low_bits_first(self, b):
+        raw = np.random.default_rng(b).bit_generator.random_raw((3, 5))
+        count = 5 if b == 53 else 5 * 64 // b - 3
+        fields = simulator._fields(raw, b, count)
+        per = 1 if b == 53 else 64 // b
+        for t, row in enumerate(raw.tolist()):
+            if b == 53:
+                expected = [r >> 11 for r in row]
+            else:
+                expected = [row[i // per] >> b * (i % per) & (1 << b) - 1 for i in range(count)]
+            assert fields[t].tolist() == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(r=st.integers(0, 2 ** 64 - 1),
+           floats=st.lists(st.floats(0.0, 1.0), max_size=4),
+           dyadic=st.lists(st.tuples(st.integers(0, 60), st.integers(0, 2 ** 60)), max_size=4))
+    def test_full_width_rule_is_the_double_compare(self, r, floats, dyadic):
+        """At b = 53 the field v = r >> 11 counts floor(c * 2**53) + 1 <= v
+        exactly where the double u = v * 2**-53 of Generator.random counts
+        c < u: for any c, dyadic ones and c = u and its neighbours
+        included."""
+        u = (r >> 11) * 2.0 ** -53
+        cs = floats + [min(k / 2.0 ** e, 1.0) for e, k in dyadic] + \
+            [u, np.nextafter(u, 0.0), np.nextafter(u, 1.0), 1.0 / 3.0]
+        # two-column rows (c, 1 - c): the first cdf entry of each row is c
+        bits, thresholds = simulator._symbol_law(np.array([[c, 1.0 - c] for c in cs]))
+        assert bits == 53
+        v = simulator._fields(np.array([r], dtype=np.uint64), 53, 1)
+        picked = [int(simulator._inverse_cdf(v, thresholds[row])[0]) for row in range(len(cs))]
+        assert picked == [int(c < u) for c in cs]
+
+    def test_width_zero_draws_nothing(self):
+        """A point-mass p(u0) and a noiseless channel take no raw output:
+        after a trial, the stream is where the one dyadic book and the
+        messages leave it."""
+        axes = tuple(Alphabet.indexed(f"U{i}", s) for i, s in enumerate((2, 2, 1)))
+        mass = np.array([[0.0, 0.0], [0.25, 0.75]]).reshape(2, 2, 1)
+        scheme = AuxScheme(JointPmf(axes, mass), np.array([0, 1, 0, 1]).reshape(2, 2, 1))
+        ch = noiseless_channel(2)
+        tables = CoderTables(scheme, ch)
+        assert [law[0] for law in tables.book_laws] == [0, 2, 0]
+        assert tables.channel_law[0] == 0
+        cfg = SchemeConfig(scheme=scheme, n=5, rates=SplitRates(r1=0.4, rp1=0.4), seed=8)
+        words = simulator._book_words(cfg, tables)
+        assert words == [0, -(-cfg.sizes()["m1"] * cfg.sizes()["l1"] * 5 * 2 // 64), 0]
+        raw = [None, np.empty((1, words[1]), np.uint64), None]
+        rng = np.random.default_rng((cfg.seed, 0, 0))
+        msg = simulator._draw_block(cfg, iter([rng]), raw, None, 1)
+        ref = np.random.default_rng((cfg.seed, 0, 0))
+        assert (ref.bit_generator.random_raw(words[1]) == raw[1][0]).all()
+        assert int(ref.integers(cfg.sizes()["m1"])) == msg.m1[0]
+        assert rng.bit_generator.random_raw() == ref.bit_generator.random_raw()
+        books = simulator._codebooks(cfg, tables, raw)
+        assert (books.cb0 == 1).all()
+        assert 0 < books.cb1.mean() < 1
+
+    @pytest.mark.parametrize("widths", [(1, 2, 4, 8), (2, 1, 0, 16), (4, 8, 1, 2),
+                                        (0, 4, 2, 32), (8, 0, 1, 1)])
+    def test_dyadic_runs_match_the_per_trial_loop(self, widths):
+        """Every width on books and channel, fresh and fixed books, against
+        the oracle that reads each symbol's field on its own."""
+        rng = np.random.default_rng(list(widths))
+        scheme, ch = dyadic_case(rng, widths)
+        tables = CoderTables(scheme, ch)
+        assert [law[0] for law in tables.book_laws] + [tables.channel_law[0]] == list(widths)
+        for fresh in (True, False):
+            cfg = SchemeConfig(scheme=scheme, n=6, rates=ORACLE_RATES[3], eps=1.2, seed=3,
+                               fresh_codebooks=fresh)
+            report = estimate_error(ch, cfg, 120)
+            assert report.to_jsonable() == plain_estimate_error(ch, cfg, 120).to_jsonable()
+        assert 0 < report.rx1_errors + report.rx2_errors < 240
 
 
 class TestTrialStreams:
