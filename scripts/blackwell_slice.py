@@ -32,19 +32,23 @@ def main(argv=None) -> int:
                            grid_resolution=args.resolution, seed=args.seed)
         points, _ = union_slice_2d(ch, ("R2", "R3"), fixed, "t2", cfg,
                                    directions=args.directions)
-        print(f"{'angle':>7}  {'R2':>10}  {'R3':>10}  scheme")
-        for p in points:
-            print(f"{p['angle_deg']:7.2f}  {p['R2']:10.6f}  {p['R3']:10.6f}  "
-                  f"{p['scheme_id']}")
-        best = max(points, key=lambda p: p["R2"] + p["R3"])
-        print(f"\nmax R2+R3 = {best['R2'] + best['R3']:.6f} "
-              f"(log2(3) = 1.584963 is the known optimum)")
+    except BcsiError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
+    print(f"{'angle':>7}  {'R2':>10}  {'R3':>10}  scheme")
+    for p in points:
+        print(f"{p['angle_deg']:7.2f}  {p['R2']:10.6f}  {p['R3']:10.6f}  "
+              f"{p['scheme_id']}")
+    best = max(points, key=lambda p: p["R2"] + p["R3"])
+    print(f"\nmax R2+R3 = {best['R2'] + best['R3']:.6f} "
+          f"(log2(3) = 1.584963 is the known optimum)")
+    try:
         with open(args.out, "w") as fh:
             fh.write("angle_deg,R2,R3,scheme_id\n")
             for p in points:
                 fh.write(f"{p['angle_deg']:.6f},{p['R2']:.9f},{p['R3']:.9f},"
                          f"{p['scheme_id']}\n")
-    except (BcsiError, OSError) as exc:
+    except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     print(f"wrote {args.out}")

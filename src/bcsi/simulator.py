@@ -42,9 +42,8 @@ and draws nothing. At 1 <= b <= 32, N symbols take ceil(N * b / 64) raw
 64-bit outputs, field i of output r being (r >> b * i) & (2**b - 1), and a
 field v is symbol #{k : c_k * 2**b <= v}: a law of masses that are
 multiples of 2**-b is sampled exactly (Knuth and Yao). At b = 53 each
-symbol takes one output r, and v = r >> 11 is symbol #{k : c_k * 2**53 < v},
-the symbol of the double u = v * 2**-53 that Generator.random gives for r,
-counted as #{k : c_k < u}. So a run whose tables all have width 53 draws
+symbol takes one output, as the double u that Generator.random makes of it,
+and is symbol #{k : c_k < u}: a run whose tables all have width 53 draws
 what a double per symbol draws.
 """
 
@@ -390,15 +389,15 @@ def _symbol_law(table: np.ndarray) -> tuple:
     the module docstring, and a field v of b bits is symbol #{k : T[row, k]
     <= v} of the table's row. T[row, k] is c_k * 2**b for the row's cdf
     entries c_k but the last (which can only push the count past the last
-    symbol), at b = 53 floor(c_k * 2**53) + 1, in the smallest unsigned dtype
-    that holds 2**b."""
+    symbol), in the smallest unsigned dtype that holds 2**b. At b = 53 the
+    fields are doubles u and T[row, k] is the double just above c_k, so
+    that T[row, k] <= u exactly when c_k < u."""
     cdf = np.cumsum(table, axis=1)[:, :-1]
     for bits in _WIDTHS:
         scaled = cdf * 2.0 ** bits  # a power of two scales exactly
         if (scaled == np.floor(scaled)).all():
             return bits, scaled.astype(np.min_scalar_type(2 ** bits))
-    # floor(c * 2**53) + 1 may be 2**53 + 1, which a double cannot hold
-    return _FULL_WIDTH, np.floor(cdf * 2.0 ** _FULL_WIDTH).astype(np.uint64) + np.uint64(1)
+    return _FULL_WIDTH, np.nextafter(cdf, np.inf)
 
 
 def _raw_words(count: int, bits: int) -> int:
@@ -406,20 +405,44 @@ def _raw_words(count: int, bits: int) -> int:
     return count if bits == _FULL_WIDTH else -(-count * bits // 64)
 
 
+def _buffer(lead: tuple, words: int, bits: int):
+    """A buffer for words outputs per leading index (lead) of a law of width
+    bits: uint64 for raw outputs, float64 at 53 for the doubles that
+    Generator.random makes of them; None when the law draws nothing."""
+    if not words:
+        return None
+    return np.empty(lead + (words,), np.float64 if bits == _FULL_WIDTH else np.uint64)
+
+
+def _fill(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill out (a row of a _buffer) with rng's next outputs: as they are,
+    or as doubles in place in a float64 buffer."""
+    if out.dtype == np.float64:
+        rng.random(out=out)
+    else:
+        out[...] = rng.bit_generator.random_raw(out.shape[-1])
+
+
 def _fields(raw: np.ndarray, bits: int, count: int) -> np.ndarray:
-    """The first count fields of width bits (1 to 32, or 53) of the raw
-    outputs on raw's last axis, field i of output r being (r >> bits * i) &
-    (2**bits - 1), at 53 the top 53 bits of each output; uint8 up to 8 bits,
-    else as wide as the field."""
-    if bits == _FULL_WIDTH:
-        return raw >> np.uint64(64 - _FULL_WIDTH)
+    """The first count fields of width bits (1 to 32) of the raw outputs on
+    raw's last axis, field i of output r being (r >> bits * i) & (2**bits -
+    1); uint8 up to 8 bits, else as wide as the field."""
     octets = raw.astype("<u8", copy=False).view(np.uint8)  # the least significant first
     if bits == 1:
+        # unpackbits takes about a seventh of the time of the eight shifts
+        # below; without it a cloud-only simulate of 65,536 words of n = 8
+        # (R1 = 2) per trial runs about 11% longer end to end
         return np.unpackbits(octets, axis=-1, count=count, bitorder="little")
     if bits >= 8:
         return octets.view(f"<u{bits // 8}")[..., :count]
-    shifts = np.arange(0, 8, bits, dtype=np.uint8)
-    parts = (octets[..., None] >> shifts) & np.uint8((1 << bits) - 1)
+    # field k of each octet in one pass over the octets per k: a shift
+    # broadcast over a last axis of 8 // bits runs that short axis as numpy's
+    # inner loop, and takes several times as long
+    per = 8 // bits
+    parts = np.empty(octets.shape + (per,), np.uint8)
+    for k in range(per):
+        np.right_shift(octets, np.uint8(bits * k), out=parts[..., k])
+    parts &= np.uint8((1 << bits) - 1)
     return parts.reshape(raw.shape[:-1] + (-1,))[..., :count]
 
 
@@ -427,8 +450,8 @@ def _inverse_cdf(v: np.ndarray, columns, dtype=np.int64) -> np.ndarray:
     """Symbol of each field in v: the number of threshold columns (each
     broadcasting against v) at or below it. The thresholds are those of
     _symbol_law, so a field of b bits, uniform on 0 .. 2**b - 1, is symbol k
-    for exactly T[row, k] - T[row, k - 1] of its values, and at b = 53 it is
-    symbol #{k : c_k < u} of the double u = v * 2**-53. The first comparison
+    for exactly T[row, k] - T[row, k - 1] of its values, and at b = 53 a
+    double u of Generator.random is symbol #{k : c_k < u}. The first comparison
     is written straight into the result: on a codebook's fields, a bool
     temporary of v's size costs more than the comparison itself."""
     idx = np.zeros(v.shape, dtype=dtype)
@@ -442,12 +465,14 @@ def _inverse_cdf(v: np.ndarray, columns, dtype=np.int64) -> np.ndarray:
 
 def _sample(law: tuple, raw, shape: tuple, rows, dtype) -> np.ndarray:
     """Symbols of the given shape drawn from law (_symbol_law), in C order
-    from the fields of raw (leading axes first, the raw outputs of each
-    leading index on the last axis; None when the law has width 0 and draws
-    nothing). rows, broadcasting against shape, selects each symbol's row of
-    the law, and is None for a law of one row."""
+    from the fields of raw (a _buffer of the law's width: leading axes
+    first, the outputs of each leading index on the last axis). rows,
+    broadcasting against shape, selects each symbol's row of the law, and is
+    None for a law of one row."""
     bits, thresholds = law
-    if bits:
+    if bits == _FULL_WIDTH:
+        v = raw.reshape(shape)
+    elif bits:
         v = _fields(raw, bits, math.prod(shape[raw.ndim - 1:])).reshape(shape)
     else:
         v = np.broadcast_to(np.uint8(0), shape)
@@ -473,12 +498,18 @@ def _book_words(cfg: SchemeConfig, tables: CoderTables) -> list:
             for shape, law in zip(_book_shapes(cfg), tables.book_laws)]
 
 
+def _book_buffers(cfg: SchemeConfig, tables: CoderTables, lead: tuple) -> list:
+    """The _buffer of each of cb0, cb1 and cb2 for one trial's draws per
+    leading index."""
+    return [_buffer(lead, words, law[0])
+            for words, law in zip(_book_words(cfg, tables), tables.book_laws)]
+
+
 def _codebooks(cfg: SchemeConfig, tables: CoderTables, raw: list) -> Codebooks:
-    """Map the raw outputs of each book (_book_words on the last axis, with
-    any leading trial axes; None for a book that draws none) to codewords:
-    cloud symbols from p(u0), satellite symbols from p(u_k | u0) given the
-    cloud symbol at the same position. When no book draws, the books have
-    no leading axes."""
+    """Map the outputs of each book (its _book_buffers, with any leading
+    trial axes) to codewords: cloud symbols from p(u0), satellite symbols
+    from p(u_k | u0) given the cloud symbol at the same position. When no
+    book draws, the books have no leading axes."""
     dtype = tables.codeword_dtype
     lead = next((r.shape[:-1] for r in raw if r is not None), ())
     shapes = [lead + shape for shape in _book_shapes(cfg)]
@@ -498,9 +529,12 @@ def generate_codebooks(cfg: SchemeConfig, ch: Channel) -> Codebooks:
     of estimate_error. Each book starts on a fresh raw output of the
     stream of default_rng((seed, 1))."""
     tables = CoderTables(cfg.scheme, ch)
-    bits = np.random.default_rng((cfg.seed, 1)).bit_generator
-    return _codebooks(cfg, tables, [bits.random_raw(w) if w else None
-                                    for w in _book_words(cfg, tables)])
+    rng = np.random.default_rng((cfg.seed, 1))
+    raw = _book_buffers(cfg, tables, ())
+    for out in raw:
+        if out is not None:
+            _fill(rng, out)
+    return _codebooks(cfg, tables, raw)
 
 
 @dataclass
@@ -761,7 +795,7 @@ def _draw_block(cfg: SchemeConfig, streams, books: list, channel, count: int) ->
     """Every draw of the next count trials, each from its own generator
     (streams yields them in trial order), in the order books (fresh books
     only), messages, channel: each entry of books and channel is None or a
-    buffer that takes one row of raw outputs per trial, in its first count
+    _buffer that takes one row of outputs per trial, in its first count
     rows (every block reuses the buffers). Returns the Msg of index
     arrays."""
     msgs = np.zeros((len(_MSG_NAMES), count), dtype=np.int64)
@@ -769,13 +803,12 @@ def _draw_block(cfg: SchemeConfig, streams, books: list, channel, count: int) ->
     drawn = [(i, cfg._sizes[k]) for i, k in enumerate(_MSG_NAMES) if cfg._sizes[k] > 1]
     books = [raw for raw in books if raw is not None]
     for t, rng in zip(range(count), streams):
-        bits = rng.bit_generator
         for raw in books:
-            raw[t] = bits.random_raw(raw.shape[1])
+            _fill(rng, raw[t])
         for i, high in drawn:
             msgs[i, t] = rng.integers(high)
         if channel is not None:
-            channel[t] = bits.random_raw(channel.shape[1])
+            _fill(rng, channel[t])
     return Msg(*msgs)
 
 
@@ -787,7 +820,7 @@ def estimate_error(ch: Channel, cfg: SchemeConfig, trials: int,
     default (the random-coding average).
 
     Trials run in blocks: each trial still draws from its own generator's
-    stream (into raw-output buffers every block reuses), each block's books
+    stream (into output buffers every block reuses), each block's books
     are mapped and packed once, then the encoder, the channel and both
     decoders run once per block."""
     if trials < 1:
@@ -801,14 +834,10 @@ def estimate_error(ch: Channel, cfg: SchemeConfig, trials: int,
     per_trial = (sum(math.prod(s) for s in _book_shapes(cfg))
                  + cfg.n * (sz["l1"] * sz["l2"] + 1))
     block = min(trials, max(1, _BLOCK_CELLS // per_trial))
-
-    def buffer(words):
-        return np.empty((block, words), np.uint64) if words else None
-
-    # one set of raw-output buffers for every block
-    raw = [None] * 3 if fixed_books is not None else \
-        [buffer(w) for w in _book_words(cfg, tables)]
-    channel = buffer(_raw_words(cfg.n, tables.channel_law[0]))
+    # one set of output buffers for every block
+    raw = [None] * 3 if fixed_books is not None else _book_buffers(cfg, tables, (block,))
+    width = tables.channel_law[0]
+    channel = _buffer((block,), _raw_words(cfg.n, width), width)
     fallbacks = 0
     errors = {1: 0, 2: 0}
     any_errors = 0
