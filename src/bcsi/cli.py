@@ -79,13 +79,13 @@ def _number(text: str, what: str, kind=float):
     return value
 
 
-def _search_config(args) -> SearchConfig:
+def _search_config(args, **extra) -> SearchConfig:
     sizes = args.aux_sizes
     return SearchConfig(
         aux_sizes=tuple(_number(s, "aux size", int) for s in sizes.split(",")) if sizes else None,
         grid_resolution=args.resolution,
-        restarts=args.restarts,
         seed=args.seed,
+        **extra,
     )
 
 
@@ -159,13 +159,7 @@ def cmd_raw_project(args) -> int:
     projected = project_raw_system(raw)
     equal = regions_equal(projected, direct)
     emit({
-        "raw_system": {
-            "variables": list(raw.variables),
-            "inequalities": [
-                {"coeffs": {v: str(c) for v, c in sorted(i.coeffs.items())},
-                 "rhs": i.rhs} for i in raw.inequalities
-            ],
-        },
+        "raw_system": raw.to_jsonable(),
         "projection": projected.to_jsonable(),
         "direct": direct.to_jsonable(),
         "equal": bool(equal),
@@ -178,7 +172,8 @@ def cmd_optimize(args) -> int:
     weights = [_number(part, "weight") for part in args.weights.split(",")]
     if len(weights) != 5:
         raise InputError("--weights needs five comma-separated values")
-    res = maximize_weighted_rate(ch, weights, args.theorem, _search_config(args))
+    res = maximize_weighted_rate(ch, weights, args.theorem,
+                                 _search_config(args, restarts=args.restarts))
     emit({
         "theorem": res.theorem,
         "weights": list(res.weights),
@@ -215,6 +210,9 @@ def cmd_simulate(args) -> int:
                             "R21", "R22", "R31", "R32", "Rp1", "Rp2"}
     if unknown:
         raise InputError(f"unknown rate names {sorted(unknown)}")
+    for whole, parts in (("R2", ("R21", "R22")), ("R3", ("R31", "R32"))):
+        if whole in rates and any(k in rates for k in parts):
+            raise InputError(f"give {whole} or its parts {'/'.join(parts)}, not both")
     consts = mi_constants(scheme, ch)
     if any(k in rates for k in ("R21", "R22", "R31", "R32", "Rp1", "Rp2")):
         split = SplitRates(
@@ -320,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixed", required=True, help="e.g. R1=0,R4=0,R5=0")
     p.add_argument("--aux-sizes")
     p.add_argument("--resolution", type=int, default=5)
-    p.add_argument("--restarts", type=int, default=2)
     p.add_argument("--directions", type=int, default=33)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")

@@ -183,7 +183,9 @@ class _Evaluator:
 
     def _enumerated(self, joints: np.ndarray) -> tuple:
         """(values (J,), maps (J, *shape), right-hand sides (J, m)) of joints
-        (J, *shape), each under the best of every map on its support.
+        (J, *shape), each under the best of every map on its support: of the
+        maps of maximal value the one of largest key sum, the earliest on
+        ties, i.e. the first Pareto-optimal map of that value.
 
         The (joint, map) pairs, joints in order and each joint's maps in
         lexicographic order over its support cells, are scored MAP_ROWS per
@@ -215,21 +217,14 @@ class _Evaluator:
         pick = _first_best(scored[:, -2], scored[:, -1], joint)
         return scored[pick, -2], gamma[pick], scored[pick, :-2]
 
-    def _best_map(self, aux: np.ndarray) -> tuple:
-        """(value, map, right-hand sides) of the best map gamma of one joint aux.
+    def _greedy_map(self, aux: np.ndarray) -> tuple:
+        """(value, map, right-hand sides) of a greedy map gamma of one joint
+        aux, for joints with too many maps to score them all (_enumerable).
 
         A zero-mass cell adds an exact 0 to every joint, so only the map on
-        the support matters (0 off it). A map costs more the more cells the
-        joint has, so while |X|^|support| * aux.size is at most GAMMA_CELL_CAP
-        every map on the support is scored (_enumerated), and of the maps of
-        maximal value the one with the largest key sum wins, the earliest on
-        ties: the first Pareto-optimal map of that value. Above the cap, up
-        to three greedy passes from the all-zero map score every symbol of
-        one support cell per call; the current symbol keeps ties, otherwise
-        the first maximum wins."""
-        if self._enumerable(aux[None])[0]:
-            vals, maps, rhs = self._enumerated(aux[None])
-            return float(vals[0]), maps[0], rhs[0]
+        the support matters (0 off it). Up to three greedy passes from the
+        all-zero map score every symbol of one support cell per call; the
+        current symbol keeps ties, otherwise the first maximum wins."""
         support = np.flatnonzero(aux.reshape(-1) > 0.0)
         gamma = np.zeros(aux.size, dtype=np.int64)
         for _ in range(3):
@@ -268,7 +263,7 @@ class _Evaluator:
             if every.any():
                 vals[every], maps[every], rhs[every] = self._enumerated(tables[every])
             for i in np.flatnonzero(~every):
-                vals[i], maps[i], rhs[i] = self._best_map(tables[i])
+                vals[i], maps[i], rhs[i] = self._greedy_map(tables[i])
             return vals, maps, rhs
         rhs = in_chunks(self.rows, tables)
         return in_chunks(self.oracle.value, rhs), np.full(len(tables), None), rhs

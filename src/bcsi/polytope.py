@@ -87,19 +87,10 @@ class LinearInequality:
 
 @dataclass
 class LinearSystem:
-    """A conjunction of inequalities over a declared variable set.
-
-    sources[i] holds the sets of original rows that row i combines, each an
-    int bitmask: one set per way of deriving the row, keeping only the
-    minimal ones. eliminated counts the variables projected out so far;
-    fme_eliminate prunes by both. A system built without sources starts
-    fresh: each row is its own source and nothing has been eliminated.
-    """
+    """A conjunction of inequalities over a declared variable set."""
 
     variables: tuple
     inequalities: list = field(default_factory=list)
-    sources: list | None = None
-    eliminated: int = 0
 
     def __post_init__(self):
         self.variables = tuple(self.variables)
@@ -108,11 +99,16 @@ class LinearSystem:
             undeclared = set(ineq.coeffs) - declared
             if undeclared:
                 raise InputError(f"inequality uses undeclared variables {sorted(undeclared)}")
-        if self.sources is None:
-            self.sources = [(1 << i,) for i in range(len(self.inequalities))]
-            self.eliminated = 0
-        elif len(self.sources) != len(self.inequalities):
-            raise InputError("need one source set per inequality")
+
+    def to_jsonable(self) -> dict:
+        return {
+            "variables": list(self.variables),
+            "inequalities": [
+                {"coeffs": {v: str(c) for v, c in sorted(ineq.coeffs.items())},
+                 "rhs": ineq.rhs}
+                for ineq in self.inequalities
+            ],
+        }
 
 
 def _dedup(rows: Iterable[LinearInequality]) -> list:
@@ -143,86 +139,94 @@ def _minimal(sets: Iterable[int]) -> tuple:
 _INT64_SAFE = 1 << 26
 
 
-def _integer_rows(rows, variables) -> tuple:
-    """The rows as an integer coefficient matrix over the variables and one
-    positive denominator per row (the lcm of its coefficients'
-    denominators): row i is coeffs[i] / denom[i]. Both are int64 when every
-    entry is at most _INT64_SAFE, else arrays of Python ints."""
-    index = {v: i for i, v in enumerate(variables)}
-    coeffs = [[0] * len(variables) for _ in rows]
-    denoms = []
-    for row, out in zip(rows, coeffs):
-        d = lcm(*(c.denominator for c in row.coeffs.values()))
-        for v, c in row.coeffs.items():
-            out[index[v]] = c.numerator * (d // c.denominator)
-        denoms.append(d)
-    widest = max([abs(c) for out in coeffs for c in out] + denoms, default=0)
+def _fit(a: np.ndarray, den: np.ndarray) -> tuple:
+    """The coefficient matrix a and the denominators den as int64 when every
+    entry is at most _INT64_SAFE in size, else as arrays of Python ints."""
+    widest = max(np.abs(a).max(initial=0), np.abs(den).max(initial=0))
     dtype = np.int64 if widest <= _INT64_SAFE else object
-    return (np.array(coeffs, dtype=dtype).reshape(len(rows), len(variables)),
-            np.array(denoms, dtype=dtype))
+    return a.astype(dtype), den.astype(dtype)
 
 
-def fme_eliminate(sys: LinearSystem, var: str) -> LinearSystem:
-    """Project out one variable by pairing rows of opposite sign on it.
+def fme_eliminate(sys: LinearSystem, *variables: str) -> LinearSystem:
+    """Project out the variables, in order, by pairing rows of opposite sign
+    on each.
 
-    Coefficient arithmetic is exact integer arithmetic on rows scaled by the
-    lcm of their denominators, all pairs at once; the rhs combination is
-    float. Each row comes out canonical, as LinearInequality.canonical
-    gives it: pairing p (coefficient a_p on var) with q (a_q < 0) forms
-    -a_q * p + a_p * q, with rhs float(-a_q) * p.rhs + float(a_p) * q.rhs,
-    then scaled by the positive rational making it a primitive integer row.
-    Rows come out in this order: rows free of var, then pairs, p-major.
-    A combined row's source sets are the unions of one set of each parent.
-    After the k-th elimination, a derivation that combines more than k+1
-    original rows is implied by the others (Chernikov's rule): its set is
-    dropped, and a row with no set left is dropped without an LP. A row that
-    several derivations give keeps all their minimal sets, which keeps the
-    rule exact: this step then keeps every row that pruned elimination
-    without merging would keep. Aborts if the unpruned step would exceed
-    FME_ROW_CAP rows.
+    The rows become one integer matrix, each row scaled by the lcm of its
+    coefficients' denominators (row i is a[i] / den[i]), and every step
+    forms all its pairs at once in exact integer arithmetic; the rhs
+    combination is float. Each row comes out canonical, as
+    LinearInequality.canonical gives it: pairing p (coefficient a_p on the
+    variable) with q (a_q < 0) forms -a_q * p + a_p * q, with rhs
+    float(-a_q) * p.rhs + float(a_p) * q.rhs, then scaled by the positive
+    rational making it a primitive integer row. Rows come out of a step in
+    this order: rows free of the variable, then pairs, p-major; exact
+    duplicates collapse at the first one's position.
+
+    Each row carries the sets of input rows it combines, as int bitmasks:
+    the unions of one set of each parent, pooled over duplicates. After the
+    k-th step, a derivation that combines more than k+1 input rows is
+    implied by the others (Chernikov's rule): its set is dropped, and a row
+    with no set left is dropped without an LP. A row keeps every minimal
+    set, which keeps the rule exact: each step keeps every row that pruned
+    elimination without merging would keep. The sets live only in this
+    call, so a later call starts afresh. Aborts if an unpruned step would
+    exceed FME_ROW_CAP rows.
     """
-    if var not in sys.variables:
-        raise InputError(f"variable {var!r} not declared")
-    j = sys.variables.index(var)
-    a, den = _integer_rows(sys.inequalities, sys.variables)
+    if not variables or len(set(variables)) < len(variables):
+        raise InputError(f"need distinct variables to eliminate, got {list(variables)}")
+    for var in variables:
+        if var not in sys.variables:
+            raise InputError(f"variable {var!r} not declared")
+    names = list(sys.variables)
+    index = {v: i for i, v in enumerate(names)}
+    a = np.zeros((len(sys.inequalities), len(names)), dtype=object)
+    den = np.ones(len(sys.inequalities), dtype=object)
+    for i, row in enumerate(sys.inequalities):
+        den[i] = lcm(*(c.denominator for c in row.coeffs.values()))
+        for v, c in row.coeffs.items():
+            a[i, index[v]] = c.numerator * (den[i] // c.denominator)
     b = np.array([r.rhs for r in sys.inequalities], dtype=float)
-    zero, pos, neg = (np.flatnonzero(m) for m in (a[:, j] == 0, a[:, j] > 0, a[:, j] < 0))
-    projected = len(zero) + len(pos) * len(neg)
-    if projected > FME_ROW_CAP:
-        raise GuardError(
-            f"eliminating {var!r} would create {projected} inequalities (cap {FME_ROW_CAP})")
-    p, q = np.repeat(pos, len(neg)), np.tile(neg, len(pos))
-    alpha, beta = -a[q, j], a[p, j]  # > 0: p is scaled by alpha / den[q], q by beta / den[p]
-    rows = np.concatenate([a[zero], alpha[:, None] * a[p] + beta[:, None] * a[q]])
-    rows_den = np.concatenate([den[zero], den[p] * den[q]])
-    rhs = np.concatenate([b[zero], (alpha / den[q]).astype(float) * b[p]
-                          + (beta / den[p]).astype(float) * b[q]])
-    # canonical form: divide by the gcd, and scale the rhs by the correctly
-    # rounded rows_den / gcd; a row with no coefficient left keeps its rhs
-    g = np.gcd.reduce(rows, axis=1)
-    vacuous = g == 0
-    g[vacuous] = 1
-    rhs = rhs * np.where(vacuous, 1.0, (rows_den / g).astype(float))
-    rows = rows // g[:, None]
-    sources = [sys.sources[i] for i in zero.tolist()]
-    sources += [tuple(x | y for x in sys.sources[i] for y in sys.sources[k])
-                for i, k in zip(p.tolist(), q.tolist())]
-    # exact duplicates collapse at the first one's position, pooling their
-    # source sets
-    merged = {}
-    for key, src in zip(zip(map(tuple, rows.tolist()), rhs.tolist()), sources):
-        merged.setdefault(key, []).extend(src)
-    steps = sys.eliminated + 1
-    remaining = tuple(v for v in sys.variables if v != var)
-    keep = [i for i in range(len(sys.variables)) if i != j]
-    out, out_sources = [], []
-    for (row, row_rhs), pooled in merged.items():
-        src = _minimal(s for s in pooled if s.bit_count() <= steps + 1)
-        if src:
-            out.append(LinearInequality(
-                {v: Fraction(row[i]) for v, i in zip(remaining, keep) if row[i]}, row_rhs))
-            out_sources.append(src)
-    return LinearSystem(remaining, out, out_sources, steps)
+    row_sets = [(1 << i,) for i in range(len(b))]
+    for step, var in enumerate(variables, 1):
+        a, den = _fit(a, den)
+        j = names.index(var)
+        zero, pos, neg = (np.flatnonzero(m) for m in (a[:, j] == 0, a[:, j] > 0, a[:, j] < 0))
+        projected = len(zero) + len(pos) * len(neg)
+        if projected > FME_ROW_CAP:
+            raise GuardError(
+                f"eliminating {var!r} would create {projected} inequalities (cap {FME_ROW_CAP})")
+        p, q = np.repeat(pos, len(neg)), np.tile(neg, len(pos))
+        alpha, beta = -a[q, j], a[p, j]  # > 0: p is scaled by alpha / den[q], q by beta / den[p]
+        rows = np.concatenate([a[zero], alpha[:, None] * a[p] + beta[:, None] * a[q]])
+        rows_den = np.concatenate([den[zero], den[p] * den[q]])
+        rhs = np.concatenate([b[zero], (alpha / den[q]).astype(float) * b[p]
+                              + (beta / den[p]).astype(float) * b[q]])
+        # canonical form: divide by the gcd, and scale the rhs by the correctly
+        # rounded rows_den / gcd; a row with no coefficient left keeps its rhs
+        g = np.gcd.reduce(rows, axis=1)
+        vacuous = g == 0
+        g[vacuous] = 1
+        rhs = rhs * np.where(vacuous, 1.0, (rows_den / g).astype(float))
+        rows = rows // g[:, None]
+        derived = [row_sets[i] for i in zero.tolist()]
+        derived += [tuple(x | y for x in row_sets[i] for y in row_sets[k])
+                    for i, k in zip(p.tolist(), q.tolist())]
+        # exact duplicates pool their source sets at the first one's position
+        pooled = {}
+        for i, key in enumerate(zip(map(tuple, rows.tolist()), rhs.tolist())):
+            pooled.setdefault(key, (i, []))[1].extend(derived[i])
+        kept, row_sets = [], []
+        for i, sets in pooled.values():
+            sets = _minimal(s for s in sets if s.bit_count() <= step + 1)
+            if sets:
+                kept.append(i)
+                row_sets.append(sets)
+        kept = np.array(kept, dtype=int)
+        a, b, den = np.delete(rows[kept], j, axis=1), rhs[kept], np.ones(len(kept), dtype=object)
+        del names[j]
+    return LinearSystem(names, [
+        LinearInequality({v: Fraction(c) for v, c in zip(names, row) if c}, row_rhs)
+        for row, row_rhs in zip(a.tolist(), b.tolist())])
 
 
 def linprog(*args, **kwargs):
@@ -387,14 +391,7 @@ class RateRegion:
         return is_feasible(self.system)
 
     def to_jsonable(self) -> dict:
-        out = {
-            "variables": list(RATE_VARS),
-            "inequalities": [
-                {"coeffs": {v: str(c) for v, c in sorted(ineq.coeffs.items())},
-                 "rhs": ineq.rhs}
-                for ineq in self.system.inequalities
-            ],
-        }
+        out = self.system.to_jsonable()
         if self.provenance is not None:
             out["provenance"] = self.provenance
         return out

@@ -229,9 +229,7 @@ def project_raw_system(sys: LinearSystem) -> RateRegion:
     rows.append(_ineq({"R2": 1, "R21": -1, "R22": -1}, 0.0))
     rows.append(_ineq({"R31": 1, "R32": 1, "R3": -1}, 0.0))
     rows.append(_ineq({"R3": 1, "R31": -1, "R32": -1}, 0.0))
-    work = LinearSystem(variables, rows)
-    for var in ELIMINATION_ORDER:
-        work = fme_eliminate(work, var)
+    work = fme_eliminate(LinearSystem(variables, rows), *ELIMINATION_ORDER)
     reduced = remove_redundant(LinearSystem(RATE_VARS, work.inequalities))
     return RateRegion(reduced, provenance={"kind": "t1-projection"})
 

@@ -136,50 +136,56 @@ def fraction_canonical(row):
                             row.rhs * float(scale))
 
 
-def fraction_fme(sys, var):
-    """fme_eliminate on dicts of Fractions, one pair at a time: the same
-    rows, rhs bits, order, source sets and pruning, with no integer arrays."""
+def fraction_fme(sys, variables):
+    """fme_eliminate(sys, *variables) on dicts of Fractions, one pair at a
+    time: the same rows, rhs bits, order and pruning, with no integer
+    arrays. The source sets of the rows start afresh in each call."""
     from fractions import Fraction
 
     from bcsi.errors import GuardError, InputError
     from bcsi.polytope import FME_ROW_CAP, LinearInequality, LinearSystem, _minimal
 
-    if var not in sys.variables:
-        raise InputError(f"variable {var!r} not declared")
-    zero, pos, neg = [], [], []
-    for row, src in zip(sys.inequalities, sys.sources, strict=True):
-        c = row.coeffs.get(var, Fraction(0))
-        (pos if c > 0 else neg if c < 0 else zero).append((row, src))
-    projected = len(zero) + len(pos) * len(neg)
-    if projected > FME_ROW_CAP:
-        raise GuardError(f"eliminating {var!r} would create {projected} inequalities")
-    out = list(zero)
-    for p, p_src in pos:
-        for q, q_src in neg:
-            alpha, beta = -q.coeffs[var], p.coeffs[var]
-            coeffs = {}
-            for v, c in p.coeffs.items():
-                coeffs[v] = coeffs.get(v, Fraction(0)) + alpha * c
-            for v, c in q.coeffs.items():
-                coeffs[v] = coeffs.get(v, Fraction(0)) + beta * c
-            coeffs.pop(var, None)
-            rhs = float(alpha) * p.rhs + float(beta) * q.rhs
-            out.append((LinearInequality(coeffs, rhs),
-                        tuple(a | b for a in p_src for b in q_src)))
-    merged = {}
-    for row, src in out:
-        row = fraction_canonical(row)
-        k = (row.key(), row.rhs)
-        first, pooled = merged.get(k, (row, ()))
-        merged[k] = (first, pooled + src)
-    steps = sys.eliminated + 1
-    rows, sources = [], []
-    for row, src in merged.values():
-        src = _minimal(s for s in src if s.bit_count() <= steps + 1)
-        if src:
-            rows.append(row)
-            sources.append(src)
-    return LinearSystem(tuple(v for v in sys.variables if v != var), rows, sources, steps)
+    if not variables or len(set(variables)) < len(variables):
+        raise InputError(f"need distinct variables to eliminate, got {list(variables)}")
+    for var in variables:
+        if var not in sys.variables:
+            raise InputError(f"variable {var!r} not declared")
+    names = tuple(sys.variables)
+    rows = [(row, (1 << i,)) for i, row in enumerate(sys.inequalities)]
+    for step, var in enumerate(variables, 1):
+        zero, pos, neg = [], [], []
+        for row, src in rows:
+            c = row.coeffs.get(var, Fraction(0))
+            (pos if c > 0 else neg if c < 0 else zero).append((row, src))
+        projected = len(zero) + len(pos) * len(neg)
+        if projected > FME_ROW_CAP:
+            raise GuardError(f"eliminating {var!r} would create {projected} inequalities")
+        out = list(zero)
+        for p, p_src in pos:
+            for q, q_src in neg:
+                alpha, beta = -q.coeffs[var], p.coeffs[var]
+                coeffs = {}
+                for v, c in p.coeffs.items():
+                    coeffs[v] = coeffs.get(v, Fraction(0)) + alpha * c
+                for v, c in q.coeffs.items():
+                    coeffs[v] = coeffs.get(v, Fraction(0)) + beta * c
+                coeffs.pop(var, None)
+                rhs = float(alpha) * p.rhs + float(beta) * q.rhs
+                out.append((LinearInequality(coeffs, rhs),
+                            tuple(a | b for a in p_src for b in q_src)))
+        merged = {}
+        for row, src in out:
+            row = fraction_canonical(row)
+            k = (row.key(), row.rhs)
+            first, pooled = merged.get(k, (row, ()))
+            merged[k] = (first, pooled + src)
+        rows = []
+        for row, src in merged.values():
+            src = _minimal(s for s in src if s.bit_count() <= step + 1)
+            if src:
+                rows.append((row, src))
+        names = tuple(v for v in names if v != var)
+    return LinearSystem(names, [row for row, _ in rows])
 
 
 def row_value(row, point):

@@ -300,6 +300,26 @@ class TestSimulate:
         _, out2, _ = run_cli(args, capsys)
         assert out1 == out2
 
+    @pytest.mark.parametrize("rates", ["R2=1,R21=0.75", "R22=0.5,R2=1", "R3=1,R31=0.75",
+                                       "R32=0.1,R3=0.2,Rp1=0.1"])
+    def test_whole_rate_with_its_parts_exit_1(self, files, capsys, rates):
+        # R2 = 1 with R21 = 0.75 once ran at R2 = 1.25, R22 taking R2 / 2
+        code, out, err = run_cli(["simulate", "--channel", files["channel"],
+                                  "--scheme", files["aux"], "--rates", rates,
+                                  "--n", "4", "--trials", "2"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "not both" in err
+
+    def test_parts_alone_set_the_split(self, files, capsys):
+        code, out, _ = run_cli(["simulate", "--channel", files["channel"],
+                                "--scheme", files["aux"], "--rates", "R21=0.75,R3=0.5",
+                                "--n", "4", "--trials", "2"], capsys)
+        assert code == 0
+        nominal = json.loads(out)["nominal_rates"]
+        assert (nominal["r21"], nominal["r22"], nominal["r31"], nominal["r32"]) == \
+            (0.75, 0.0, 0.25, 0.25)
+
     def test_desk_guard_exit_2(self, files, capsys):
         code, _, err = run_cli(["simulate", "--channel", files["channel"],
                                 "--scheme", files["aux"], "--rates", "R1=2.0",
@@ -352,6 +372,7 @@ _BAD_ARGV = {
     "theorem t4": _with(_OPTIMIZE, "--theorem", "t4"),
     "weights read as an option": _with(_OPTIMIZE, "--weights", "-1,1,1,1,1"),
     "resolution x": _with(_OPTIMIZE, "--resolution", "x"),
+    "slice restarts": _SLICE + ["--restarts", "2"],  # slice has no restarts option
 }
 
 

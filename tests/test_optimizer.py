@@ -81,7 +81,7 @@ class TestGammaOnSupport:
                     aux = rng.random(sizes) * (rng.random(sizes) > 0.4)
                     aux.flat[0] += 0.1
                     aux /= aux.sum()
-                    val, gamma, _ = ev._best_map(aux)
+                    (val,), (gamma,), _ = ev._enumerated(aux[None])
                     want_val, want_gamma = pareto_gamma_pick(
                         aux, x, lambda a, g: _t1_rows(a, g, ev.k1, ev.k2),
                         ev.oracle.value)
@@ -105,7 +105,7 @@ class TestGammaOnSupport:
                 for sizes in ((2, 2, 1), (1, 2, 2)):
                     for p in lattice_points(4, 3)[::3]:
                         aux = p.reshape(sizes)
-                        val, gamma, _ = ev._best_map(aux)
+                        (val,), (gamma,), _ = ev._enumerated(aux[None])
                         want_val, want_gamma = pareto_gamma_pick(
                             aux, ch.x.size, lambda a, g: _t1_rows(a, g, ev.k1, ev.k2),
                             ev.oracle.value)
@@ -164,7 +164,7 @@ class TestGammaCellCap:
                 ev = _Evaluator(ch, "t1", weights)
                 for aux in self._joints(rng, sizes, count // 3 + 1):
                     assert ch.x.size ** np.count_nonzero(aux) * aux.size > GAMMA_CELL_CAP
-                    val, gamma, _ = ev._best_map(aux)
+                    val, gamma, _ = ev._greedy_map(aux)
                     want_val, want_gamma = plain_greedy_gamma(aux, ch.x.size, ev.value)
                     assert val == want_val
                     if want_gamma is not None:
@@ -193,7 +193,7 @@ class TestGammaCellCap:
         ev = _Evaluator(random_channel(rng, 4, 2, 2), "t1", (1, 1, 1, 1, 1))
         aux = next(self._joints(rng, (3, 2, 2), 1))
         counts = self._count_maps(monkeypatch)
-        ev._best_map(aux)
+        ev._greedy_map(aux)
         assert counts["maps"] * aux.size <= GAMMA_CELL_CAP  # enumerating would score 4^12
         # one call per support cell and pass, |X| maps each
         assert counts["calls"] in (12, 24, 36)
@@ -205,11 +205,12 @@ class TestGammaCellCap:
         from bcsi.optimizer import GAMMA_CELL_CAP, _Evaluator
         ev = _Evaluator(random_channel(rng, 2, 2, 2), "t1", (1, 1, 1, 1, 1))
         counts = self._count_maps(monkeypatch)
-        ev._best_map(next(self._joints(rng, (3, 2, 2), 1)))  # 2^12 maps of 12 cells: all scored
-        assert counts["maps"] == 2 ** 12
+        ev.score(next(self._joints(rng, (3, 2, 2), 1)).reshape(1, -1))  # 2^12 maps of 12 cells
+        assert counts["maps"] == 2 ** 12  # all scored
+        wide = _Evaluator(ev.ch, "t1", (1, 1, 1, 1, 1), (4, 2, 2))
         for support, enumerated in ((12, True), (13, False), (16, False)):
             counts["maps"] = 0
-            ev._best_map(next(self._joints(rng, (4, 2, 2), 1, support)))
+            wide.score(next(self._joints(rng, (4, 2, 2), 1, support)).reshape(1, -1))
             if enumerated:  # 2^12 maps on the support, 16 cells each: at the cap
                 assert counts["maps"] * 16 == GAMMA_CELL_CAP
             else:
@@ -219,8 +220,9 @@ class TestGammaCellCap:
 class TestBatchedT1Scoring:
     """score runs every enumerated joint of a call through _enumerated,
     MAP_ROWS (joint, map) pairs per _t1_rows call: values, maps and
-    right-hand sides equal each joint's own _best_map bit for bit, and the
-    enumerated ones a per-joint scalar pick over all its maps."""
+    right-hand sides equal each joint's own _enumerated or _greedy_map call bit
+    for bit, and the enumerated ones a per-joint scalar pick over all its
+    maps."""
 
     @staticmethod
     def _joints(rng, sizes, count, zero_share=0.4):
@@ -236,7 +238,10 @@ class TestBatchedT1Scoring:
         tables = points.reshape((-1,) + ev.shape)
         every = ev._enumerable(tables)
         for i, aux in enumerate(tables):
-            val, gamma, row = ev._best_map(aux)
+            if every[i]:
+                (val,), (gamma,), (row,) = ev._enumerated(aux[None])
+            else:
+                val, gamma, row = ev._greedy_map(aux)
             assert vals[i] == val
             assert np.array_equal(maps[i], gamma)
             assert rhs[i].tobytes() == row.tobytes()

@@ -41,9 +41,13 @@ class TestFme:
         assert len(out.inequalities) == 1
 
     def test_undeclared_variable_rejected(self):
-        sys = LinearSystem(("x",), [ineq({"x": 1}, 1.0)])
-        with pytest.raises(InputError):
-            fme_eliminate(sys, "z")
+        # and a repeated variable or none at all
+        sys = LinearSystem(("x", "y"), [ineq({"x": 1, "y": 1}, 1.0)])
+        for variables in (("z",), ("y", "z"), (), ("y", "y"), ("x", "y", "x")):
+            with pytest.raises(InputError):
+                fme_eliminate(sys, *variables)
+            with pytest.raises(InputError):
+                fraction_fme(sys, variables)
 
     def test_explosion_guard(self):
         # 400 positive rows x 400 negative rows > 100000
@@ -76,34 +80,38 @@ class TestFme:
             ineq({"x": 1, "y": -1, "z": 1}, 1.0),
             ineq({"x": -1, "y": -1, "z": 2}, 1.0),
         ])
-        assert sys.sources == [(0b0001,), (0b0010,), (0b0100,), (0b1000,)]
-        assert sys.eliminated == 0
         once = fme_eliminate(sys, "x")
-        assert once.eliminated == 1
         assert [str(r) for r in once.inequalities] == \
             ["y <= 1", "z <= 1", "z <= 2", "-2*y + 3*z <= 2"]
-        assert once.sources == [(0b0011,), (0b1001,), (0b0110,), (0b1100,)]
-        twice = fme_eliminate(once, "y")
-        assert twice.eliminated == 2
+        twice = fme_eliminate(sys, "x", "y")
+        assert twice.variables == ("z",)
         assert [str(r) for r in twice.inequalities] == ["z <= 1", "z <= 2"]
-        assert twice.sources == [(0b1001,), (0b0110,)]
+        # a second call starts afresh, each row its own source: it keeps
+        # 3z <= 4 (as z <= 4/3)
+        assert [r.rhs for r in fme_eliminate(once, "y").inequalities] == [1.0, 2.0, 4 / 3]
         plain = plain_fme([([r.coeffs.get(v, Fraction(0)) for v in sys.variables], r.rhs)
                            for r in sys.inequalities], [0, 1])
         assert len(plain) == 3  # 2z <= 2, z <= 2 and 6z <= 8
 
     def test_duplicate_row_keeps_every_minimal_source_set(self):
-        # y <= 1 comes from rows 0 and 1 and from rows 2 and 3; a later
-        # step may need either derivation, so both sets stay
+        # y <= 1 comes from rows 0 and 1 and from rows 2 and 3; its partner
+        # -y + z <= 0 comes from rows 2 and 4, so z <= 1 combines rows 2, 3
+        # and 4 by the second derivation, four rows by the first: only the
+        # second keeps it
         sys = LinearSystem(("x", "y", "z"), [
             ineq({"x": 1, "y": 1}, 1.0),
             ineq({"x": -1, "y": 1}, 1.0),
             ineq({"x": 1, "z": 1}, 0.0),
             ineq({"x": -1, "y": 1, "z": -1}, 1.0),
+            ineq({"x": -1, "y": -1}, 0.0),
         ])
-        once = fme_eliminate(sys, "x")
-        assert [str(r) for r in once.inequalities] == \
-            ["y <= 1", "2*y + -1*z <= 2", "y + z <= 1"]
-        assert once.sources == [(0b0011, 0b1100), (0b1001,), (0b0110,)]
+        assert [str(r) for r in fme_eliminate(sys, "x").inequalities] == \
+            ["y <= 1", "2*y + -1*z <= 2", "0 <= 1", "y + z <= 1", "-1*y + z <= 0"]
+        # z <= 2 (rows 0, 3, 2 and 4) is pruned; z <= 1 stays
+        assert [str(r) for r in fme_eliminate(sys, "x", "y").inequalities] == \
+            ["0 <= 1", "z <= 1", "z <= 0.5"]
+        assert exact_rows(fme_eliminate(sys, "x", "y")) == \
+            exact_rows(fraction_fme(sys, ("x", "y")))
 
 
 @st.composite
@@ -151,9 +159,7 @@ class TestFmeSoundness:
         # Chernikov pruning only acts from the second step on
         order = data.draw(st.permutations(range(len(sys.variables))))
         order = order[:data.draw(st.integers(2, min(3, len(sys.variables) - 1)))]
-        projected = sys
-        for j in order:
-            projected = fme_eliminate(projected, sys.variables[j])
+        projected = fme_eliminate(sys, *(sys.variables[j] for j in order))
         plain = plain_fme([([r.coeffs.get(v, Fraction(0)) for v in sys.variables], r.rhs)
                            for r in sys.inequalities], order)
         keep = projected.variables
@@ -170,7 +176,7 @@ class TestFmeSoundness:
 
 def exact_rows(sys):
     """Everything fme_eliminate returns, with each rhs as float.hex."""
-    return (sys.variables, sys.eliminated, sys.sources,
+    return (sys.variables,
             [(r.coeffs, r.rhs.hex()) for r in sys.inequalities],
             all(type(c) is Fraction for r in sys.inequalities for c in r.coeffs.values()))
 
@@ -198,16 +204,16 @@ _RATIONAL = st.builds(Fraction, st.integers(-7, 7), st.sampled_from([1, 2, 3, 4,
 
 
 class TestFmeMatchesFractionOracle:
-    """The integer-array step gives the Fraction step's rows, rhs bits, row
-    order, source sets and step count, over 1-3 chained steps."""
+    """The integer-array elimination gives the Fraction elimination's rows,
+    rhs bits and row order, pruning included, for every prefix of 1-3
+    variables."""
 
     @staticmethod
     def check_chain(sys, order):
-        mine = theirs = sys
-        for j in order:
-            var = sys.variables[j]
-            mine, theirs = fme_eliminate(mine, var), fraction_fme(theirs, var)
-            assert exact_rows(mine) == exact_rows(theirs)
+        variables = [sys.variables[j] for j in order]
+        for k in range(1, len(variables) + 1):
+            assert exact_rows(fme_eliminate(sys, *variables[:k])) == \
+                exact_rows(fraction_fme(sys, variables[:k]))
 
     @given(st.one_of(coefficient_system(_SMALL_INT), coefficient_system(_RATIONAL)), st.data())
     @settings(max_examples=150, deadline=None)
@@ -235,7 +241,25 @@ class TestFmeMatchesFractionOracle:
         out = fme_eliminate(sys, "y")
         (row,) = out.inequalities
         assert row.coeffs == {"x": big * big + 15, "z": big}  # past int64 and float64
-        assert exact_rows(out) == exact_rows(fraction_fme(sys, "y"))
+        assert exact_rows(out) == exact_rows(fraction_fme(sys, ["y"]))
+
+    def test_rows_cross_the_int64_bound_in_the_second_step(self):
+        # step 1 combines int64 rows into coefficients near 2**49, past
+        # _INT64_SAFE; step 2 multiplies two of them, past int64
+        big = 2**24 + 1
+        sys = LinearSystem(("x", "y", "z", "w"), [
+            ineq({"x": big, "y": big - 2, "z": 3}, 1.0),
+            ineq({"x": -(big + 2), "y": 5, "w": 1}, 2.0),
+            ineq({"x": 7, "y": -(big + 4), "z": -big}, 0.5),
+            ineq({"x": -3, "z": big - 6, "w": -1}, 1 / 3),
+        ])
+        once = fme_eliminate(sys, "x")
+        assert max(abs(c) for r in once.inequalities for c in r.coeffs.values()) \
+            > polytope._INT64_SAFE
+        assert all(abs(c) < 2**53 for r in once.inequalities for c in r.coeffs.values())
+        out = fme_eliminate(sys, "x", "y")
+        assert max(abs(c) for r in out.inequalities for c in r.coeffs.values()) > 2**63
+        self.check_chain(sys, [0, 1, 2])
 
     def test_wide_denominators(self):
         sys = LinearSystem(("x", "y", "z"), [

@@ -169,9 +169,9 @@ class TestRawSystem:
         # elimination with duplicate merging hands to redundancy removal
         inputs, rows_in = [], []
 
-        def record_fme(sys, var):
-            inputs.append((sys, var))
-            return fme_eliminate(sys, var)
+        def record_fme(sys, *variables):
+            inputs.append((sys, variables))
+            return fme_eliminate(sys, *variables)
 
         def record_rr(sys):
             rows_in.append(len(sys.inequalities))
@@ -182,9 +182,11 @@ class TestRawSystem:
         projected = project_raw_system(
             raw_coding_system(MiConstants(1.0, 0.9, 0.6, 0.5, 0.3)))
         assert rows_in == [rows_in[0]] and rows_in[0] <= 40
+        # one call eliminates the whole order
+        ((start, variables),) = inputs
+        assert variables == rate_regions.ELIMINATION_ORDER
         # the same region as the unpruned elimination
-        start = inputs[0][0]
-        order = [start.variables.index(var) for _, var in inputs]
+        order = [start.variables.index(var) for var in variables]
         plain = plain_fme([([r.coeffs.get(v, Fraction(0)) for v in start.variables], r.rhs)
                            for r in start.inequalities], order)
         rows = [LinearInequality({v: c for v, c in zip(start.variables, coeffs)
