@@ -88,7 +88,7 @@ def is_degraded(ch: Channel) -> ClassVerdict:
     rhs = np.stack([p2, -p2], axis=-1)
     res = linprog(c, A_ub=coeff.reshape(-1, nw + 1), b_ub=rhs.reshape(-1),
                   A_eq=a_eq, b_eq=b_eq,
-                  bounds=[(0.0, 1.0)] * nw + [(0.0, None)], method="highs")
+                  bounds=[(0.0, 1.0)] * nw + [(0.0, None)])
     if not res.success:
         raise GuardError(f"degradedness LP failed: {res.message}")
     t = float(res.x[-1])

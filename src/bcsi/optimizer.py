@@ -38,8 +38,9 @@ from .classifier import is_deterministic
 from .errors import InputError
 from .polytope import BOX_HI, RATE_VARS, RateRegion
 from .probability import Alphabet, AuxScheme, Channel, JointPmf
-from .rate_regions import (_LHS3, _LHS5, _t1_rows, _t2_rows, _t3_rows, deterministic_region,
-                           marton_region, more_capable_region, specialize_scheme)
+from .rate_regions import (_LHS3, _LHS5, _t1_rows, _t2_kernel, _t2_rows, _t3_rows,
+                           deterministic_region, marton_region, more_capable_region,
+                           specialize_scheme)
 from .simplex_search import CHUNK, in_chunks, lattice_or_sample, refine_on_simplex
 
 THEOREMS = ("t1", "t2", "t3")
@@ -158,6 +159,7 @@ class _Evaluator:
         self.weights = w
         self.k1 = ch.y1_given_x()
         self.k2 = ch.y2_given_x()
+        self.t2_kernel = _t2_kernel(self.k1, self.k2) if theorem == "t2" else None
         self.x_size = ch.x.size
         self.sizes = tuple(aux_sizes or default_aux_sizes(theorem, ch.x.size))
         self.shape = self.sizes if theorem == "t1" else (self.sizes[0], ch.x.size)
@@ -169,7 +171,9 @@ class _Evaluator:
         p(u0, u1, u2) with their maps gamma for t1, p(u, x) for t2/t3."""
         if self.theorem == "t1":
             return _t1_rows(tables, gammas, self.k1, self.k2)[0]
-        return (_t2_rows if self.theorem == "t2" else _t3_rows)(tables, self.k1, self.k2)
+        if self.theorem == "t2":
+            return _t2_rows(tables, self.t2_kernel)
+        return _t3_rows(tables, self.k1, self.k2)
 
     def value(self, tables: np.ndarray, gammas: np.ndarray | None = None) -> np.ndarray:
         return self.oracle.value(self.rows(tables, gammas))

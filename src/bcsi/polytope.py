@@ -6,9 +6,9 @@ rows in exact integer arithmetic: each row is scaled by the lcm of its
 coefficients' denominators, all pairs of one step are formed as one int64
 array, and rows too wide for int64 are combined as Python ints. Strict
 inequalities from the achievability analysis are represented closed
-throughout; regions are their closures. The LP layer is scipy's HiGHS,
-imported on the first solve; only the 1e-7 tolerance contract is normative,
-not the method.
+throughout; regions are their closures. The LP layer is HiGHS, called
+through scipy's bundled _highspy._core (linprog, imported on the first
+solve); only the 1e-7 tolerance contract is normative, not the method.
 
 Every variable lives in the rate box [0, BOX_HI]. Redundancy, containment
 and feasibility are first tried without an LP: a row holds when a sum of at
@@ -22,7 +22,7 @@ same 1e-7 tolerance wherever they succeed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from math import gcd, isfinite, lcm
 from typing import Iterable, Mapping
@@ -229,70 +229,156 @@ def fme_eliminate(sys: LinearSystem, *variables: str) -> LinearSystem:
         for row, row_rhs in zip(a.tolist(), b.tolist())])
 
 
-def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on the first solve: importing
-    scipy.optimize takes about half a second, which verbs that solve no LP
-    should not pay. It is taken from its defining module, so that a wrapper
-    put on scipy.optimize.linprog (perfbench/layers.py wraps it for the
-    simulator's LP) does not count these solves a second time."""
-    from scipy.optimize._linprog import linprog as highs_linprog
+@dataclass(frozen=True)
+class LpResult:
+    """status 0: optimal (x and fun are set), 2: infeasible, 4: anything
+    else; success is status 0."""
 
-    return highs_linprog(*args, **kwargs)
+    status: int
+    message: str
+    fun: float | None = None
+    x: np.ndarray | None = None
 
-
-def _matrix(rows, variables) -> tuple:
-    """The rows as a float coefficient matrix over the variables, and their
-    right-hand sides."""
-    var_index = {v: i for i, v in enumerate(variables)}
-    a = np.zeros((len(rows), len(variables)))
-    b = np.zeros(len(rows))
-    for i, r in enumerate(rows):
-        for v, c in r.coeffs.items():
-            a[i, var_index[v]] = float(c)
-        b[i] = r.rhs
-    return a, b
+    @property
+    def success(self) -> bool:
+        return self.status == 0
 
 
-def maximize(sys: LinearSystem, objective: Mapping[str, float]):
-    """Maximize sum(objective[v] * v) subject to the system within the box.
+@lru_cache(maxsize=None)
+def _highs_options(overrides: tuple):
+    """The HighsOptions of scipy's linprog(method="highs"): presolve on, the
+    dual simplex, no output; overrides are (name, value) pairs on top."""
+    from scipy.optimize._highspy import _core
+
+    opts = _core.HighsOptions()
+    opts.presolve = "on"
+    opts.simplex_strategy = _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    opts.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
+    opts.output_flag = opts.log_to_console = False
+    for name, value in overrides:
+        setattr(opts, name, value)
+    return opts
+
+
+def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, bounds, options=None) -> LpResult:
+    """Minimize c . x subject to A_ub x <= b_ub, A_eq x = b_eq and bounds,
+    one (lo, hi) pair per variable with None for no bound, by HiGHS through
+    scipy's bundled _highspy._core. It gets the model and options that
+    scipy.optimize.linprog(method="highs") gives it, so it returns the same
+    fun and x, without scipy's per-call input checks and option parsing.
+    options are HiGHS options (e.g. "primal_feasibility_tolerance").
+
+    The rows go to HiGHS as -inf <= A_ub x <= b_ub and b_eq <= A_eq x <=
+    b_eq, one column-compressed matrix without explicit zeros. scipy.optimize
+    is imported on the first solve: that takes about half a second, which
+    verbs that solve no LP should not pay."""
+    from scipy.optimize._highspy import _core
+
+    c = np.asarray(c, dtype=float)
+    n = len(c)
+    a_ub, a_eq = (np.empty((0, n)) if a is None else np.asarray(a, dtype=float).reshape(-1, n)
+                  for a in (A_ub, A_eq))
+    b_ub, b_eq = (np.empty(0) if b is None else np.asarray(b, dtype=float).ravel()
+                  for b in (b_ub, b_eq))
+    lo = np.array([-_core.kHighsInf if low is None else low for low, _ in bounds], dtype=float)
+    hi = np.array([_core.kHighsInf if high is None else high for _, high in bounds], dtype=float)
+    a = np.vstack([a_ub, a_eq])
+    if not all(np.isfinite(v).all() for v in (c, a, b_ub, b_eq)) or np.isnan([lo, hi]).any():
+        raise InputError("LP data must be finite")
+    cols, rows = np.nonzero(a.T)  # column-major: each column's rows in order
+    lp = _core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(a)
+    lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
+    lp.col_cost_ = c
+    lp.col_lower_ = lo
+    lp.col_upper_ = hi
+    lp.row_lower_ = np.concatenate([np.full(len(b_ub), -_core.kHighsInf), b_eq])
+    lp.row_upper_ = np.concatenate([b_ub, b_eq])
+    lp.a_matrix_.start_ = np.searchsorted(cols, np.arange(n + 1)).astype(np.int32)
+    lp.a_matrix_.index_ = rows.astype(np.int32)
+    lp.a_matrix_.value_ = a[rows, cols]
+    highs = _core._Highs()
+    highs.passOptions(_highs_options(tuple(sorted((options or {}).items()))))
+    highs.passModel(lp)
+    highs.run()
+    model = highs.getModelStatus()
+    status = {_core.HighsModelStatus.kOptimal: 0, _core.HighsModelStatus.kInfeasible: 2}.get(model, 4)
+    if status != 0:
+        return LpResult(status, highs.modelStatusToString(model))
+    return LpResult(0, highs.modelStatusToString(model), highs.getInfo().objective_function_value,
+                    np.array(highs.getSolution().col_value))
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """A system's rows as floats, a x <= b over its variables: the form that
+    every LP and LP-free proof reads, built once per call that needs it.
+    rows[mask] is the subsystem of the masked rows."""
+
+    variables: tuple
+    a: np.ndarray
+    b: np.ndarray
+
+    @classmethod
+    def of(cls, sys) -> "_Rows":
+        """The float rows of a LinearSystem; float rows come back as they are."""
+        if isinstance(sys, _Rows):
+            return sys
+        index = {v: i for i, v in enumerate(sys.variables)}
+        a = np.zeros((len(sys.inequalities), len(index)))
+        for i, r in enumerate(sys.inequalities):
+            for v, c in r.coeffs.items():
+                a[i, index[v]] = float(c)
+        return cls(sys.variables, a, np.array([r.rhs for r in sys.inequalities], dtype=float))
+
+    def __getitem__(self, mask) -> "_Rows":
+        return _Rows(self.variables, self.a[mask], self.b[mask])
+
+
+def maximize(sys, objective: Mapping[str, float]):
+    """Maximize sum(objective[v] * v) subject to the system (a LinearSystem
+    or its _Rows) within the box.
 
     Returns (status, value, point) with status one of "optimal" or
     "infeasible". The box bounds every variable, so unbounded cannot occur.
+    A row with no coefficient is left out of the LP, and one with rhs below
+    -1e-9 makes the system infeasible.
     """
-    rows = [r for r in sys.inequalities if not r.is_vacuous()]
-    for r in sys.inequalities:
-        if r.is_vacuous() and r.rhs < -MEMBER_TOL:
-            return "infeasible", None, None
-    a_ub, b_ub = _matrix(rows, sys.variables)
-    c = np.zeros(len(sys.variables))
+    rows = _Rows.of(sys)
+    vacuous = ~rows.a.any(axis=1)
+    if (rows.b[vacuous] < -MEMBER_TOL).any():
+        return "infeasible", None, None
+    rows = rows[~vacuous]
+    c = np.zeros(len(rows.variables))
     for v, w in objective.items():
-        c[sys.variables.index(v)] = -float(w)
-    res = linprog(c, A_ub=a_ub if len(rows) else None, b_ub=b_ub if len(rows) else None,
-                  bounds=[(0.0, BOX_HI)] * len(sys.variables), method="highs")
+        c[rows.variables.index(v)] = -float(w)
+    res = linprog(c, A_ub=rows.a, b_ub=rows.b, bounds=[(0.0, BOX_HI)] * len(c))
     if res.status == 2:
         return "infeasible", None, None
     if not res.success:
         raise GuardError(f"LP solver failed: {res.message}")
-    return "optimal", float(-res.fun), np.asarray(res.x)
+    return "optimal", float(-res.fun), res.x
 
 
-def is_feasible(sys: LinearSystem) -> bool:
-    """Decided without an LP when the origin satisfies every row (True) or
+def is_feasible(sys) -> bool:
+    """Whether the system (a LinearSystem or its _Rows) has a point in the
+    box. Decided without an LP when the origin satisfies every row (True) or
     some row's minimum over the box exceeds its rhs by more than 1e-7
     (False: the LP's tolerance cannot absorb that)."""
-    a, b = _matrix(sys.inequalities, sys.variables)
-    if (b >= 0).all():
+    rows = _Rows.of(sys)
+    if (rows.b >= 0).all():
         return True
-    if (BOX_HI * np.minimum(a, 0.0).sum(axis=1) > b + REDUNDANCY_TOL).any():
+    if (BOX_HI * np.minimum(rows.a, 0.0).sum(axis=1) > rows.b + REDUNDANCY_TOL).any():
         return False
-    status, _, _ = maximize(sys, {})
+    status, _, _ = maximize(rows, {})
     return status == "optimal"
 
 
-def _lp_holds(sys: LinearSystem, row: LinearInequality) -> bool:
+def _lp_holds(rows: _Rows, row: LinearInequality) -> bool:
     """The LP decision: row's left side cannot exceed its rhs + 1e-7 over
-    the system within the box (and the system is feasible)."""
-    status, value, _ = maximize(sys, {v: float(c) for v, c in row.coeffs.items()})
+    the rows within the box (and the rows are feasible)."""
+    status, value, _ = maximize(rows, {v: float(c) for v, c in row.coeffs.items()})
     return status == "optimal" and value <= row.rhs + REDUNDANCY_TOL
 
 
@@ -310,23 +396,22 @@ class _RowSums:
 
     PAIR_CAP = 1 << 14
 
-    def __init__(self, rows, variables):
-        self.variables = variables
-        n = len(rows)
+    def __init__(self, rows: _Rows):
+        n = len(rows.b)
         i, j = np.triu_indices(n, 1) if n * (n - 1) // 2 <= self.PAIR_CAP else ((), ())
         # sum k adds rows first[k] and second[k]; row n is zero and always usable
         self.first = np.concatenate([[n], np.arange(n), i]).astype(int)
         self.second = np.concatenate([[n], np.full(n, n), j]).astype(int)
-        a, b = _matrix(rows, variables)
-        a, b = np.vstack([a, np.zeros(len(variables))]), np.append(b, 0.0)
+        a = np.vstack([rows.a, np.zeros(len(rows.variables))])
+        b = np.append(rows.b, 0.0)
         self.coeffs = a[self.first] + a[self.second]
         self.rhs = b[self.first] + b[self.second]
 
-    def holds(self, row: LinearInequality, usable=None) -> bool:
+    def holds(self, coeffs: np.ndarray, rhs: float, usable=None) -> bool:
         """True if some sum of usable rows (a bool mask, default all) proves
-        row. False means only that no such sum does."""
-        d = _matrix([row], self.variables)[0][0] - self.coeffs
-        proved = self.rhs + BOX_HI * np.maximum(d, 0.0).sum(axis=1) <= row.rhs
+        the row coeffs . x <= rhs. False means only that no such sum does."""
+        d = coeffs - self.coeffs
+        proved = self.rhs + BOX_HI * np.maximum(d, 0.0).sum(axis=1) <= rhs
         if usable is not None:
             ok = np.append(usable, True)
             proved &= ok[self.first] & ok[self.second]
@@ -353,16 +438,15 @@ def remove_redundant(sys: LinearSystem) -> LinearSystem:
             continue  # vacuously true
         rows.append(r)
     rows = _dedup(rows)
-    if not is_feasible(LinearSystem(sys.variables, rows)):
+    floats = _Rows.of(LinearSystem(sys.variables, rows))
+    if not is_feasible(floats):
         return _empty_system(sys.variables)
-    sums = _RowSums(rows, sys.variables)
+    sums = _RowSums(floats)
     kept = np.ones(len(rows), dtype=bool)
     for i, candidate in enumerate(rows):
         kept[i] = False
-        if sums.holds(candidate, kept):
-            continue
-        rest = [r for r, k in zip(rows, kept) if k]
-        kept[i] = not _lp_holds(LinearSystem(sys.variables, rest), candidate)
+        if not sums.holds(floats.a[i], floats.b[i], kept):
+            kept[i] = not _lp_holds(floats[kept], candidate)
     return LinearSystem(sys.variables, [r for r, k in zip(rows, kept) if k])
 
 
@@ -422,14 +506,14 @@ def _rows_hold(a: RateRegion, b: RateRegion) -> bool:
     """True iff every row of b holds over a (1e-7 LP tolerance); both regions
     must be feasible. A row that a sum of at most two canonical rows of a
     proves needs no LP."""
-    sums = _RowSums([r.canonical() for r in a.system.inequalities if not r.is_vacuous()],
-                    a.system.variables)
-    for ineq in b.system.inequalities:
-        if ineq.is_vacuous() or sums.holds(ineq.canonical()):
-            continue
-        if not _lp_holds(a.system, ineq):
-            return False
-    return True
+    variables = a.system.variables
+    canonical = [r.canonical() for r in a.system.inequalities if not r.is_vacuous()]
+    sums = _RowSums(_Rows.of(LinearSystem(variables, canonical)))
+    rows = [r for r in b.system.inequalities if not r.is_vacuous()]
+    targets = _Rows.of(LinearSystem(variables, [r.canonical() for r in rows]))
+    floats = _Rows.of(a.system)
+    return all(sums.holds(coeffs, rhs) or _lp_holds(floats, row)
+               for row, coeffs, rhs in zip(rows, targets.a, targets.b))
 
 
 def region_subset(a: RateRegion, b: RateRegion) -> bool:

@@ -165,18 +165,41 @@ def _t1_rows(aux: np.ndarray, gamma: np.ndarray, k1: np.ndarray, k2: np.ndarray)
     return _marton_rhs(big1, big2, b1, b2, a_c), np.stack([big1, b1, big2, b2], axis=-1)
 
 
-def _t2_rows(p_ux: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
+def _t2_kernel(k1: np.ndarray, k2: np.ndarray) -> tuple:
+    """The stacked kernel [k1 | k2 | k1 (x) k2] (|X|, n1 + n2 + n1 n2) that
+    takes p(u, x) to p(u, y1), p(u, y2) and p(u, y1, y2) in one contraction,
+    with n1 and n2."""
+    n1, n2 = k1.shape[1], k2.shape[1]
+    pair = np.einsum("xa,xb->xab", k1, k2).reshape(len(k1), n1 * n2)
+    return np.concatenate([k1, k2, pair], axis=1), n1, n2
+
+
+def _t2_rows(p_ux: np.ndarray, kernel: tuple) -> np.ndarray:
     """Deterministic-channel formula right-hand sides (..., 5) (_LHS5) from
-    p(u, x) tables (..., |U|, |X|)."""
-    p_uy1 = np.einsum("...ux,xy->...uy", p_ux, k1)
-    p_uy2 = np.einsum("...ux,xy->...uy", p_ux, k2)
-    h_y1 = _entropy_rows(np.einsum("...uy->...y", p_uy1), 1)
-    h_y2 = _entropy_rows(np.einsum("...uy->...y", p_uy2), 1)
-    h_uy1 = _entropy_rows(p_uy1, 2)
-    h_uy1y2 = _entropy_rows(np.einsum("...ux,xa,xb->...uab", p_ux, k1, k2), 3)
+    p(u, x) tables (..., |U|, |X|) and the channel's _t2_kernel.
+
+    One contraction gives p(u, y1), p(u, y2) and p(u, y1, y2); with p(y1),
+    p(y2) and p(u) they fill one buffer, which takes one m log2 m pass. Each
+    entropy is then the sum of its segment, in the order and length that
+    _entropy_rows would sum it."""
+    stacked, n1, n2 = kernel
+    lead, u = p_ux.shape[:-2], p_ux.shape[-2]
+    joint = u * stacked.shape[1]
+    p_uy = np.einsum("...ux,xk->...uk", p_ux, stacked)
+    p_y = np.einsum("...uy->...y", p_uy[..., :n1 + n2])
+    m = np.concatenate([p_uy.reshape(lead + (-1,)), p_y, np.add.reduce(p_ux, axis=-1)], axis=-1)
+    terms = m * np.log2(np.where(m > 0.0, m, 1.0))
+    by_u = terms[..., :joint].reshape(lead + (u, -1))
+    tail = terms[..., joint:]
+
+    def h(part):
+        return 0.0 - np.add.reduce(part.reshape(lead + (-1,)), axis=-1)
+
+    h_uy1, h_uy2, h_uy1y2 = h(by_u[..., :n1]), h(by_u[..., n1:n1 + n2]), h(by_u[..., n1 + n2:])
+    h_y1, h_y2, h_u = h(tail[..., :n1]), h(tail[..., n1:n1 + n2]), h(tail[..., n1 + n2:])
     h_y2_g = h_uy1y2 - h_uy1
-    h_y1_g = h_uy1y2 - _entropy_rows(p_uy2, 2)
-    i_uy1 = np.maximum(_entropy_rows(p_ux.sum(axis=-1), 1) + h_y1 - h_uy1, 0.0)
+    h_y1_g = h_uy1y2 - h_uy2
+    i_uy1 = np.maximum(h_u + h_y1 - h_uy1, 0.0)
     return np.stack([h_y1, h_y2, h_y1 + h_y2_g, h_y2 + h_y1_g, i_uy1 + h_y2 + h_y1_g],
                     axis=-1)
 
@@ -249,7 +272,7 @@ def deterministic_region(p_ux: JointPmf, ch: Channel) -> RateRegion:
     verdict = is_deterministic(ch)
     if not verdict.holds:
         raise InputError("channel is not deterministic")
-    rows = _t2_rows(_ux_float(p_ux, ch), ch.y1_given_x(), ch.y2_given_x())
+    rows = _t2_rows(_ux_float(p_ux, ch), _t2_kernel(ch.y1_given_x(), ch.y2_given_x()))
     return RateRegion(_system(_LHS5, rows), provenance={"kind": "t2"})
 
 

@@ -901,7 +901,7 @@ def plan_split_rates(consts: MiConstants, r1: float, r2: float, r3: float,
     Returns (SplitRates, slack); negative slack means the operating point
     sits outside the region at these constants.
     """
-    from scipy.optimize import linprog
+    from .polytope import linprog  # looked up per call, where a tracer may have wrapped it
 
     fixed = {"R1": r1, "R21": r2 * 0.5, "R22": r2 * 0.5, "R31": r3 * 0.5,
              "R32": r3 * 0.5, "R4": r4, "R5": r5}
@@ -914,7 +914,7 @@ def plan_split_rates(consts: MiConstants, r1: float, r2: float, r3: float,
     # HiGHS accepts a row broken by up to 1e-7 by default, which would shift
     # the slack by as much near a degenerate point; hold it to its tightest
     res = linprog(np.array([0.0, 0.0, -1.0]), A_ub=a_ub, b_ub=b_ub,
-                  bounds=[(0.0, None), (0.0, None), (None, None)], method="highs",
+                  bounds=[(0.0, None), (0.0, None), (None, None)],
                   options={"primal_feasibility_tolerance": 1e-10,
                            "dual_feasibility_tolerance": 1e-10})
     if not res.success:

@@ -634,3 +634,22 @@ def plain_enumerated_map(aux, x_size, score_maps):
         if (row[-2], row[-1]) > (scored[best, -2], scored[best, -1]):
             best = i
     return float(scored[best, -2]), maps[best], scored[best, :-2]
+
+
+def plain_t2_rows(p_ux, k1, k2):
+    """The deterministic-channel right-hand sides (..., 5) by one einsum per
+    joint and one _entropy_rows call per entropy: p(u, y1), p(u, y2) and
+    p(u, y1, y2) each contracted from p(u, x) on its own."""
+    from bcsi.info_measures import _entropy_rows
+
+    p_uy1 = np.einsum("...ux,xy->...uy", p_ux, k1)
+    p_uy2 = np.einsum("...ux,xy->...uy", p_ux, k2)
+    h_y1 = _entropy_rows(np.einsum("...uy->...y", p_uy1), 1)
+    h_y2 = _entropy_rows(np.einsum("...uy->...y", p_uy2), 1)
+    h_uy1 = _entropy_rows(p_uy1, 2)
+    h_uy1y2 = _entropy_rows(np.einsum("...ux,xa,xb->...uab", p_ux, k1, k2), 3)
+    h_y2_g = h_uy1y2 - h_uy1
+    h_y1_g = h_uy1y2 - _entropy_rows(p_uy2, 2)
+    i_uy1 = np.maximum(_entropy_rows(p_ux.sum(axis=-1), 1) + h_y1 - h_uy1, 0.0)
+    return np.stack([h_y1, h_y2, h_y1 + h_y2_g, h_y2 + h_y1_g, i_uy1 + h_y2 + h_y1_g],
+                    axis=-1)

@@ -1,12 +1,16 @@
+import importlib
 import json
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcsi import cli, polytope
+from bcsi import classifier, cli, polytope
 from bcsi.errors import GuardError, InputError
 from bcsi.polytope import (LinearInequality, LinearSystem, RATE_VARS, RateRegion,
                            fme_eliminate, is_feasible, maximize, regions_equal,
@@ -451,10 +455,12 @@ class TestLpFreeProofs:
         rows = [r.canonical() for r in system.inequalities]
         usable = np.array(data.draw(st.lists(st.booleans(), min_size=len(rows),
                                              max_size=len(rows))))
-        sums = polytope._RowSums(rows, system.variables)
+        sums = polytope._RowSums(polytope._Rows.of(LinearSystem(system.variables, rows)))
         live = LinearSystem(system.variables, [r for r, u in zip(rows, usable) if u])
-        for target in rows + [ineq({v: 1}, 2.5) for v in system.variables]:
-            if not sums.holds(target, usable):
+        targets = rows + [ineq({v: 1}, 2.5) for v in system.variables]
+        floats = polytope._Rows.of(LinearSystem(system.variables, targets))
+        for target, coeffs, rhs in zip(targets, floats.a, floats.b):
+            if not sums.holds(coeffs, rhs, usable):
                 continue
             status, value, _ = maximize(live, {v: float(c) for v, c in target.coeffs.items()})
             assert status == "infeasible" or value <= target.rhs + polytope.REDUNDANCY_TOL
@@ -469,8 +475,9 @@ class TestLpFreeProofs:
         # decides (5e-7 is above its 1e-7 tolerance)
         loose = rate_region([ineq({"R1": 1}, 1.0 + 5e-7)])
         tight = rate_region([ineq({"R1": 1}, 1.0)])
-        assert not polytope._RowSums(loose.system.inequalities, RATE_VARS).holds(
-            tight.system.inequalities[0])
+        target = polytope._Rows.of(tight.system)
+        assert not polytope._RowSums(polytope._Rows.of(loose.system)).holds(
+            target.a[0], target.b[0])
         assert not region_subset(loose, tight)
         assert region_subset(tight, loose)
 
@@ -677,3 +684,106 @@ class TestMaximize:
         sys = LinearSystem(("x",), [ineq({"x": 1}, -1.0)])
         status, _, _ = maximize(sys, {"x": 1.0})
         assert status == "infeasible"
+
+
+@st.composite
+def random_lp(draw):
+    """linprog's arguments for an LP over 1-9 variables with 0-30 rows
+    A_ub x <= b_ub and 0-3 rows A_eq x = b_eq: coefficients of a few digits,
+    some rows all zero, some columns with no upper bound. The rows pass
+    near a point of the unit box, in half of the LPs all with room to
+    spare; now and then a row sits next to its negation with no room
+    between them."""
+    n = draw(st.integers(1, 9))
+    value = st.floats(-4.0, 4.0).map(lambda v: round(v, 3))
+    point = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+
+    def block(rows, room):
+        a = np.array(draw(st.lists(value, min_size=rows * n, max_size=rows * n)),
+                     dtype=float).reshape(rows, n)
+        zero = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+        a[np.array(zero, dtype=bool)] = 0.0
+        extra = draw(st.lists(room, min_size=rows, max_size=rows))
+        return a, np.round(a @ point + np.array(extra, dtype=float), 3)
+
+    a_ub, b_ub = block(draw(st.integers(0, 30)),
+                       st.floats(-0.5 if draw(st.booleans()) else 0.0, 3.0))
+    if len(a_ub) and draw(st.booleans()):
+        i = draw(st.integers(0, len(a_ub) - 1))
+        a_ub = np.vstack([a_ub, -a_ub[i]])
+        b_ub = np.append(b_ub, -b_ub[i] - draw(st.sampled_from([0.0, 0.5])))
+    a_eq, b_eq = block(draw(st.integers(0, 3)), st.just(0.0))
+    c = np.array(draw(st.lists(value, min_size=n, max_size=n)), dtype=float)
+    upper = draw(st.lists(st.sampled_from([None, 1.0, 4.0, polytope.BOX_HI]),
+                          min_size=n, max_size=n))
+    return dict(c=c, A_ub=a_ub if len(a_ub) else None, b_ub=b_ub if len(a_ub) else None,
+                A_eq=a_eq if len(a_eq) else None, b_eq=b_eq if len(a_eq) else None,
+                bounds=[(0.0, hi) for hi in upper])
+
+
+def status_class(status):
+    return {0: "optimal", 2: "infeasible"}.get(status, "other")
+
+
+class TestLinprog:
+    """polytope.linprog hands HiGHS the model and options that
+    scipy.optimize.linprog(method="highs") does, so both solve alike."""
+
+    @given(random_lp(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scipy_linprog_bitwise(self, lp, tight):
+        options = ({"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+                   if tight else None)
+        ours = polytope.linprog(**lp, options=options)
+        theirs = scipy.optimize.linprog(**lp, method="highs", options=options)
+        assert status_class(ours.status) == status_class(theirs.status)
+        assert ours.success == theirs.success
+        if ours.success:
+            assert np.float64(ours.fun).tobytes() == np.float64(theirs.fun).tobytes()
+            assert ours.x.tobytes() == np.asarray(theirs.x, dtype=float).tobytes()
+
+    def test_feasibility_tolerances_reach_highs(self):
+        """x <= -5e-8 with x >= 0 is within HiGHS's default 1e-7 tolerance,
+        but infeasible at the bin-rate planner's 1e-10."""
+        lp = dict(c=np.array([1.0]), A_ub=np.array([[1.0]]), b_ub=np.array([-5e-8]),
+                  bounds=[(0.0, None)])
+        assert polytope.linprog(**lp).status == 0
+        tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+        assert polytope.linprog(**lp, options=tight).status == 2
+        assert scipy.optimize.linprog(**lp, method="highs", options=tight).status == 2
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["c", "A_ub", "b_ub", "A_eq", "b_eq"])
+    def test_a_nan_or_inf_coefficient_is_an_input_error(self, where, bad):
+        lp = dict(c=np.array([-1.0, -1.0]), A_ub=np.array([[1.0, 2.0]]), b_ub=np.array([4.0]),
+                  A_eq=np.array([[1.0, -1.0]]), b_eq=np.array([0.0]))
+        lp[where] = lp[where].copy()
+        lp[where].flat[0] = bad
+        with pytest.raises(InputError):
+            polytope.linprog(**lp, bounds=[(0.0, None)] * 2)
+
+    def test_a_nan_bound_is_an_input_error_and_inf_is_no_bound(self):
+        with pytest.raises(InputError):
+            polytope.linprog(np.array([1.0]), bounds=[(math.nan, None)])
+        res = polytope.linprog(np.array([1.0]), bounds=[(-1.0, math.inf)])
+        assert res.success and res.fun == -1.0
+
+    def test_a_nan_rhs_reaching_maximize_is_an_input_error(self):
+        sys = LinearSystem(("x", "y"), [ineq({"x": 1, "y": 1}, math.nan)])
+        with pytest.raises(InputError):
+            maximize(sys, {"x": 1.0})
+
+    def test_an_analyze_round_solves_58_lps_at_seed_3(self, monkeypatch, tmp_path):
+        """Each LP is cheaper, not skipped: the benchmark's analyze job list
+        at seed 3 makes as many solves as with scipy's wrapper."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        workloads, worker = (importlib.import_module(m) for m in ("workloads", "worker"))
+        plan = workloads.build("analyze", 3, str(tmp_path / "in"))
+        solves = []
+        for module in (polytope, classifier):
+            solve = module.linprog
+            monkeypatch.setattr(module, "linprog",
+                                lambda *a, solve=solve, **k: solves.append(1) or solve(*a, **k))
+        codes = worker.run_round(cli, plan["jobs"], str(tmp_path / "out"))
+        assert set(codes.values()) == {0}
+        assert len(solves) == 58

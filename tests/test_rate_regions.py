@@ -13,13 +13,13 @@ from bcsi.probability import (Alphabet, AuxScheme, JointPmf, Pmf,
                               binary_symmetric_pair, blackwell_channel,
                               deterministic_channel, induced_joint,
                               noiseless_channel)
-from bcsi.rate_regions import (MiConstants, SplitRates, _t1_rows, _t2_rows, _t3_rows,
-                               deterministic_region, marton_region, mi_constants,
+from bcsi.rate_regions import (MiConstants, SplitRates, _t1_rows, _t2_kernel, _t2_rows,
+                               _t3_rows, deterministic_region, marton_region, mi_constants,
                                more_capable_region, project_raw_system,
                                raw_coding_system, specialize_scheme)
 from conftest import random_channel, random_joint, random_scheme
 from oracles import (binary_entropy, brute_cmi, brute_group_entropy, brute_mi, contains,
-                     fix_variables, plain_fme, row_value)
+                     fix_variables, plain_fme, plain_t2_rows, row_value)
 
 
 def key_of(coeffs):
@@ -372,8 +372,38 @@ class TestTheoremRows:
             i_u_y1 = h(0) + h(2) - h(0, 2)
             expect = [h(2), h(3), h(2) + h_y2_given_uy1, h(3) + h_y1_given_uy2,
                       i_u_y1 + h(3) + h_y1_given_uy2]
-            np.testing.assert_allclose(_t2_rows(p_ux, ch.y1_given_x(), ch.y2_given_x()),
-                                       expect, rtol=0.0, atol=1e-12)
+            kernel = _t2_kernel(ch.y1_given_x(), ch.y2_given_x())
+            np.testing.assert_allclose(_t2_rows(p_ux, kernel), expect, rtol=0.0, atol=1e-12)
+
+    @staticmethod
+    def _sparse_ux(rng, b, u, x):
+        """b tables p(u, x), about a third of the cells zero."""
+        p_ux = rng.random((b, u, x)) * (rng.random((b, u, x)) > 0.35)
+        p_ux[:, 0, 0] += 1e-3  # no all-zero table
+        return p_ux / p_ux.sum(axis=(1, 2), keepdims=True)
+
+    def test_t2_rows_match_the_per_entropy_oracle(self, rng):
+        """One contraction and one log pass give the rows of one einsum and
+        one entropy call per term, within 1e-12, on random deterministic
+        channels; einsum may add in another order where an output alphabet
+        has a single symbol, so the last bits can move there."""
+        for _ in range(500):
+            x = int(rng.integers(2, 9))
+            m1, m2 = (int(v) for v in rng.integers(1, 5, size=2))
+            ch = deterministic_channel(rng.integers(0, m1, size=x).tolist(),
+                                       rng.integers(0, m2, size=x).tolist(), m1, m2)
+            k1, k2 = ch.y1_given_x(), ch.y2_given_x()
+            p_ux = self._sparse_ux(rng, int(rng.integers(1, 6)), int(rng.integers(1, 7)), x)
+            np.testing.assert_allclose(_t2_rows(p_ux, _t2_kernel(k1, k2)),
+                                       plain_t2_rows(p_ux, k1, k2), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("ch", [blackwell_channel(), noiseless_channel(2)],
+                             ids=["blackwell", "noiseless2"])
+    def test_t2_rows_equal_the_oracle_bitwise_on_the_benchmark_channels(self, rng, ch):
+        k1, k2 = ch.y1_given_x(), ch.y2_given_x()
+        for u in range(1, 10):
+            p_ux = self._sparse_ux(rng, 50, u, ch.x.size)
+            assert np.array_equal(_t2_rows(p_ux, _t2_kernel(k1, k2)), plain_t2_rows(p_ux, k1, k2))
 
     def test_t3_rows_match_brute_entropies(self, rng):
         for _ in range(30):
@@ -404,7 +434,8 @@ class TestTheoremRows:
             u = int(rng.integers(1, 5))
             p_ux = rng.random((b, u, x)) * (rng.random((b, u, x)) > 0.3) + 1e-3
             p_ux /= p_ux.sum(axis=(1, 2), keepdims=True)
-            r2, r3 = _t2_rows(p_ux, k1, k2), _t3_rows(p_ux, k1, k2)
+            kernel = _t2_kernel(k1, k2)
+            r2, r3 = _t2_rows(p_ux, kernel), _t3_rows(p_ux, k1, k2)
             assert rhs.shape == (b, 5) and key.shape == (b, 4)
             assert r2.shape == (b, 5) and r3.shape == (b, 3)
             for i in range(b):
@@ -412,7 +443,7 @@ class TestTheoremRows:
                 assert np.array_equal(rhs[i], one_rhs) and np.array_equal(key[i], one_key)
                 one_rhs, one_key = _t1_rows(aux[0], gamma[i], k1, k2)
                 assert np.array_equal(rhs0[i], one_rhs) and np.array_equal(key0[i], one_key)
-                assert np.array_equal(r2[i], _t2_rows(p_ux[i], k1, k2))
+                assert np.array_equal(r2[i], _t2_rows(p_ux[i], kernel))
                 assert np.array_equal(r3[i], _t3_rows(p_ux[i], k1, k2))
 
 

@@ -5,7 +5,7 @@ from oracles import plain_choice_loop, plain_lattice_points, plain_refine
 
 from bcsi.optimizer import _LHS5, _SupportOracle
 from bcsi.probability import blackwell_channel
-from bcsi.rate_regions import _t2_rows
+from bcsi.rate_regions import _t2_kernel, _t2_rows
 from bcsi.simplex_search import (GRID_POINTS, GRID_STAGES, _replay_choice, _from_bars,
                                  grid_max_1d, lattice_count, lattice_points,
                                  refine_on_simplex, sample_lattice)
@@ -172,12 +172,12 @@ class TestLockstepRefiner:
 
     def test_matches_plain_refiner_on_t2_values(self, rng):
         ch = blackwell_channel()
-        k1, k2 = ch.y1_given_x(), ch.y2_given_x()
+        kernel = _t2_kernel(ch.y1_given_x(), ch.y2_given_x())
         for _ in range(3):
             oracle = _SupportOracle(_LHS5, rng.random(5))
 
             def objective(points, which):
-                return oracle.value(_t2_rows(points.reshape(-1, 3, 3), k1, k2))
+                return oracle.value(_t2_rows(points.reshape(-1, 3, 3), kernel))
 
             self._check(objective, _starts(rng, 4, 9), 120)
 

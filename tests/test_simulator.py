@@ -4,11 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcsi import simulator
+from bcsi import polytope, simulator
 from bcsi.errors import GuardError, InputError
 from bcsi.probability import (Alphabet, AuxScheme, Channel, JointPmf, Pmf,
                               binary_symmetric_pair, noiseless_channel)
@@ -996,14 +995,14 @@ class TestPlanSplitRates:
         """The rows read from raw_coding_system give linprog the bytes of
         the coding conditions written out by hand."""
         seen = []
-        linprog = scipy.optimize.linprog
+        linprog = polytope.linprog
 
         def recorded(*args, **kwargs):
             seen.append((kwargs["A_ub"], kwargs["b_ub"]))
             return linprog(*args, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scipy.optimize, "linprog", recorded)
+            mp.setattr(polytope, "linprog", recorded)
             plan_split_rates(consts, *point)
         (a_ub, b_ub), = seen
         a_hand, b_hand = hand_written_bin_rate_lp(consts, *point)
