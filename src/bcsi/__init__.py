@@ -20,8 +20,8 @@ from .rate_regions import (MiConstants, SplitRates, deterministic_region,
 from .classifier import (ClassVerdict, classify_all, is_degraded,
                          is_deterministic, is_less_noisy_grid,
                          is_more_capable_grid)
-from .optimizer import (SearchConfig, SearchResult, evaluate_weighted_rate,
-                        maximize_weighted_rate, region_for, union_slice_2d)
+from .optimizer import (SearchConfig, SearchResult, maximize_weighted_rate,
+                        region_for, union_slice_2d)
 from .simulator import (Codebooks, CoderTables, SchemeConfig, SimReport,
                         decode_rx1, decode_rx2, encode, estimate_error,
                         generate_codebooks, plan_split_rates)

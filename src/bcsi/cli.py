@@ -193,9 +193,9 @@ def cmd_slice(args) -> int:
     points, schemes = union_slice_2d(ch, free, fixed, args.theorem, _search_config(args),
                                      directions=args.directions)
     lines = [f"angle_deg,{free[0]},{free[1]},scheme_id"]
-    for p in points:  # + 0.0: never a -0, as in the JSON output
-        lines.append(f"{p['angle_deg'] + 0.0:.12g},{p[free[0]] + 0.0:.12g},"
-                     f"{p[free[1]] + 0.0:.12g},{p['scheme_id']}")
+    for p in points:
+        lines.append(f"{p['angle_deg']:.12g},{p[free[0]]:.12g},{p[free[1]]:.12g},"
+                     f"{p['scheme_id']}")
     _write("\n".join(lines) + "\n", args.out)
     if args.out is not None and args.out != "-":
         emit([_scheme_jsonable(s) for s in schemes], args.out + ".schemes.json")
@@ -213,7 +213,7 @@ def cmd_simulate(args) -> int:
     for whole, parts in (("R2", ("R21", "R22")), ("R3", ("R31", "R32"))):
         if whole in rates and any(k in rates for k in parts):
             raise InputError(f"give {whole} or its parts {'/'.join(parts)}, not both")
-    consts = mi_constants(scheme, ch)
+    scheme.check_against(ch)  # a gamma outside X is exit 1 ahead of any guard
     if any(k in rates for k in ("R21", "R22", "R31", "R32", "Rp1", "Rp2")):
         split = SplitRates(
             r1=rates.get("R1", 0.0),
@@ -226,7 +226,7 @@ def cmd_simulate(args) -> int:
         slack = None
     else:
         split, slack = plan_split_rates(
-            consts, rates.get("R1", 0.0), rates.get("R2", 0.0),
+            mi_constants(scheme, ch), rates.get("R1", 0.0), rates.get("R2", 0.0),
             rates.get("R3", 0.0), rates.get("R4", 0.0), rates.get("R5", 0.0))
         if slack < 0:
             sys.stderr.write(f"warning: operating point outside the region "

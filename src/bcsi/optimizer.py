@@ -320,27 +320,12 @@ def region_for(ch: Channel, theorem: str, scheme: AuxScheme | None = None,
     raise InputError(f"unknown theorem {theorem!r}")
 
 
-def evaluate_weighted_rate(ch: Channel, theorem: str, weights,
-                           scheme: AuxScheme | None = None,
-                           p_ux: JointPmf | None = None) -> float:
-    """Support value max w . R of one candidate's region; the optimizer's
-    objective, exposed so reported optima can be re-checked from scratch."""
-    ev = _Evaluator(ch, theorem, weights)
-    if theorem == "t1":
-        if scheme is None:
-            raise InputError("t1 evaluation needs an auxiliary scheme")
-        return float(ev.value(scheme.aux_joint.mass, scheme.gamma))
-    if p_ux is None:
-        raise InputError(f"{theorem} evaluation needs a p(u, x) joint")
-    return float(ev.value(p_ux.mass))
-
-
 def maximize_weighted_rate(ch: Channel, weights, theorem: str,
                            cfg: SearchConfig | None = None) -> SearchResult:
     """Best weighted rate over the searched union, with the argmax scheme.
 
-    Deterministic given cfg.seed. The value is exactly what
-    evaluate_weighted_rate returns for the reported candidate.
+    Deterministic given cfg.seed. The value is the support value of the
+    reported candidate's region.
     """
     cfg = cfg or SearchConfig()
     ev = _Evaluator(ch, theorem, weights, cfg.aux_sizes)
@@ -461,10 +446,11 @@ def union_slice_2d(ch: Channel, free, fixed: dict, theorem: str,
     for k in range(directions):
         if best_id[k] < 0:
             continue
+        rate_a, rate_b = (best_pt[k] + 0.0).tolist()  # + 0.0: never a -0
         out.append({
             "angle_deg": float(angles[k]),
-            free[0]: float(best_pt[k, 0]),
-            free[1]: float(best_pt[k, 1]),
+            free[0]: rate_a,
+            free[1]: rate_b,
             "scheme_id": int(best_id[k]),
         })
     used = sorted({p["scheme_id"] for p in out})

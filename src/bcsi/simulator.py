@@ -25,14 +25,14 @@ The encoder and both decoders have one calling form: a batch of trials
 required CoderTables built once per scheme and channel. One slack eps sets
 the decoders' packing tests; the encoder covers within eps / 2.
 
-Per-trial randomness comes from counter-style derived generators: trial t
-draws from the stream of default_rng((seed, 0, t)), so reports are
-bit-identical given the config. Those generators are not built one by one:
-their seeding (SeedSequence's fixed hash, then PCG64's two LCG steps) runs
-vectorized over many trials, and one generator takes each trial's state in
-turn. Trials run in blocks: every trial of a block makes its draws first,
-then the codebook mapping, the encoder, the channel and both decoders each
-run once over the whole block.
+All of a run's randomness comes from one stream, default_rng((seed, 0)):
+trial after trial, each trial draws its books (fresh books only), then its
+messages, then its channel symbols, so reports are bit-identical given the
+config and a run of T trials is the prefix of any longer run. Fixed books
+come from the separate stream default_rng((seed, 1)). Trials run in blocks:
+every trial of a block makes its draws first, then the codebook mapping,
+the encoder, the channel and both decoders each run once over the whole
+block; the block size changes no draw.
 
 Each symbol takes only the random bits its law needs. A drawn table (p(u0),
 p(u1 | u0), p(u2 | u0), or the channel's rows) has one width b: the smallest
@@ -63,7 +63,6 @@ DESK_CAP = 1_000_000  # product of all message-set and bin sizes
 _CHUNK_CELLS = 4_000_000
 _TABLE_KEYS = 2 ** 16  # type-key spaces up to this size get a pass/fail table
 _KEY_LIMIT = 2 ** 63   # type keys below this fit int64
-_SEED_CHUNK = 256      # trials seeded together (their Python-int states are held at once)
 # Codeword symbols, bin pairs and channel draws a block of trials holds (a
 # block has at least one trial): what one trial of 65,536 cloud words of
 # length 8 draws
@@ -698,103 +697,11 @@ def _wilson_half_width(pe: float, trials: int) -> float:
     return max(center + spread - pe, pe - (center - spread))
 
 
-# SeedSequence's hash constants (NEP 19 fixes them for reproducibility) and
-# PCG64's 128-bit LCG multiplier
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_HASH_A = (0x43B0D7E5, 0x931E8875)  # (initial value, multiplier) of the entropy hash
-_HASH_B = (0x8B51F9DD, 0x58F38DED)  # (initial value, multiplier) of the state output
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _uint32_words(value: int) -> list:
-    """The uint32 words SeedSequence takes from a nonnegative int, least
-    significant first."""
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
-
-
-def _hasher(const: int, mult: int):
-    """SeedSequence's hashmix, on uint32 arrays; the running constant
-    advances with every call, the same for every column."""
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
-        return value ^ value >> np.uint32(16)
-    return hashmix
-
-
-def _seed_state(entropy: list) -> list:
-    """SeedSequence(column).generate_state(4, np.uint64) for every column of
-    entropy (a list of equal-length uint32 arrays, one per entropy word), as
-    four uint64 arrays."""
-    hashmix = _hasher(*_HASH_A)
-
-    def mix(x, y):
-        r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
-        return r ^ r >> np.uint32(16)
-
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    hashmix = _hasher(*_HASH_B)
-    out = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
-    return [out[2 * k] | out[2 * k + 1] << np.uint64(32) for k in range(4)]
-
-
-def _pcg_states(seed: int, trials: np.ndarray) -> list:
-    """(state, inc) of the PCG64 that default_rng((seed, 0, t)) builds, for
-    each t in trials (nonnegative int64): the entropy words of (seed, 0, t)
-    hashed by SeedSequence, vectorized over the trials that have as many
-    words, then PCG64's seeding, two steps of its 128-bit LCG."""
-    trials = np.asarray(trials, dtype=np.int64).astype(np.uint64)
-    states = [None] * len(trials)
-    wide = trials > _MASK32  # such a t is two entropy words
-    for two in (False, True):
-        which = np.flatnonzero(wide == two)
-        if not len(which):
-            continue
-        t = trials[which]
-        entropy = [np.full(len(t), w, np.uint32) for w in _uint32_words(seed) + [0]]
-        entropy.append((t & np.uint64(_MASK32)).astype(np.uint32))
-        if two:
-            entropy.append((t >> np.uint64(32)).astype(np.uint32))
-        words = np.stack(_seed_state(entropy), axis=1).tolist()
-        for k, (s_hi, s_lo, i_hi, i_lo) in zip(which, words):
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-            states[k] = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128, inc
-    return states
-
-
-def _trial_streams(seed: int, trials: int):
-    """Yield, for t = 0 .. trials - 1, one reused Generator set to the state
-    default_rng((seed, 0, t)) starts from; the states are computed
-    _SEED_CHUNK trials at a time."""
-    rng = np.random.Generator(np.random.PCG64(0))
-    bits = rng.bit_generator
-    for start in range(0, trials, _SEED_CHUNK):
-        for state, inc in _pcg_states(seed, np.arange(start, min(start + _SEED_CHUNK, trials))):
-            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                          "has_uint32": 0, "uinteger": 0}
-            yield rng
-
-
-def _draw_block(cfg: SchemeConfig, streams, books: list, channel, count: int) -> Msg:
-    """Every draw of the next count trials, each from its own generator
-    (streams yields them in trial order), in the order books (fresh books
-    only), messages, channel: each entry of books and channel is None or a
+def _draw_block(cfg: SchemeConfig, rng: np.random.Generator, books: list, channel,
+                count: int) -> Msg:
+    """Every draw of the next count trials from the run's one generator,
+    trial after trial, each in the order books (fresh books only),
+    messages, channel: each entry of books and channel is None or a
     _buffer that takes one row of outputs per trial, in its first count
     rows (every block reuses the buffers). Returns the Msg of index
     arrays."""
@@ -802,7 +709,7 @@ def _draw_block(cfg: SchemeConfig, streams, books: list, channel, count: int) ->
     # a message set of size 1 is index 0 and takes nothing from the stream
     drawn = [(i, cfg._sizes[k]) for i, k in enumerate(_MSG_NAMES) if cfg._sizes[k] > 1]
     books = [raw for raw in books if raw is not None]
-    for t, rng in zip(range(count), streams):
+    for t in range(count):
         for raw in books:
             _fill(rng, raw[t])
         for i, high in drawn:
@@ -819,10 +726,11 @@ def estimate_error(ch: Channel, cfg: SchemeConfig, trials: int,
     contribute through their default guess. Fresh codebooks per trial by
     default (the random-coding average).
 
-    Trials run in blocks: each trial still draws from its own generator's
-    stream (into output buffers every block reuses), each block's books
-    are mapped and packed once, then the encoder, the channel and both
-    decoders run once per block."""
+    Every trial draws, in turn, from the one stream of
+    default_rng((seed, 0)), so a run of T trials is the prefix of any
+    longer run. Trials run in blocks: the block's trials draw into output
+    buffers every block reuses, its books are mapped and packed once, then
+    the encoder, the channel and both decoders run once per block."""
     if trials < 1:
         raise InputError("need at least one trial")
     tables = CoderTables(cfg.scheme, ch)
@@ -842,10 +750,10 @@ def estimate_error(ch: Channel, cfg: SchemeConfig, trials: int,
     errors = {1: 0, 2: 0}
     any_errors = 0
     buckets = {rx: dict.fromkeys(_EVENTS, 0) for rx in (1, 2)}
-    streams = _trial_streams(cfg.seed, trials)
+    rng = np.random.default_rng((cfg.seed, 0))
     for first in range(0, trials, block):
         count = min(block, trials - first)
-        msg = _draw_block(cfg, streams, raw, channel, count)
+        msg = _draw_block(cfg, rng, raw, channel, count)
         books = fixed_books if fixed_books is not None else _pack_books(
             _codebooks(cfg, tables, [None if r is None else r[:count] for r in raw]),
             cfg, tables)

@@ -487,10 +487,10 @@ def plain_classify(messages, passing, msg):
 
 
 def plain_estimate_error(ch, cfg, trials, progress=None):
-    """The simulator one trial at a time: each trial draws its books, all
-    seven messages and its channel symbols from the generator (seed, 0,
-    trial), at the widths of plain_width, and runs encode and decode calls
-    on a batch of that one trial, on int64 books."""
+    """The simulator one trial at a time: trial after trial, each draws its
+    books, all seven messages and its channel symbols from the one
+    generator (seed, 0), at the widths of plain_width, and runs encode and
+    decode calls on a batch of that one trial, on int64 books."""
     from bcsi import simulator
     from bcsi.simulator import Msg, SimReport
 
@@ -505,8 +505,8 @@ def plain_estimate_error(ch, cfg, trials, progress=None):
     any_errors = 0
     buckets = {rx: {"none_typical": 0, "wrong_satellite": 0, "wrong_cloud": 0, "other": 0}
                for rx in (1, 2)}
+    rng = np.random.default_rng((cfg.seed, 0))
     for trial in range(trials):
-        rng = np.random.default_rng((cfg.seed, 0, trial))
         books = fixed_books if fixed_books is not None else plain_generate(cfg, rng)
         fields = [int(rng.integers(sz[k])) for k in
                   ("m1", "m4", "m5", "m21", "m31", "m22", "m32")]
@@ -653,3 +653,12 @@ def plain_t2_rows(p_ux, k1, k2):
     i_uy1 = np.maximum(_entropy_rows(p_ux.sum(axis=-1), 1) + h_y1 - h_uy1, 0.0)
     return np.stack([h_y1, h_y2, h_y1 + h_y2_g, h_y2 + h_y1_g, i_uy1 + h_y2 + h_y1_g],
                     axis=-1)
+
+
+def evaluate_weighted_rate(ch, theorem, weights, p_ux):
+    """Support value max w . R of the t2 or t3 region of one p(u, x), by the
+    optimizer's objective evaluated from scratch, so that a reported optimum
+    can be re-checked."""
+    from bcsi.optimizer import _Evaluator
+
+    return float(_Evaluator(ch, theorem, weights).value(p_ux.mass))

@@ -17,7 +17,7 @@ from bcsi.classifier import (_capability_gap, is_degraded, is_deterministic,
                              is_more_capable_grid)
 from bcsi.errors import GuardError
 from bcsi.info_measures import mutual_information
-from bcsi.optimizer import SearchConfig, evaluate_weighted_rate, maximize_weighted_rate
+from bcsi.optimizer import SearchConfig, maximize_weighted_rate
 from bcsi.polytope import LinearInequality, regions_equal, remove_redundant
 from bcsi.probability import (Alphabet, JointPmf, Pmf,
                               binary_symmetric_pair, blackwell_channel,
@@ -30,7 +30,7 @@ from bcsi.rate_regions import (SplitRates, deterministic_region, marton_region,
 from bcsi.simulator import SchemeConfig, estimate_error
 from conftest import (csiszar_sum_check, random_channel, random_generic_channel,
                       random_joint, random_scheme, swap_receivers)
-from oracles import fix_variables
+from oracles import evaluate_weighted_rate, fix_variables
 
 
 @contextmanager

@@ -9,11 +9,12 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bcsi import cli
+from bcsi import cli, optimizer
 from bcsi.cli import main
 
 
@@ -270,12 +271,23 @@ class TestSlice:
         assert (files["tmp"] / "slice.csv.schemes.json").exists()
 
     def test_negative_zero_coordinates_print_as_zero(self, files, capsys, monkeypatch):
-        point = {"angle_deg": -0.0, "R2": 1.0, "R3": -0.0, "scheme_id": 0}
-        monkeypatch.setattr(cli, "union_slice_2d", lambda *a, **k: ([point], []))
+        """Every zero vertex coordinate of the slice's polygons made -0.0:
+        union_slice_2d hands out +0.0, so the CSV prints 0, never -0."""
+        best = optimizer._polygon_best
+
+        def negated_zeros(*args):
+            values, verts = best(*args)
+            return values, np.where(verts == 0.0, -0.0, verts)
+
+        monkeypatch.setattr(optimizer, "_polygon_best", negated_zeros)
         code, out, _ = run_cli(["slice", "--channel", files["channel"], "--theorem", "t1",
-                                "--free", "R2,R3", "--fixed", "R1=0,R4=0,R5=0"], capsys)
+                                "--free", "R2,R3", "--fixed", "R1=0,R4=0,R5=0",
+                                "--aux-sizes", "2,2,2", "--resolution", "2",
+                                "--directions", "3"], capsys)
         assert code == 0
-        assert out == "angle_deg,R2,R3,scheme_id\n0,1,0,0\n"
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert ["0", "1", "0"] == rows[0][:3] and ["90", "0", "1"] == rows[-1][:3]
+        assert "-0" not in out
 
 
 class TestSimulate:
@@ -326,6 +338,38 @@ class TestSimulate:
                                 "--n", "12", "--trials", "10"], capsys)
         assert code == 2
         assert "cap" in err
+
+    def test_given_split_rates_skip_the_constants(self, files, capsys):
+        """With every split rate given nothing is planned, so the induced
+        joint over (U0, U1, U2, X, Y1, Y2), here 8 * 8 * 8 * 2 * 100 * 100
+        cells, past the dense cap, is never built."""
+        kernel = [[0.0] * (100 * 100) for _ in range(2)]
+        for x in (0, 1):
+            kernel[x][x * 100 + x] = 1.0  # y1 = y2 = x
+        ch = files["tmp"] / "wide.json"
+        ch.write_text(json.dumps({"x_size": 2, "y1_size": 100, "y2_size": 100,
+                                  "kernel": kernel}))
+        aux = files["tmp"] / "wide_aux.json"
+        aux.write_text(json.dumps({"u_sizes": [8, 8, 8], "joint": ["1/512"] * 512,
+                                   "gamma": [i % 2 for i in range(512)]}))
+        argv = ["simulate", "--channel", str(ch), "--scheme", str(aux),
+                "--n", "4", "--trials", "5"]
+        code, out, _ = run_cli(argv + ["--rates", "R4=0.25,Rp1=0"], capsys)
+        assert code == 0
+        assert json.loads(out)["trials"] == 5
+        code, _, err = run_cli(argv + ["--rates", "R4=0.25"], capsys)
+        assert code == 2
+        assert "cap" in err
+
+    def test_gamma_outside_x_exit_1_ahead_of_the_desk_guard(self, files, capsys):
+        aux = files["tmp"] / "far_gamma.json"
+        aux.write_text(json.dumps(dict(AUX_COMPLEMENTARY, gamma=[0, 2])))
+        for rates in ("R1=2.0", "R1=2.0,Rp1=0"):
+            code, out, err = run_cli(["simulate", "--channel", files["channel"],
+                                      "--scheme", str(aux), "--rates", rates,
+                                      "--n", "12", "--trials", "10"], capsys)
+            assert (code, out) == (1, "")
+            assert "gamma maps outside" in err
 
 
 _SLICE = ["slice", "--channel", "{channel}", "--theorem", "t1", "--free", "R2,R3",

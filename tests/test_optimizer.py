@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from bcsi.errors import InputError
-from bcsi.optimizer import (THEOREMS, SearchConfig, evaluate_weighted_rate,
-                            maximize_weighted_rate, region_for, union_slice_2d)
+from bcsi.optimizer import (THEOREMS, SearchConfig, maximize_weighted_rate, region_for,
+                            union_slice_2d)
 from bcsi.optimizer import _LHS3, _LHS5, _SupportOracle
 from bcsi.polytope import maximize
 from bcsi.probability import (Channel, blackwell_channel, binary_symmetric_pair,
                               noiseless_channel, product_channel)
+from oracles import evaluate_weighted_rate
 
 
 class TestSupportOracle:

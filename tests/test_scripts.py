@@ -23,7 +23,7 @@ def test_noiseless_trend(capsys):
     # overloaded: a trial decodes right only when its cloud word is the
     # first of the words equal to the received one (the default guess of an
     # ambiguous search), which at n = 4 happens in about 1 of 16 trials
-    assert [row[2] for row in rows[3:5]] == ["0.9000", "1.0000"]
+    assert [row[2] for row in rows[3:5]] == ["0.9500", "1.0000"]
     assert rows[5][2] == "skipped"  # 2^24 cloud words exceed the desk-scale cap
 
 
@@ -36,6 +36,15 @@ def test_blackwell_slice(capsys, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "angle_deg,R2,R3,scheme_id"
     assert len(lines) == 1 + 17
+
+
+def test_blackwell_slice_prints_no_negative_zero(capsys, tmp_path):
+    """At its defaults the slice has R3 = 0 at 0 degrees and R2 = 0 at 90."""
+    out = tmp_path / "slice.csv"
+    assert _load("blackwell_slice").main(["--out", str(out)]) == 0
+    text, csv = capsys.readouterr().out, out.read_text()
+    assert "-0" not in text and "-0" not in csv
+    assert ",0.000000000," in csv
 
 
 def test_classify_channels(capsys):

@@ -805,14 +805,14 @@ class TestSymbolDraws:
                            seed=21, fresh_codebooks=fresh)
         report = estimate_error(ch, cfg, 300).to_jsonable()
         expected = {
-            True: (266, 194, {"none_typical": 77, "wrong_satellite": 0, "wrong_cloud": 183,
-                              "other": 6},
-                   {"none_typical": 114, "wrong_satellite": 0, "wrong_cloud": 80, "other": 0},
-                   274),
-            False: (269, 187, {"none_typical": 56, "wrong_satellite": 0, "wrong_cloud": 207,
-                               "other": 6},
-                    {"none_typical": 110, "wrong_satellite": 0, "wrong_cloud": 77, "other": 0},
-                    278)}[fresh]
+            True: (259, 181, {"none_typical": 61, "wrong_satellite": 0, "wrong_cloud": 193,
+                              "other": 5},
+                   {"none_typical": 108, "wrong_satellite": 0, "wrong_cloud": 73, "other": 0},
+                   270),
+            False: (264, 207, {"none_typical": 55, "wrong_satellite": 0, "wrong_cloud": 208,
+                               "other": 1},
+                    {"none_typical": 122, "wrong_satellite": 0, "wrong_cloud": 85, "other": 0},
+                    282)}[fresh]
         assert (report["rx1_errors"], report["rx2_errors"], report["rx1_events"],
                 report["rx2_events"], report["pe_estimate"] * 300) == expected
         assert report == plain_estimate_error(ch, cfg, 300).to_jsonable()
@@ -874,9 +874,9 @@ class TestSymbolDraws:
         words = simulator._book_words(cfg, tables)
         assert words == [0, -(-cfg.sizes()["m1"] * cfg.sizes()["l1"] * 5 * 2 // 64), 0]
         raw = [None, np.empty((1, words[1]), np.uint64), None]
-        rng = np.random.default_rng((cfg.seed, 0, 0))
-        msg = simulator._draw_block(cfg, iter([rng]), raw, None, 1)
-        ref = np.random.default_rng((cfg.seed, 0, 0))
+        rng = np.random.default_rng((cfg.seed, 0))
+        msg = simulator._draw_block(cfg, rng, raw, None, 1)
+        ref = np.random.default_rng((cfg.seed, 0))
         assert (ref.bit_generator.random_raw(words[1]) == raw[1][0]).all()
         assert int(ref.integers(cfg.sizes()["m1"])) == msg.m1[0]
         assert rng.bit_generator.random_raw() == ref.bit_generator.random_raw()
@@ -902,34 +902,23 @@ class TestSymbolDraws:
 
 
 class TestTrialStreams:
-    SEEDS = [0, 7, 2 ** 31 - 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3]
-    # the last trial index takes two entropy words
-    TRIALS = [0, 1, 13, 4095, 2 ** 32 - 1, 2 ** 32 + 5]
-
-    @staticmethod
-    def draws(rng):
-        """random, and integers with a power-of-two and another bound, as
-        scalars (the message draws) and as arrays."""
-        return (rng.random(5).tolist(), int(rng.integers(8)), int(rng.integers(1000)),
-                rng.integers(64, size=6).tolist(), rng.integers(100, size=6).tolist(),
-                rng.random(3).tolist())
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_states_give_the_streams_of_default_rng(self, seed):
-        rng = np.random.Generator(np.random.PCG64(0))
-        states = simulator._pcg_states(seed, np.array(self.TRIALS))
-        for t, (state, inc) in zip(self.TRIALS, states):
-            rng.bit_generator.state = {"bit_generator": "PCG64",
-                                       "state": {"state": state, "inc": inc},
-                                       "has_uint32": 0, "uinteger": 0}
-            assert self.draws(rng) == self.draws(np.random.default_rng((seed, 0, t)))
-
-    def test_streams_across_chunks(self, monkeypatch):
-        """The reused generator takes each trial's state in turn, also across
-        the chunks the states are hashed in."""
-        monkeypatch.setattr(simulator, "_SEED_CHUNK", 3)
-        seen = [self.draws(rng) for rng in simulator._trial_streams(2 ** 40, 8)]
-        assert seen == [self.draws(np.random.default_rng((2 ** 40, 0, t))) for t in range(8)]
+    @pytest.mark.parametrize("fresh", [True, False])
+    def test_shorter_runs_are_prefixes(self, fresh):
+        """Every trial draws in turn from the one stream, so the progress
+        counts of a 300-trial run at 100 and 200 are the error counts of the
+        100- and 200-trial runs; cb0 draws at width 4, cb1 at width 1 and
+        the channel at width 53."""
+        scheme, _ = dyadic_case(np.random.default_rng(26), (4, 1, 0, 0))
+        ch = binary_symmetric_pair(0.05, 0.1)
+        tables = CoderTables(scheme, ch)
+        assert [law[0] for law in tables.book_laws] + [tables.channel_law[0]] == [4, 1, 0, 53]
+        cfg = SchemeConfig(scheme=scheme, n=6, rates=ORACLE_RATES[1], eps=1.2, seed=5,
+                           fresh_codebooks=fresh)
+        seen = []
+        estimate_error(ch, cfg, 300, lambda *a: seen.append(a))
+        shorter = [(t, round(estimate_error(ch, cfg, t).pe_estimate * t)) for t in (100, 200)]
+        assert seen[:2] == shorter
+        assert 0 < shorter[0][1] < shorter[1][1] < seen[2][1]
 
     def test_estimate_at_a_multi_word_seed(self):
         ch = binary_symmetric_pair(0.05, 0.1)
