@@ -30,7 +30,7 @@ from .polytope import RateRegion, regions_equal, region_subset
 from .probability import load_aux_scheme, load_channel, load_json, load_ux_joint
 from .rate_regions import (SplitRates, marton_region, mi_constants,
                            project_raw_system, raw_coding_system)
-from .simulator import SchemeConfig, estimate_error, plan_split_rates
+from .simulator import SchemeConfig, estimate_error, guard_rates, plan_split_rates
 
 _EPILOG = """\
 side information: K1 = {M5} at receiver 1, K2 = {M4} at receiver 2;
@@ -214,6 +214,7 @@ def cmd_simulate(args) -> int:
         if whole in rates and any(k in rates for k in parts):
             raise InputError(f"give {whole} or its parts {'/'.join(parts)}, not both")
     scheme.check_against(ch)  # a gamma outside X is exit 1 ahead of any guard
+    guard_rates(args.n, rates)  # n and every rate are checked ahead of the planner's LP
     if any(k in rates for k in ("R21", "R22", "R31", "R32", "Rp1", "Rp2")):
         split = SplitRates(
             r1=rates.get("R1", 0.0),

@@ -271,7 +271,11 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, bounds, options=No
     The rows go to HiGHS as -inf <= A_ub x <= b_ub and b_eq <= A_eq x <=
     b_eq, one column-compressed matrix without explicit zeros. scipy.optimize
     is imported on the first solve: that takes about half a second, which
-    verbs that solve no LP should not pay."""
+    verbs that solve no LP should not pay.
+
+    Non-finite data is an InputError. An exception that HiGHS raises while
+    it takes or solves the model (e.g. ValueError("vector::reserve") on
+    finite data near 1e307) is a GuardError."""
     from scipy.optimize._highspy import _core
 
     c = np.asarray(c, dtype=float)
@@ -300,8 +304,11 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, bounds, options=No
     lp.a_matrix_.value_ = a[rows, cols]
     highs = _core._Highs()
     highs.passOptions(_highs_options(tuple(sorted((options or {}).items()))))
-    highs.passModel(lp)
-    highs.run()
+    try:
+        highs.passModel(lp)
+        highs.run()
+    except (ValueError, RuntimeError, MemoryError) as exc:  # raised inside HiGHS
+        raise GuardError(f"LP solver failed: {exc}") from None
     model = highs.getModelStatus()
     status = {_core.HighsModelStatus.kOptimal: 0, _core.HighsModelStatus.kInfeasible: 2}.get(model, 4)
     if status != 0:

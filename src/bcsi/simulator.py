@@ -12,18 +12,20 @@ the part already fixed (the cloud word at the encoder, the candidate
 codeword pair at the decoders). The test depends on a candidate only through
 its joint type, so it runs once per distinct type rather than once per
 candidate. A type is keyed by an integer summed over groups of positions.
-Each book is packed once, in its own alphabet, into one word per group, and
-the side of a test that does not vary (a decoder's received word, the
-encoder's cloud word) is folded into a small per-trial table of partial keys
-over every possible candidate word pair, so a candidate costs one table
-lookup per group. Receiver errors are counted as decoded-message
-mismatches; a failed search still yields a deterministic default guess, so a
-rate-zero configuration never errors.
+The coder reads each book as words, in the book's own alphabet, one word per
+group of g positions, and the side of a test that does not vary (a
+decoder's received word, the encoder's cloud word) is folded into a small
+per-trial table of partial keys over every possible candidate word pair, so
+a candidate costs one table lookup per group. Receiver errors are counted as
+decoded-message mismatches; a failed search still yields a deterministic
+default guess, so a rate-zero configuration never errors.
 
 The encoder and both decoders have one calling form: a batch of trials
 (one index array per message, received words of shape (T, n)) and a
-required CoderTables built once per scheme and channel. One slack eps sets
-the decoders' packing tests; the encoder covers within eps / 2.
+required CoderTables built once per scheme and channel. They read only
+words: books given as symbols are packed once per call, and the encoder
+unpacks only the T words it sends. One slack eps sets the decoders' packing
+tests; the encoder covers within eps / 2.
 
 All of a run's randomness comes from one stream, default_rng((seed, 0)):
 trial after trial, each trial draws its books (fresh books only), then its
@@ -45,6 +47,15 @@ multiples of 2**-b is sampled exactly (Knuth and Yao). At b = 53 each
 symbol takes one output, as the double u that Generator.random makes of it,
 and is symbol #{k : c_k < u}: a run whose tables all have width 53 draws
 what a double per symbol draws.
+
+A fresh book is drawn straight into words where its law has one row (p(u0),
+or p(u_k | u0) when |U0| = 1), g divides n and g * b is 1, 2, 4, 8 or 16:
+the g fields of a group are then the one field of g * b bits of the same
+outputs, and a table of 2**(g * b) words, built once per book and g, maps
+it to the group's word. Every other book is drawn as symbols and packed.
+Either way the words are the same integers, so the draw changes no report,
+and on the word path a block never holds a book's symbols.
+generate_codebooks, the fixed books, returns symbols.
 """
 
 from __future__ import annotations
@@ -83,6 +94,23 @@ def _size_from_rate(n: int, rate: float) -> int:
     if abs(v - nearest) < 1e-9:
         return max(1, int(nearest))
     return max(1, math.ceil(v))
+
+
+def guard_rates(n: int, rates: dict) -> None:
+    """Check named rates (e.g. {"R1": 0.5}) at blocklength n before any
+    planning: n < 1 or a negative rate is an InputError, and a rate whose
+    message set alone has more than DESK_CAP messages is a GuardError, since
+    the index space of any run at that rate would exceed the cap too. The
+    bin-rate planner's LP then never sees a rate beyond 64 / n bits."""
+    if n < 1:
+        raise InputError("blocklength must be at least 1")
+    for name, rate in rates.items():
+        if rate < 0:
+            raise InputError(f"rate {name} is negative")
+        size = _size_from_rate(n, rate)
+        if size > DESK_CAP:
+            raise GuardError(f"message set {size} of {name} = {rate:g} exceeds desk-scale "
+                             f"cap {DESK_CAP}")
 
 
 @dataclass(frozen=True)
@@ -197,11 +225,19 @@ def _band_ok(counts: np.ndarray, table: np.ndarray, eps: float) -> np.ndarray:
     """Conditional typicality of each row of counts (cells in (known, new)
     row-major order): counts of (known, new) cells must stay within the
     multiplicative band around count(known) * table, and off-support cells
-    must stay empty."""
+    must stay empty.
+
+    |count - target| is at most the row's total m, so wherever eps * target
+    passes m + 1 the band holds; at eps > 1 the slack's target is capped at
+    (m + 1) / eps, which keeps every flag and keeps eps * target finite at
+    any finite eps."""
     counts = counts.reshape(len(counts), *table.shape)
     target = counts.sum(axis=2)[:, :, None] * table[None]
     zero_viol = ((table[None] <= 0.0) & (counts > 0)).any(axis=(1, 2))
-    band_viol = (np.abs(counts - target) > eps * target + 1e-9).any(axis=(1, 2))
+    capped = target
+    if eps > 1.0:
+        capped = np.minimum(target, (counts.sum(axis=(1, 2)) + 1.0)[:, None, None] / eps)
+    band_viol = (np.abs(counts - target) > eps * capped + 1e-9).any(axis=(1, 2))
     return ~(zero_viol | band_viol)
 
 
@@ -334,10 +370,7 @@ def _bincount_flags(table, eps, fixed, fixed_known, major, minor, g, shape) -> n
     n = fixed.shape[-1]
 
     def symbols(words, a):
-        if words is None:
-            return 0
-        digits = words[..., None] // a ** np.arange(g, dtype=np.int64) % a
-        return digits.reshape(words.shape[:-1] + (-1,))[..., :n]
+        return 0 if words is None else _symbols(words, a, g, n)
 
     (w_major, a_major), (w_minor, a_minor) = major, minor
     other = symbols(w_major, a_major) * a_minor + symbols(w_minor, a_minor)
@@ -381,6 +414,15 @@ class CoderTables:
         self.pass_tables = {"encode": {}, 1: {}, 2: {}}
         # the channel's rows over the composite (y1, y2) alphabet
         self.channel_law = _symbol_law(ch.kernel.reshape(ch.x.size, -1))
+        self._word_tables = {}
+
+    def word_table(self, book: int, g: int):
+        """The _word_table of book 0, 1 or 2 (cb0, cb1, cb2) at group size
+        g, built on first use."""
+        key = (book, g)
+        if key not in self._word_tables:
+            self._word_tables[key] = _word_table(self.book_laws[book], self.sizes[book], g)
+        return self._word_tables[key]
 
 
 def _symbol_law(table: np.ndarray) -> tuple:
@@ -462,6 +504,24 @@ def _inverse_cdf(v: np.ndarray, columns, dtype=np.int64) -> np.ndarray:
     return idx
 
 
+def _word_table(law: tuple, a: int, g: int):
+    """The _pack word of every field of g * b bits, for a law of one row
+    and width b over an alphabet of a symbols: entry v is sum_j s_j * a**j,
+    s_j the symbol of field j of width b of v ((v >> b * j) & (2**b - 1)).
+    Those g fields are the fields a group of g positions reads from the
+    same raw outputs, so the table maps each field of g * b bits straight
+    to its group's word. None unless the law has one row and g * b is 1,
+    2, 4, 8 or 16 (a table of at most 2**16 entries)."""
+    bits, thresholds = law
+    if len(thresholds) != 1 or g * bits not in (1, 2, 4, 8, 16):
+        return None
+    v = np.arange(2 ** (g * bits), dtype=np.int64)
+    words = np.zeros(len(v), np.int64)
+    for j in range(g):
+        words += _inverse_cdf(v >> bits * j & (2 ** bits - 1), thresholds[0]) * a ** j
+    return words.astype(np.min_scalar_type(a ** g - 1))
+
+
 def _sample(law: tuple, raw, shape: tuple, rows, dtype) -> np.ndarray:
     """Symbols of the given shape drawn from law (_symbol_law), in C order
     from the fields of raw (a _buffer of the law's width: leading axes
@@ -537,23 +597,21 @@ def generate_codebooks(cfg: SchemeConfig, ch: Channel) -> Codebooks:
 
 
 @dataclass
-class _Packed(Codebooks):
-    """Books with the words of their groups of g positions (_pack, in each
-    book's own alphabet), one entry of words per book, None for a trivial
-    alphabet."""
+class _Words:
+    """Books as the encoder and both decoders read them: per book the words
+    of its groups of g positions (_pack, in the book's own alphabet), None
+    for a trivial alphabet. lead is (T,) when the words have a leading axis
+    of T trials, () when every trial shares them."""
 
     g: int
     words: tuple
+    lead: tuple
 
 
-def _pack_books(cb: Codebooks, cfg: SchemeConfig, tables: CoderTables) -> _Packed:
-    """cb with every nontrivial book packed once for the encoder and both
-    decoders. g is the _group_size of their three tests: cell pairs
-    (u0, u1), (u0, u2) and (u1, u2), each against the candidate words it
-    looks up per trial (one word per trivial alphabet). A _Packed cb is
-    returned as it is."""
-    if isinstance(cb, _Packed):
-        return cb
+def _coder_group(cfg: SchemeConfig, tables: CoderTables) -> int:
+    """The _group_size of the encoder's and both decoders' tests: cell
+    pairs (u0, u1), (u0, u2) and (u1, u2), each against the candidate words
+    it looks up per trial (one word per trivial alphabet)."""
     sz = cfg._sizes
     a0, a1, a2 = tables.sizes
     cloud = sz["m1"] * sz["m21"] * sz["m31"]
@@ -561,23 +619,65 @@ def _pack_books(cb: Codebooks, cfg: SchemeConfig, tables: CoderTables) -> _Packe
     own2 = sz["m32"] * sz["l2"] if a2 > 1 else 1
     tests = [(a0 * a1, cloud * sz["m4"] * own1), (a0 * a2, cloud * sz["m5"] * own2),
              (a1 * a2, (sz["l1"] if a1 > 1 else 1) * (sz["l2"] if a2 > 1 else 1))]
-    g = _group_size(cfg.n, tests)
-    books = (cb.cb0, cb.cb1, cb.cb2)
-    return _Packed(*books, g, tuple(_pack(b, a, g) if a > 1 else None
-                                    for b, a in zip(books, tables.sizes)))
+    return _group_size(cfg.n, tests)
 
 
-def _per_trial(cb: _Packed, trials: int) -> _Packed:
-    """cb with a leading trial axis; books and words without one are shared
-    by every trial (a zero-stride view)."""
-    if cb.cb0.ndim == 7:
+def _pack_books(cb, cfg: SchemeConfig, tables: CoderTables) -> _Words:
+    """The _Words of Codebooks cb, every nontrivial book packed once for
+    the encoder and both decoders at the _coder_group size. _Words are
+    returned as they are."""
+    if isinstance(cb, _Words):
         return cb
+    g = _coder_group(cfg, tables)
+    books = (cb.cb0, cb.cb1, cb.cb2)
+    return _Words(g, tuple(_pack(b, a, g) if a > 1 else None
+                           for b, a in zip(books, tables.sizes)), cb.cb0.shape[:-6])
 
-    def grow(a):
-        return None if a is None else np.broadcast_to(a, (trials,) + a.shape)
 
-    return _Packed(grow(cb.cb0), grow(cb.cb1), grow(cb.cb2), cb.g,
-                   tuple(grow(w) for w in cb.words))
+def _fresh_words(cfg: SchemeConfig, tables: CoderTables, raw: list) -> _Words:
+    """The _Words of fresh books drawn from their outputs (_book_buffers
+    with a leading trial axis), without their symbols where it can: when
+    every nontrivial book's law has one row (p(u0) beside trivial
+    satellites, or p(u_k | u0) beside a trivial cloud), a book with a word
+    table (CoderTables.word_table) and g dividing n reads each group's word
+    from the field of g * b bits that holds the group's symbols. Every other
+    book, and every book of a scheme whose satellites are drawn given the
+    cloud symbols, is sampled (_codebooks) and packed."""
+    a0, a1, a2 = tables.sizes
+    if a0 > 1 and max(a1, a2) > 1:
+        return _pack_books(_codebooks(cfg, tables, raw), cfg, tables)
+    g = _coder_group(cfg, tables)
+    lead = next((r.shape[:-1] for r in raw if r is not None), ())
+    words = []
+    for k, (shape, a, out) in enumerate(zip(_book_shapes(cfg), tables.sizes, raw)):
+        if a == 1:
+            words.append(None)
+            continue
+        law = tables.book_laws[k]
+        table = tables.word_table(k, g) if cfg.n % g == 0 else None
+        if table is None:
+            book = _sample(law, out, lead + shape, None, tables.codeword_dtype)
+            words.append(_pack(book, a, g))
+        else:
+            fields = _fields(out, g * law[0], math.prod(shape) // g)
+            words.append(np.take(table, fields).reshape(lead + shape[:-1] + (-1,)))
+    return _Words(g, tuple(words), lead)
+
+
+def _per_trial(cb: _Words, trials: int) -> _Words:
+    """cb with a leading trial axis; words without one are shared by every
+    trial (a zero-stride view)."""
+    if cb.lead:
+        return cb
+    return _Words(cb.g, tuple(None if w is None else np.broadcast_to(w, (trials,) + w.shape)
+                              for w in cb.words), (trials,))
+
+
+def _symbols(words: np.ndarray, a: int, g: int, n: int) -> np.ndarray:
+    """The int64 symbols of _pack words of groups of g positions over an
+    alphabet of a, on a last axis of n positions."""
+    digits = words[..., None] // a ** np.arange(g, dtype=np.int64) % a
+    return digits.reshape(words.shape[:-1] + (-1,))[..., :n]
 
 
 def encode(cb: Codebooks, msg: Msg, cfg: SchemeConfig, tables: CoderTables):
@@ -586,48 +686,55 @@ def encode(cb: Codebooks, msg: Msg, cfg: SchemeConfig, tables: CoderTables):
     when none passes. Returns (x, (l1, l2), fallback), each with a leading
     trial axis (x is (T, n)).
 
-    msg holds one index array of T entries per message; cb either has a
-    leading trial axis of T or is shared by every trial, and may come
-    packed (_pack_books)."""
+    msg holds one index array of T entries per message; cb (Codebooks, or
+    their _Words) either has a leading trial axis of T or is shared by
+    every trial. Only the T sent words are unpacked to symbols."""
     m = [getattr(msg, k) for k in _MSG_NAMES]
     trials = np.arange(len(m[0]))
     cb = _per_trial(_pack_books(cb, cfg, tables), len(trials))
     cloud = (trials, *m[:5])
-    u0 = cb.cb0[cloud]                       # (T, n)
+
+    def sent(k, pick):  # the symbols (T, n) of book k's word at pick
+        w = cb.words[k]
+        if w is None:
+            return np.zeros((len(trials), cfg.n), np.int64)
+        return _symbols(w[pick], tables.sizes[k], cb.g, cfg.n)
+
+    u0 = sent(0, cloud)
     _, w1, w2 = cb.words
     _, a1, a2 = tables.sizes
     major = (None if w1 is None else w1[cloud + (m[5],)][:, :, None, :], a1)  # (T, L1, 1, G)
     minor = (None if w2 is None else w2[cloud + (m[6],)][:, None, :, :], a2)  # (T, 1, L2, G)
-    pairs = (len(trials), cb.cb1.shape[-2], cb.cb2.shape[-2])
+    pairs = (len(trials), cfg._sizes["l1"], cfg._sizes["l2"])
     flags = _typical_flags(tables.t_pair, cfg.eps_prime, u0[:, None, None, :], True, major,
                            minor, cb.g, tables.pass_tables["encode"])
     flags = np.broadcast_to(flags, pairs).reshape(len(trials), -1)
     # argmax is 0, i.e. the fallback pair (0, 0), when nothing passes
     l1, l2 = np.divmod(flags.argmax(axis=1), pairs[2])
-    x = tables.gamma[u0, cb.cb1[cloud + (m[5], l1)], cb.cb2[cloud + (m[6], l2)]]
+    x = tables.gamma[u0, sent(1, cloud + (m[5], l1)), sent(2, cloud + (m[6], l2))]
     return x, (l1, l2), ~flags.any(axis=1)
 
 
-# Per receiver: its satellite book, the cb0 axis of the message it knows
-# (after the trial axis), the candidate axes the search is existential over
-# (the other receiver's private cloud part and the bin; the trial axis
-# first), and the messages it decodes.
+# Per receiver: the cb0 axis of the message it knows (after the trial axis),
+# the candidate axes the search is existential over (the other receiver's
+# private cloud part and the bin; the trial axis first), and the messages it
+# decodes.
 _RECEIVERS = {
-    1: ("cb1", 3, (4, 6), ("m1", "m4", "m21", "m22")),
-    2: ("cb2", 2, (3, 6), ("m1", "m5", "m31", "m32")),
+    1: (3, (4, 6), ("m1", "m4", "m21", "m22")),
+    2: (2, (3, 6), ("m1", "m5", "m31", "m32")),
 }
 
 
 def _decode(rx: int, cb: Codebooks, y: np.ndarray, known, cfg: SchemeConfig,
             tables: CoderTables) -> DecodeResult:
-    book, known_axis, hidden, names = _RECEIVERS[rx]
+    known_axis, hidden, names = _RECEIVERS[rx]
     y = np.asarray(y).reshape(len(known), 1, 1, 1, 1, 1, 1, -1)
     trials = np.arange(len(known))
     cb = _per_trial(_pack_books(cb, cfg, tables), len(trials))
     pick = (trials,) + (slice(None),) * (known_axis - 1) + (known,)
-    sat = getattr(cb, book)
-    # the candidate axes (T, ..., M22 or M32, L1 or L2) of sat[pick]
-    candidates = (len(trials),) + sat.shape[1:known_axis] + sat.shape[known_axis + 1:-1]
+    # the candidate axes (T, ..., M22 or M32, L1 or L2) of the satellite book at pick
+    shape = _book_shapes(cfg)[rx][:-1]
+    candidates = (len(trials),) + shape[:known_axis - 1] + shape[known_axis:]
     # (T, M1, M4 or M5, M21, M31, 1, 1, G) cloud words, (T, ..., M22 or M32,
     # L1 or L2, G) satellite words; a trivial alphabet has none
     w0, w_sat = cb.words[0], cb.words[rx]
@@ -729,8 +836,9 @@ def estimate_error(ch: Channel, cfg: SchemeConfig, trials: int,
     Every trial draws, in turn, from the one stream of
     default_rng((seed, 0)), so a run of T trials is the prefix of any
     longer run. Trials run in blocks: the block's trials draw into output
-    buffers every block reuses, its books are mapped and packed once, then
-    the encoder, the channel and both decoders run once per block."""
+    buffers every block reuses, its books are mapped to words once
+    (_fresh_words), then the encoder, the channel and both decoders run
+    once per block."""
     if trials < 1:
         raise InputError("need at least one trial")
     tables = CoderTables(cfg.scheme, ch)
@@ -754,9 +862,8 @@ def estimate_error(ch: Channel, cfg: SchemeConfig, trials: int,
     for first in range(0, trials, block):
         count = min(block, trials - first)
         msg = _draw_block(cfg, rng, raw, channel, count)
-        books = fixed_books if fixed_books is not None else _pack_books(
-            _codebooks(cfg, tables, [None if r is None else r[:count] for r in raw]),
-            cfg, tables)
+        books = fixed_books if fixed_books is not None else _fresh_words(
+            cfg, tables, [None if r is None else r[:count] for r in raw])
         x, _, fb = encode(books, msg, cfg, tables)
         fallbacks += int(fb.sum())
         flat = _sample(tables.channel_law, None if channel is None else channel[:count],

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -360,6 +361,37 @@ class TestSimulate:
         code, _, err = run_cli(argv + ["--rates", "R4=0.25"], capsys)
         assert code == 2
         assert "cap" in err
+
+    @pytest.mark.parametrize("rates", ["R1=0.5,R4=1e307", "R4=1e300", "R1=1e308,R4=1e308"])
+    def test_huge_rate_exit_2_ahead_of_the_planner(self, files, capsys, rates):
+        """Each rate's message set is checked against the guard before the
+        bin-rate planner's LP, which HiGHS once failed with a ValueError
+        (1e307) or which took non-finite data (1e308 + 1e308)."""
+        code, out, err = run_cli(["simulate", "--channel", files["channel"],
+                                  "--scheme", files["aux"], "--rates", rates,
+                                  "--n", "8", "--trials", "5"], capsys)
+        assert (code, out) == (2, "")
+        assert "cap" in err and "Traceback" not in err and "warning" not in err
+
+    @pytest.mark.parametrize("n, rates, message", [("0", "R4=1e307", "blocklength"),
+                                                   ("8", "R4=-1e307", "rate R4 is negative")])
+    def test_bad_blocklength_or_sign_exit_1_ahead_of_the_planner(self, files, capsys, n,
+                                                                  rates, message):
+        code, out, err = run_cli(["simulate", "--channel", files["channel"],
+                                  "--scheme", files["aux"], "--rates", rates,
+                                  "--n", n, "--trials", "5"], capsys)
+        assert (code, out) == (1, "")
+        assert message in err and "warning" not in err
+
+    def test_huge_eps_runs_without_overflow_warnings(self, files, capsys):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(["simulate", "--channel", files["channel"],
+                                      "--scheme", files["aux"], "--rates", "R1=0.5",
+                                      "--n", "8", "--trials", "5", "--eps", "1e308"], capsys)
+        assert code == 0 and json.loads(out)["config"]["eps1"] == 1e308
+        assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+        assert "RuntimeWarning" not in err
 
     def test_gamma_outside_x_exit_1_ahead_of_the_desk_guard(self, files, capsys):
         aux = files["tmp"] / "far_gamma.json"

@@ -752,6 +752,23 @@ class TestLinprog:
         assert polytope.linprog(**lp, options=tight).status == 2
         assert scipy.optimize.linprog(**lp, method="highs", options=tight).status == 2
 
+    @pytest.mark.parametrize("exc", [ValueError("vector::reserve"), RuntimeError("x"),
+                                     MemoryError()])
+    def test_an_exception_inside_highs_is_a_guard_error(self, monkeypatch, exc):
+        """HiGHS raised ValueError("vector::reserve") on the bin-rate
+        planner's LP at R4 = 1e307 (finite data), and on the same data it
+        can crash the process, so the failure is stood in for here."""
+        from scipy.optimize._highspy import _core
+
+        class Failing(_core._Highs):
+            def run(self):
+                raise exc
+
+        monkeypatch.setattr(_core, "_Highs", Failing)
+        with pytest.raises(GuardError, match="LP solver failed"):
+            polytope.linprog(np.array([1.0]), A_ub=np.array([[1.0]]), b_ub=np.array([1.0]),
+                             bounds=[(0.0, None)])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", ["c", "A_ub", "b_ub", "A_eq", "b_eq"])
     def test_a_nan_or_inf_coefficient_is_an_input_error(self, where, bad):

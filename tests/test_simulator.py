@@ -998,3 +998,148 @@ class TestPlanSplitRates:
         for ours, theirs in ((a_ub, a_hand), (b_ub, b_hand)):
             assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
             assert ours.tobytes() == theirs.tobytes()
+
+
+def one_row_scheme(rng, side, a, b):
+    """A scheme whose nontrivial books all have a law of one row and width
+    b over a symbols: p(u0) beside trivial satellites ("cloud"), or
+    independent p(u1) and p(u2) beside a trivial cloud ("satellites")."""
+    p = [dyadic_rows(rng, 1, a, b)[0] / 2.0 ** b for _ in range(2)]
+    if side == "cloud":
+        sizes, mass = (a, 1, 1), p[0]
+    else:
+        sizes, mass = (1, a, a), p[0][:, None] * p[1][None, :]
+    axes = tuple(Alphabet.indexed(f"U{i}", s) for i, s in enumerate(sizes))
+    return AuxScheme(JointPmf(axes, mass.reshape(sizes)),
+                     rng.integers(0, 2, size=sizes))
+
+
+def words_both_ways(cfg, tables, trials, seed):
+    """One block of fresh books from seeded outputs: its _fresh_words, and
+    _pack of the symbols _codebooks maps the same outputs to."""
+    rng = np.random.default_rng(seed)
+    raw = simulator._book_buffers(cfg, tables, (trials,))
+    for out in raw:
+        if out is not None:
+            for t in range(trials):
+                simulator._fill(rng, out[t])
+    packed = simulator._pack_books(simulator._codebooks(cfg, tables, raw), cfg, tables)
+    return simulator._fresh_words(cfg, tables, raw), packed
+
+
+def assert_same_words(ours, theirs):
+    assert (ours.g, ours.lead) == (theirs.g, theirs.lead)
+    for mine, packed in zip(ours.words, theirs.words):
+        assert (mine is None) == (packed is None)
+        if mine is not None:
+            assert mine.dtype == packed.dtype and mine.shape == packed.shape
+            assert (mine == packed).all()
+
+
+class TestWordDraws:
+    @settings(max_examples=150, deadline=None)
+    @given(b=st.sampled_from([1, 2, 4, 8]), a=st.integers(2, 4),
+           side=st.sampled_from(["cloud", "satellites"]), n=st.integers(1, 8),
+           bits=st.integers(0, 10), trials=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_word_draw_is_the_packed_symbol_draw(self, b, a, side, n, bits, trials, seed):
+        """Random dyadic one-row laws of width b: each group's word read
+        from its field of g * b bits is the _pack word of the symbols that
+        _sample draws from the same outputs, bitwise, on the word path
+        (g | n, g * b <= 16) and off it."""
+        rng = np.random.default_rng(seed)
+        scheme = one_row_scheme(rng, side, a, b)
+        ch = noiseless_channel(2)
+        rates = (SplitRates(r1=bits / n) if side == "cloud" else
+                 SplitRates(r22=bits / (2 * n), rp1=bits / (2 * n), rp2=1 / n))
+        cfg = SchemeConfig(scheme=scheme, n=n, rates=rates)
+        tables = CoderTables(scheme, ch)
+        assert {law[0] for law, s in zip(tables.book_laws, tables.sizes) if s > 1} == {b}
+        assert_same_words(*words_both_ways(cfg, tables, trials, seed))
+
+    # (sizes, law of each book given as a (u0, u1, u2) mass, n, rates) per case
+    # with the number of books _fresh_words samples
+    CASES = {
+        "word path": ((2, 1, 1), [0.5, 0.5], 8, SplitRates(r1=2.0), 0),
+        "width 53": ((2, 1, 1), [1 / 3, 2 / 3], 8, SplitRates(r1=1.0), 1),
+        "g does not divide n": ((2, 1, 1), [0.25, 0.75], 7, SplitRates(r1=3 / 7), 1),
+        "g * b above 16": ((3, 1, 1), [2 ** -8, 0.5, 0.5 - 2 ** -8], 6,
+                           SplitRates(r1=math.log2(27) / 6), 1),
+        "multi-row satellite": ((2, 2, 1), [0.125, 0.375, 0.25, 0.25], 6,
+                                SplitRates(r1=1 / 3, rp1=1 / 3), 2),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_fallbacks_sample_and_pack(self, monkeypatch, case):
+        sizes, mass, n, rates, sampled = self.CASES[case]
+        axes = tuple(Alphabet.indexed(f"U{i}", s) for i, s in enumerate(sizes))
+        scheme = AuxScheme(JointPmf(axes, np.array(mass).reshape(sizes)),
+                           np.arange(math.prod(sizes)).reshape(sizes) % 2)
+        cfg = SchemeConfig(scheme=scheme, n=n, rates=rates)
+        tables = CoderTables(scheme, noiseless_channel(2))
+        calls = []
+        sample = simulator._sample
+        monkeypatch.setattr(simulator, "_sample", lambda *a: calls.append(1) or sample(*a))
+        ours, packed = words_both_ways(cfg, tables, 2, 7)
+        assert len(calls) == sampled + sum(s > 1 for s in sizes)  # and _codebooks' own
+        assert_same_words(ours, packed)
+        if case == "g does not divide n":
+            assert ours.g == 3
+        if case == "g * b above 16":
+            assert tables.book_laws[0][0] == 8 and ours.g == 3
+
+    @pytest.mark.parametrize("fresh", [True, False])
+    def test_estimate_on_the_word_path_matches_the_per_trial_loop(self, fresh):
+        """R1 = 2 at n = 4: 256 cloud words of g = 4 one-bit symbols, each
+        group's word one 4-bit field of the raw outputs (fresh books; fixed
+        books are drawn as symbols and packed)."""
+        ch = noiseless_channel(2)
+        cfg = SchemeConfig(scheme=complementary_scheme(ch), n=4, rates=SplitRates(r1=2.0),
+                           seed=4, fresh_codebooks=fresh)
+        tables = CoderTables(cfg.scheme, ch)
+        g = simulator._coder_group(cfg, tables)
+        assert (g, tables.book_laws[0][0]) == (4, 1) and tables.word_table(0, g) is not None
+        report = estimate_error(ch, cfg, 60)
+        assert report.to_jsonable() == plain_estimate_error(ch, cfg, 60).to_jsonable()
+        assert 0 < report.rx1_errors < 60 or not fresh
+
+    def test_overloaded_trials_hold_no_symbol_book(self):
+        """The overloaded cloud-only point (65,536 cloud words of n = 8 per
+        trial): four trials peak below 1.5 MB of traced allocations, where
+        one book of uint8 symbols is 0.5 MB and drawing and packing it
+        peaked at 1.84 MB."""
+        import tracemalloc
+
+        ch = noiseless_channel(2)
+        cfg = SchemeConfig(scheme=complementary_scheme(ch), n=8, rates=SplitRates(r1=2.0),
+                           seed=3)
+        estimate_error(ch, cfg, 2)
+        tracemalloc.start()
+        try:
+            estimate_error(ch, cfg, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2 ** 20
+
+
+class TestBandTest:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           eps=st.floats(1e-3, 1e308) | st.sampled_from([1.0, 1e300, 1e308, 1.7e308]))
+    def test_flags_at_any_eps_are_those_of_the_plain_band(self, seed, eps):
+        """The band test at any finite eps gives the flags of the plain
+        |count - target| > eps * target + 1e-9 (an overflowing product read
+        as inf), without overflowing."""
+        rng = np.random.default_rng(seed)
+        table = rng.random((2, 3)) * (rng.random((2, 3)) > 0.2)
+        table[:, 0] += 1e-300
+        table /= table.sum(axis=1, keepdims=True)
+        counts = rng.integers(0, 6, size=(50, 6))
+        with np.errstate(over="raise"):
+            flags = simulator._band_ok(counts, table, eps)
+        c = counts.reshape(50, 2, 3)
+        target = c.sum(axis=2)[:, :, None] * table
+        with np.errstate(over="ignore"):
+            band = (np.abs(c - target) > eps * target + 1e-9).any(axis=(1, 2))
+        zero = ((table <= 0.0) & (c > 0)).any(axis=(1, 2))
+        assert (flags == ~(band | zero)).all()
